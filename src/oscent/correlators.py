@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Lattice, Region, l1_distance
+from .lattice import Lattice, Region
 from .spectral import eigensystem, spd_inv_sqrt
 
 # Distance bins whose empirical mean falls below this are dropped from the
@@ -78,24 +78,25 @@ def ground_state_correlator_bound(table: CorrelatorTable, region: Region, p: flo
 
 
 def distance_bins(lattice: Lattice) -> dict[int, np.ndarray]:
-    """Index pairs (as flat masks) grouped by l1 distance >= 1."""
-    n = lattice.size
-    dist = np.zeros((n, n), dtype=int)
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist[i, j] = dist[j, i] = l1_distance(lattice.sites[i], lattice.sites[j])
+    """Index pairs (as flat masks) grouped by l1 distance >= 1.
+
+    Each bin holds flat indices into the size x size matrix in row-major
+    order, the order ``np.flatnonzero(lattice.distances == r)`` gives.
+    """
+    flat = lattice.distances.ravel()
+    order = np.argsort(flat, kind="stable")
+    ends = np.cumsum(np.bincount(flat))
     return {
-        int(r): np.nonzero(dist == r)
-        for r in np.unique(dist)
-        if r >= 1
+        r: order[ends[r - 1] : ends[r]]
+        for r in range(1, ends.size)
+        if ends[r] > ends[r - 1]
     }
 
 
 def mean_moment_by_distance(mean_moment: np.ndarray, lattice: Lattice) -> dict[int, float]:
     """Average an elementwise moment matrix over pairs at each l1 distance."""
-    return {
-        r: float(mean_moment[idx].mean()) for r, idx in distance_bins(lattice).items()
-    }
+    flat = np.asarray(mean_moment).ravel()
+    return {r: float(flat[idx].mean()) for r, idx in distance_bins(lattice).items()}
 
 
 def decay_fit(tables: list[CorrelatorTable], s: float) -> DecayFit:
@@ -146,12 +147,14 @@ def _fit_binned(mean_moment: np.ndarray, lattice: Lattice, s: float) -> DecayFit
 
 def correlator_csv(values: np.ndarray, lattice: Lattice) -> str:
     """Render a correlator (or moment) matrix as CSV rows j,k,distance,value."""
-    lines = ["j,k,distance,value"]
+    values = np.asarray(values)
+    # One joined string per matrix row keeps the peak memory near the size
+    # of the output text rather than one small string object per entry.
+    chunks = ["j,k,distance,value\n"]
     for i in range(lattice.size):
-        for j in range(lattice.size):
-            distance = l1_distance(lattice.sites[i], lattice.sites[j])
-            lines.append(f"{i},{j},{distance},{values[i, j]:.15g}")
-    return "\n".join(lines) + "\n"
+        row = zip(lattice.distances[i].tolist(), values[i].tolist())
+        chunks.append("".join(f"{i},{j},{d},{v:.15g}\n" for j, (d, v) in enumerate(row)))
+    return "".join(chunks)
 
 
 def lattice_exponential_sum(eta: float, dimension: int) -> float:

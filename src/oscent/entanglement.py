@@ -36,22 +36,36 @@ def renyi_factor(x, eps: float):
     """Per-mode factor f_eps(x) of the ground-state Renyi formula.
 
     Defined for x >= 1 and 0 < eps < 1; f_eps(1) = 1 for every eps.
+    With a = (x+1)/2 the difference of powers is evaluated as
+    -a^eps * expm1(eps * log((x-1)/(x+1))), which does not cancel at large
+    x. The logarithm is log1p(-2/(x+1)) from x = 3 on, where the ratio is
+    near 1, and a plain log below, where log1p would cancel instead.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x < 1.0):
         raise ValueError("renyi_factor requires x >= 1")
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    value = 1.0 / (((x + 1.0) / 2.0) ** eps - ((x - 1.0) / 2.0) ** eps)
+    a = (x + 1.0) / 2.0
+    # At x = 1 the logarithm is -inf and expm1(-inf) = -1, so f_eps(1) = 1.
+    with np.errstate(divide="ignore"):
+        log_ratio = np.where(
+            x < 3.0, np.log((x - 1.0) / (x + 1.0)), np.log1p(-2.0 / (x + 1.0))
+        )
+    value = -1.0 / (a**eps * np.expm1(eps * log_ratio))
     return value if value.ndim else float(value)
 
 
 def half_renyi_factor(x):
-    """Closed form of f_{1/2}: sqrt(2)/(sqrt(x+1) - sqrt(x-1))."""
+    """Closed form of f_{1/2}: sqrt(2)/(sqrt(x+1) - sqrt(x-1)).
+
+    Evaluated as (sqrt(x+1) + sqrt(x-1))/sqrt(2), the same value without
+    the cancellation in the denominator at large x.
+    """
     x = np.asarray(x, dtype=float)
     if np.any(x < 1.0):
         raise ValueError("half_renyi_factor requires x >= 1")
-    value = np.sqrt(2.0) / (np.sqrt(x + 1.0) - np.sqrt(x - 1.0))
+    value = (np.sqrt(x + 1.0) + np.sqrt(x - 1.0)) / np.sqrt(2.0)
     return value if value.ndim else float(value)
 
 

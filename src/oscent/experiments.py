@@ -72,6 +72,9 @@ class ExperimentConfig:
             lo, hi = self.excitations
             if not 1 <= lo <= hi:
                 raise ValueError(f"bad excitation range {self.excitations}")
+            modes = math.prod(self.lengths)
+            if hi > modes:
+                raise ValueError(f"excitation range {self.excitations} exceeds mode count {modes}")
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
@@ -92,7 +95,9 @@ class ExperimentConfig:
             excitations=excitations,
             p=float(raw.get("p", 1.0)),
             s=float(raw.get("s", 0.5)),
-            master_seed=int(raw.get("seed", raw.get("master_seed", 0))),
+            master_seed=int(
+                raw.get("seed", raw.get("master_seed", raw.get("disorder", {}).get("seed", 0)))
+            ),
             threads=int(raw["threads"]) if raw.get("threads") is not None else None,
             fit_decay=bool(raw.get("fit_decay", False)),
             coupling_kind=str(raw.get("coupling", "nearest")),
@@ -192,8 +197,6 @@ def _selected_modes(policy, total: int) -> list[int]:
     if policy == "none":
         return []
     lo, hi = policy
-    if hi > total:
-        raise ValueError(f"excitation range {policy} exceeds mode count {total}")
     return list(range(lo, hi + 1))
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Lattice, l1_distance
+from .lattice import Lattice
 
 # Smallest eigenvalue must exceed this times ||h|| for the matrix to count
 # as positive definite; exact singularity has probability zero for the
@@ -90,10 +90,13 @@ def assemble_anderson(lattice: Lattice, springs) -> CouplingMatrix:
         raise ValueError("spring constants must be nonnegative")
     n = lattice.size
     h = np.zeros((n, n))
-    for i, a in enumerate(lattice.sites):
-        for j in range(i + 1, n):
-            if l1_distance(a, lattice.sites[j]) == 1:
-                h[i, j] = h[j, i] = -1.0
+    # In C order, the neighbor one step up along an axis sits that axis's
+    # stride further on; every site short of the far wall has one.
+    stride = 1
+    for axis in reversed(range(lattice.dimension)):
+        lower = np.flatnonzero(lattice.coords[:, axis] < lattice.lengths[axis] - 1)
+        h[lower, lower + stride] = h[lower + stride, lower] = -1.0
+        stride *= lattice.lengths[axis]
     degrees = -h.sum(axis=1)
     h[np.diag_indices(n)] = degrees + springs
     return CouplingMatrix(matrix=h, lattice=lattice)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +35,30 @@ class Lattice:
     def index_of(self, site) -> int:
         """Row index of a site in the fixed ordering."""
         return self._index[tuple(site)]
+
+    @cached_property
+    def coords(self) -> np.ndarray:
+        """Read-only (size, dimension) integer array; row i is ``sites[i]``.
+
+        The lexicographic site order is C order over the box, so row i holds
+        the multi-index that ``np.unravel_index(i, lengths)`` gives.
+        """
+        coords = np.indices(self.lengths).reshape(self.dimension, -1).T.copy()
+        coords.flags.writeable = False
+        return coords
+
+    @cached_property
+    def distances(self) -> np.ndarray:
+        """Read-only (size, size) int32 matrix of pairwise l1 distances.
+
+        Summed axis by axis in int32, so no (size, size, dimension) or int64
+        intermediate is ever held.
+        """
+        dist = np.zeros((self.size, self.size), dtype=np.int32)
+        for axis in self.coords.T.astype(np.int32):
+            dist += np.abs(axis[:, None] - axis[None, :])
+        dist.flags.writeable = False
+        return dist
 
 
 def build_box(dimension: int, lengths) -> Lattice:

@@ -181,3 +181,42 @@ def test_seed_override_changes_draw(two_site_config, tmp_path):
     v1 = json.loads((out1 / "ground_entropy.json").read_text())["ground_renyi"][0]
     v2 = json.loads((out2 / "ground_entropy.json").read_text())["ground_renyi"][0]
     assert v1 != v2
+
+
+def test_scan_excitation_range_beyond_mode_count_exits_2(scan_config, tmp_path, capsys):
+    cfg = json.loads(scan_config.read_text())
+    cfg["excitations"] = {"k_range": [1, 13]}
+    scan_config.write_text(json.dumps(cfg))
+    assert main(["scan", "--config", str(scan_config), "--out", str(tmp_path / "o")]) == 2
+    assert "exceeds mode count 12" in capsys.readouterr().err
+
+
+def _scan_seed(config_path, out, extra=()):
+    assert main(["scan", "--config", str(config_path), "--out", str(out), *extra]) == 0
+    return json.loads((out / "manifest.json").read_text())["seed"]
+
+
+def test_scan_seed_precedence(scan_config, tmp_path):
+    cfg = json.loads(scan_config.read_text())
+    cfg["disorder"]["seed"] = 5
+    scan_config.write_text(json.dumps(cfg))
+    # flag, then top-level seed, then disorder.seed, then 0
+    assert _scan_seed(scan_config, tmp_path / "flag", ["--seed", "3"]) == 3
+    assert _scan_seed(scan_config, tmp_path / "top") == 11
+    del cfg["seed"]
+    scan_config.write_text(json.dumps(cfg))
+    assert _scan_seed(scan_config, tmp_path / "disorder") == 5
+    del cfg["disorder"]["seed"]
+    scan_config.write_text(json.dumps(cfg))
+    assert _scan_seed(scan_config, tmp_path / "default") == 0
+
+
+def test_scan_uses_disorder_seed_like_top_level_seed(scan_config, tmp_path):
+    cfg = json.loads(scan_config.read_text())
+    cfg["disorder"]["seed"] = cfg.pop("seed")
+    nested = tmp_path / "nested.json"
+    nested.write_text(json.dumps(cfg))
+    out1, out2 = tmp_path / "top", tmp_path / "nested"
+    assert main(["scan", "--config", str(scan_config), "--out", str(out1)]) == 0
+    assert main(["scan", "--config", str(nested), "--out", str(out2)]) == 0
+    assert (out1 / "records.csv").read_bytes() == (out2 / "records.csv").read_bytes()

@@ -22,7 +22,13 @@ from oscent import (
     spd_sqrt,
     symplectic_spectrum,
 )
-from oscent.correlators import CorrelatorTable, lattice_exponential_sum
+from oscent.correlators import (
+    CorrelatorTable,
+    correlator_csv,
+    distance_bins,
+    lattice_exponential_sum,
+    mean_moment_by_distance,
+)
 
 
 def test_table_identity_and_diagonal():
@@ -167,3 +173,48 @@ def test_boundary_factorized_cross_sum():
             for b in region.complement
         )
         assert cross <= closed**2 * max(len(inner_boundary(region)), 1) + 1e-9
+
+
+def _loop_distances(lattice):
+    n = lattice.size
+    dist = np.zeros((n, n), dtype=int)
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist[i, j] = dist[j, i] = l1_distance(lattice.sites[i], lattice.sites[j])
+    return dist
+
+
+GEOMETRY_BOXES = [[7], [3, 1, 4], [4, 4, 4]]
+
+
+@pytest.mark.parametrize("lengths", GEOMETRY_BOXES)
+def test_distance_bins_match_nonzero_order(lengths):
+    lat = build_box(len(lengths), lengths)
+    dist = _loop_distances(lat)
+    bins = distance_bins(lat)
+    assert list(bins) == [int(r) for r in np.unique(dist) if r >= 1]
+    for r, idx in bins.items():
+        rows, cols = np.nonzero(dist == r)
+        assert np.array_equal(idx, np.ravel_multi_index((rows, cols), dist.shape))
+
+
+@pytest.mark.parametrize("lengths", GEOMETRY_BOXES)
+def test_mean_moment_by_distance_matches_pair_loop(lengths):
+    lat = build_box(len(lengths), lengths)
+    dist = _loop_distances(lat)
+    moment = np.random.default_rng(3).random((lat.size, lat.size)) ** 5
+    expected = {
+        int(r): float(moment[np.nonzero(dist == r)].mean()) for r in np.unique(dist) if r >= 1
+    }
+    assert mean_moment_by_distance(moment, lat) == expected
+
+
+def test_correlator_csv_matches_pair_loop():
+    lat = build_box(2, [3, 4])
+    values = np.random.default_rng(4).random((lat.size, lat.size)) ** 9
+    lines = ["j,k,distance,value"]
+    for i in range(lat.size):
+        for j in range(lat.size):
+            distance = l1_distance(lat.sites[i], lat.sites[j])
+            lines.append(f"{i},{j},{distance},{values[i, j]:.15g}")
+    assert correlator_csv(values, lat) == "\n".join(lines) + "\n"

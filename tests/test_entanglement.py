@@ -86,6 +86,27 @@ def test_half_factor_closed_form_identity():
     np.testing.assert_allclose(renyi_factor(xs, 0.5), half_renyi_factor(xs), rtol=1e-14)
 
 
+def _mp_renyi_factor(x, eps):
+    """f_eps(x) at 50 digits, from the difference of powers as defined."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        x, eps = mpmath.mpf(x), mpmath.mpf(eps)
+        return 1 / (((x + 1) / 2) ** eps - ((x - 1) / 2) ** eps)
+
+
+@pytest.mark.parametrize("x", [1.0, 1.0 + 1e-7, 30.0, 1e10])
+@pytest.mark.parametrize("eps", [0.1, 0.5, 0.9])
+def test_renyi_factor_matches_mpmath(x, eps):
+    expected = _mp_renyi_factor(x, eps)
+    assert abs(renyi_factor(x, eps) - expected) <= 1e-13 * abs(expected)
+
+
+@pytest.mark.parametrize("x", [1.0, 1.0 + 1e-7, 30.0, 1e10])
+def test_half_renyi_factor_matches_mpmath(x):
+    expected = _mp_renyi_factor(x, 0.5)
+    assert abs(half_renyi_factor(x) - expected) <= 1e-13 * abs(expected)
+
+
 def test_ground_renyi_is_zero_for_product_state():
     mu = np.ones(5)
     for eps in (0.2, 0.5, 0.9, 1.0):

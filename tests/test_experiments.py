@@ -183,3 +183,9 @@ def test_writers_produce_stable_files(tmp_path):
 def test_scan_rejects_degenerate_disorder():
     with pytest.raises(ValueError):
         run_scan(small_config(k_max=0.0))
+
+
+def test_config_rejects_excitation_range_beyond_mode_count():
+    assert small_config(excitations=(1, 14)).excitations == (1, 14)
+    with pytest.raises(ValueError, match="exceeds mode count 14"):
+        small_config(excitations=(1, 15))

@@ -7,6 +7,7 @@ from oscent import (
     assemble_anderson,
     assemble_custom,
     build_box,
+    l1_distance,
     load_matrix_csv,
     sample_springs,
     validate_coupling,
@@ -152,3 +153,23 @@ def test_disorder_model_validation():
         DisorderModel(k_max=1.0, seed=2**64)
     with pytest.raises(ValueError):
         sample_springs(DisorderModel(k_max=1.0, seed=1), build_box(1, [2]), -1)
+
+
+def _loop_anderson(lattice, springs):
+    """Pairwise reference assembly: -1 on every l1-distance-1 pair."""
+    n = lattice.size
+    h = np.zeros((n, n))
+    for i, a in enumerate(lattice.sites):
+        for j in range(i + 1, n):
+            if l1_distance(a, lattice.sites[j]) == 1:
+                h[i, j] = h[j, i] = -1.0
+    degrees = -h.sum(axis=1)
+    h[np.diag_indices(n)] = degrees + springs
+    return h
+
+
+@pytest.mark.parametrize("lengths", [[7], [3, 1, 4], [4, 4, 4], [1], [2, 1]])
+def test_assembly_is_bit_identical_to_pair_loop(lengths):
+    lat = build_box(len(lengths), lengths)
+    springs = sample_springs(DisorderModel(k_max=8.0, seed=5), lat, 0)
+    assert np.array_equal(assemble_anderson(lat, springs).matrix, _loop_anderson(lat, springs))

@@ -117,3 +117,26 @@ def test_connectivity_helper():
     lat = build_box(1, [6])
     assert is_connected(make_region(lat, [(1,), (2,), (3,)]))
     assert not is_connected(make_region(lat, [(0,), (3,)]))
+
+
+GEOMETRY_BOXES = [[7], [3, 1, 4], [4, 4, 4]]
+
+
+@pytest.mark.parametrize("lengths", GEOMETRY_BOXES)
+def test_coords_list_the_sites_in_order(lengths):
+    lat = build_box(len(lengths), lengths)
+    assert [tuple(row) for row in lat.coords.tolist()] == list(lat.sites)
+    assert not lat.coords.flags.writeable
+
+
+@pytest.mark.parametrize("lengths", GEOMETRY_BOXES)
+def test_distances_match_scalar_l1_distance(lengths):
+    lat = build_box(len(lengths), lengths)
+    dist = lat.distances
+    assert dist.dtype == np.int32
+    expected = [[l1_distance(a, b) for b in lat.sites] for a in lat.sites]
+    assert dist.tolist() == expected
+    assert lat.distances is dist
+    assert not dist.flags.writeable
+    with pytest.raises(ValueError):
+        dist[0, 0] = 1
