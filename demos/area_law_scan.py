@@ -11,7 +11,7 @@ from pathlib import Path
 from oscent.experiments import (
     ExperimentConfig,
     area_law_fit,
-    run_scan,
+    run_scans,
     write_aggregates_json,
     write_records_csv,
     write_scaling_data,
@@ -20,9 +20,10 @@ from oscent.experiments import (
 out = Path("oscent-out/area-law-demo")
 out.mkdir(parents=True, exist_ok=True)
 
-results = []
-for length in (4, 8, 16, 32):
-    config = ExperimentConfig(
+# One config per window; run_scans decomposes each realization once and
+# evaluates every window on it.
+configs = [
+    ExperimentConfig(
         dimension=1,
         lengths=(96,),
         region_corner=(48 - length // 2,),
@@ -35,12 +36,14 @@ for length in (4, 8, 16, 32):
         s=0.5,
         master_seed=31415,
     )
-    result = run_scan(config)
-    results.append(result)
+    for length in (4, 8, 16, 32)
+]
+results = run_scans(configs)
+for result in results:
     half = result.aggregates["ground_renyi[0.5]"]
     theorem = result.aggregates["excited_theorem_bound"]
     print(
-        f"window {length:>2}: mean E_1/2 = {half['mean']:.4f} +- {half['se']:.4f}   "
+        f"window {result.region_size:>2}: mean E_1/2 = {half['mean']:.4f} +- {half['se']:.4f}   "
         f"mean theorem bound = {theorem['mean']:.4f} +- {theorem['se']:.4f}"
     )
 

@@ -89,6 +89,7 @@ from .experiments import (
     ScanResult,
     area_law_fit,
     run_scan,
+    run_scans,
     write_aggregates_json,
     write_records_csv,
     write_scaling_data,

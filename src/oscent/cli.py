@@ -24,12 +24,14 @@ from . import __version__
 from .correlators import _fit_binned, area_law_constant, correlator_csv
 from .entanglement import (
     entropy_report,
-    excitation_profile,
+    excitation_profiles,
     single_excitation_ensemble_bound,
 )
 from .experiments import (
     ExperimentConfig,
-    run_scan,
+    parse_excitations,
+    run_scans,
+    selected_modes,
     write_aggregates_json,
     write_records_csv,
     write_scaling_data,
@@ -184,20 +186,6 @@ def _eps_list(cfg: dict, args) -> tuple[float, ...]:
     return values
 
 
-def _selected_modes(cfg: dict, total: int) -> list[int]:
-    policy = cfg.get("excitations", "all")
-    if policy == "none":
-        return []
-    if policy == "all":
-        return list(range(1, total + 1))
-    if isinstance(policy, dict) and "k_range" in policy:
-        lo, hi = (int(v) for v in policy["k_range"])
-        if not 1 <= lo <= hi <= total:
-            raise UsageError(f"excitation range {policy} outside 1..{total}")
-        return list(range(lo, hi + 1))
-    raise UsageError(f"unknown excitation policy {policy!r}")
-
-
 def _cmd_ground_entropy(args) -> int:
     cfg = _load_config(args.config)
     lattice, region, h, bound, seed = _build_system(cfg, args)
@@ -220,11 +208,14 @@ def _cmd_excited_entropy(args) -> int:
     cfg = _load_config(args.config)
     lattice, region, h, bound, seed = _build_system(cfg, args)
     eps_values = _eps_list(cfg, args)
+    try:
+        policy = parse_excitations(cfg.get("excitations", "all"), lattice.size)
+    except ValueError as err:
+        raise UsageError(str(err))
     data = eigensystem(h)
     blocks = partition_blocks(spd_sqrt(data), region)
     spectrum = symplectic_spectrum(blocks)
-    modes = _selected_modes(cfg, lattice.size)
-    profiles = [excitation_profile(data, blocks, spectrum, k) for k in modes]
+    profiles = excitation_profiles(data, blocks, spectrum, selected_modes(policy, lattice.size))
     report = entropy_report(spectrum, eps_values, profiles, lattice_size=lattice.size)
     out = _out_dir(args)
     _write_manifest(out, "excited-entropy", cfg, seed)
@@ -323,7 +314,7 @@ def _cmd_scan(args) -> int:
             configs.append(ExperimentConfig.from_dict(single))
     except (KeyError, TypeError, ValueError) as err:
         raise UsageError(f"bad scan config: {err}")
-    results = [run_scan(config) for config in configs]
+    results = run_scans(configs)
     out = _out_dir(args)
     resolved = [r.config.to_dict() for r in results]
     _write_manifest(out, "scan", {"scans": resolved}, results[0].config.master_seed)

@@ -143,6 +143,28 @@ def _profile_arrays(data: SpectralData, blocks: BipartitionBlocks, spectrum: Sym
     return v_region, v_complement, nu, complement_energy, weights.T
 
 
+def _check_excitation_identities(
+    frequencies, blocks: BipartitionBlocks, nu, complement_energy, weights
+):
+    """Raise ArithmeticError unless every given mode satisfies the defining identities.
+
+    Entries of ``frequencies`` and ``complement_energy``, columns of ``nu``
+    and rows of ``weights`` are modes: each weight row must sum to at most
+    2, and the frequency-weighted energy split
+    gamma_k (nu^T schur^{-1} nu + (v)_c^T b^{-1} (v)_c) must equal 1.
+    """
+    sums = weights.sum(axis=1)
+    over = np.flatnonzero(sums > 2.0 + 1e-9)
+    if over.size:
+        raise ArithmeticError(f"weight sum {sums[over].max()} exceeds 2")
+    split = frequencies * np.einsum("ik,ik->k", nu, blocks.solve_schur(nu))
+    residual = split + complement_energy - 1.0
+    off = np.flatnonzero(np.abs(residual) > 1e-8)
+    if off.size:
+        worst = off[np.argmax(np.abs(residual[off]))]
+        raise ArithmeticError(f"energy-split identity violated by {residual[worst]:.3e}")
+
+
 def excitation_profile(
     data: SpectralData,
     blocks: BipartitionBlocks,
@@ -155,28 +177,7 @@ def excitation_profile(
     nonnegative with sum <= 2, and the frequency-weighted energy split
     gamma_k (nu^T schur^{-1} nu + (v)_c^T b^{-1} (v)_c) equals 1.
     """
-    if not 1 <= mode <= data.size:
-        raise IndexError(f"mode must lie in 1..{data.size}, got {mode}")
-    k = mode - 1
-    v_region, v_complement, nu, complement_energy, weights = _profile_arrays(
-        data, blocks, spectrum
-    )
-    q = weights[k]
-    if q.sum() > 2.0 + 1e-9:
-        raise ArithmeticError(f"weight sum {q.sum()} exceeds 2")
-    nu_k = nu[:, k]
-    split = data.frequencies[k] * float(nu_k @ blocks.solve_schur(nu_k)) + complement_energy[k]
-    if abs(split - 1.0) > 1e-8:
-        raise ArithmeticError(f"energy-split identity violated by {split - 1.0:.3e}")
-    return ExcitationProfile(
-        mode=mode,
-        frequency=float(data.frequencies[k]),
-        v_region=v_region[:, k].copy(),
-        v_complement=v_complement[:, k].copy(),
-        nu=nu_k.copy(),
-        complement_energy=float(complement_energy[k]),
-        weights=q.copy(),
-    )
+    return excitation_profiles(data, blocks, spectrum, [mode])[0]
 
 
 def excitation_weights(
@@ -184,21 +185,41 @@ def excitation_weights(
 ) -> np.ndarray:
     """Weights Q_{k,j} for every excitation at once, shape (modes, region size).
 
-    Row sums are <= 2 and every column sums to exactly 2.
+    Row sums are <= 2 and every column sums to exactly 2. Raises
+    ArithmeticError if any mode violates the identities excitation_profile
+    enforces.
     """
-    return _profile_arrays(data, blocks, spectrum)[4]
+    _, _, nu, complement_energy, weights = _profile_arrays(data, blocks, spectrum)
+    _check_excitation_identities(data.frequencies, blocks, nu, complement_energy, weights)
+    return weights
 
 
 def excitation_profiles(
-    data: SpectralData, blocks: BipartitionBlocks, spectrum: SymplecticSpectrum
+    data: SpectralData,
+    blocks: BipartitionBlocks,
+    spectrum: SymplecticSpectrum,
+    modes=None,
 ) -> list[ExcitationProfile]:
-    """All excitation profiles from one pass of the shared linear algebra."""
+    """Excitation profiles from one pass of the shared linear algebra.
+
+    ``modes`` lists 1-based mode indices (default: every mode, ascending).
+    The arrays are built once for all modes and the requested ones are
+    selected, so each profile is bit-identical to excitation_profile's;
+    the same identities are checked for every returned mode.
+    """
+    ks = np.arange(data.size) if modes is None else np.asarray(modes, dtype=int) - 1
+    outside = ks[(ks < 0) | (ks >= data.size)]
+    if outside.size:
+        raise IndexError(f"mode must lie in 1..{data.size}, got {outside[0] + 1}")
     v_region, v_complement, nu, complement_energy, weights = _profile_arrays(
         data, blocks, spectrum
     )
+    _check_excitation_identities(
+        data.frequencies[ks], blocks, nu[:, ks], complement_energy[ks], weights[ks]
+    )
     return [
         ExcitationProfile(
-            mode=k + 1,
+            mode=int(k) + 1,
             frequency=float(data.frequencies[k]),
             v_region=v_region[:, k].copy(),
             v_complement=v_complement[:, k].copy(),
@@ -206,7 +227,7 @@ def excitation_profiles(
             complement_energy=float(complement_energy[k]),
             weights=weights[k].copy(),
         )
-        for k in range(data.size)
+        for k in ks
     ]
 
 

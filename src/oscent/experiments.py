@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -34,6 +35,38 @@ from .hamiltonian import (
 )
 from .lattice import box_region, build_box, inner_boundary, make_region
 from .spectral import eigensystem, partition_blocks, spd_inv_sqrt, spd_sqrt, symplectic_spectrum
+
+
+def parse_excitations(entry, modes: int) -> str | tuple[int, int]:
+    """Read the ``excitations`` entry of a config: the one policy parser.
+
+    Accepts "all", "none" or {"k_range": [lo, hi]} with integer bounds
+    1 <= lo <= hi <= ``modes``, and returns "all", "none" or (lo, hi);
+    raises ValueError on anything else.
+    """
+    if entry in ("all", "none"):
+        return entry
+    bounds = entry.get("k_range") if isinstance(entry, dict) and len(entry) == 1 else None
+    if not (
+        isinstance(bounds, (list, tuple))
+        and len(bounds) == 2
+        and all(isinstance(b, numbers.Integral) and not isinstance(b, bool) for b in bounds)
+    ):
+        raise ValueError(
+            f"unknown excitation policy {entry!r}: use \"all\", \"none\" or "
+            f"{{\"k_range\": [lo, hi]}} with integer bounds"
+        )
+    lo, hi = bounds
+    if not 1 <= lo <= hi:
+        raise ValueError(f"bad excitation range {entry}")
+    if hi > modes:
+        raise ValueError(f"excitation range {entry} exceeds mode count {modes}")
+    return (int(lo), int(hi))
+
+
+def _excitations_entry(policy) -> str | dict:
+    """The config form of a parsed excitation policy."""
+    return policy if isinstance(policy, str) else {"k_range": list(policy)}
 
 
 @dataclass(frozen=True)
@@ -65,24 +98,14 @@ class ExperimentConfig:
             raise ValueError(f"every eps must lie in (0, 1], got {self.eps_values}")
         if self.region_sites is None and (self.region_corner is None or self.region_lengths is None):
             raise ValueError("config needs region_sites or region_corner + region_lengths")
-        if isinstance(self.excitations, str):
-            if self.excitations not in ("all", "none"):
-                raise ValueError(f"unknown excitation policy {self.excitations!r}")
-        else:
-            lo, hi = self.excitations
-            if not 1 <= lo <= hi:
-                raise ValueError(f"bad excitation range {self.excitations}")
-            modes = math.prod(self.lengths)
-            if hi > modes:
-                raise ValueError(f"excitation range {self.excitations} exceeds mode count {modes}")
+        parse_excitations(_excitations_entry(self.excitations), math.prod(self.lengths))
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
         region = raw.get("region", {})
-        excitations = raw.get("excitations", "all")
-        if isinstance(excitations, dict):
-            lo, hi = excitations["k_range"]
-            excitations = (int(lo), int(hi))
+        excitations = parse_excitations(
+            raw.get("excitations", "all"), math.prod(int(n) for n in raw["lengths"])
+        )
         return ExperimentConfig(
             dimension=int(raw["dimension"]),
             lengths=tuple(int(n) for n in raw["lengths"]),
@@ -110,11 +133,6 @@ class ExperimentConfig:
         else:
             region["corner"] = list(self.region_corner)
             region["lengths"] = list(self.region_lengths)
-        excitations = (
-            self.excitations
-            if isinstance(self.excitations, str)
-            else {"k_range": list(self.excitations)}
-        )
         return {
             "dimension": self.dimension,
             "lengths": list(self.lengths),
@@ -122,7 +140,7 @@ class ExperimentConfig:
             "disorder": {"kind": "uniform", "k_max": self.k_max},
             "realizations": self.realizations,
             "eps": list(self.eps_values),
-            "excitations": excitations,
+            "excitations": _excitations_entry(self.excitations),
             "p": self.p,
             "s": self.s,
             "seed": self.master_seed,
@@ -191,7 +209,8 @@ class _Welford:
         return {"mean": self.mean, "se": math.sqrt(variance / self.count), "n": self.count}
 
 
-def _selected_modes(policy, total: int) -> list[int]:
+def selected_modes(policy, total: int) -> list[int]:
+    """1-based modes a parsed excitation policy selects out of ``total``."""
     if policy == "all":
         return list(range(1, total + 1))
     if policy == "none":
@@ -200,35 +219,56 @@ def _selected_modes(policy, total: int) -> list[int]:
     return list(range(lo, hi + 1))
 
 
+def _region_of(config: ExperimentConfig, lattice):
+    if config.region_sites is not None:
+        return make_region(lattice, config.region_sites)
+    return box_region(lattice, config.region_corner, config.region_lengths)
+
+
+def _without_region(config: ExperimentConfig) -> dict:
+    return {
+        f.name: getattr(config, f.name)
+        for f in fields(config)
+        if not f.name.startswith("region_")
+    }
+
+
 def run_scan(config: ExperimentConfig) -> ScanResult:
-    """Run one disorder scan; deterministic given the config (incl. seed).
+    """Run one disorder scan; deterministic given the config (incl. seed)."""
+    return run_scans([config])[0]
+
+
+def run_scans(configs) -> list[ScanResult]:
+    """Run several scans that differ only in the region, one result per config.
+
+    Each disorder realization is sampled, checked and decomposed once (h,
+    its eigensystem, h^{1/2} and the h^{-1/2} correlator table) and every
+    region derives its record from that shared decomposition, so each
+    result is byte-identical to a separate run of its config. The decay
+    fit, which depends only on the lattice, runs once and is shared.
 
     Realizations failing the positive-definiteness check are recorded with
     pd_ok = False and excluded from every aggregate; the first realization
-    must pass (anything else means the config itself is bad).
+    must pass (anything else means the config itself is bad). Raises
+    ValueError when the configs differ in anything but the region.
     """
+    configs = list(configs)
+    if not configs:
+        raise ValueError("need at least one scan config")
+    config = configs[0]
+    shared = _without_region(config)
+    for other in configs[1:]:
+        differing = sorted(k for k, v in _without_region(other).items() if shared[k] != v)
+        if differing:
+            raise ValueError(f"scan configs may differ only in the region, not in {differing}")
     lattice = build_box(config.dimension, config.lengths)
-    if config.region_sites is not None:
-        region = make_region(lattice, config.region_sites)
-    else:
-        region = box_region(lattice, config.region_corner, config.region_lengths)
-    boundary = len(inner_boundary(region))
+    regions = [_region_of(c, lattice) for c in configs]
     model = DisorderModel(k_max=config.k_max, seed=config.master_seed)
     bound = anderson_norm_bound(config.dimension, config.k_max)
-    modes = _selected_modes(config.excitations, lattice.size)
-    collect_decay = config.fit_decay
+    modes = selected_modes(config.excitations, lattice.size)
+    selected = np.array(modes, dtype=int) - 1
 
-    def worker(index: int):
-        springs = sample_springs(model, lattice, index)
-        if config.coupling_kind == "nearest":
-            h = assemble_anderson(lattice, springs)
-        else:
-            h = CouplingMatrix(matrix=np.diag(springs), lattice=lattice)
-        report = validate_coupling(h, bound)
-        if not report.is_positive_definite:
-            return RealizationRecord(index=index, pd_ok=False), None
-        data = eigensystem(h)
-        hsqrt = spd_sqrt(data)
+    def region_record(index, data, hsqrt, table, region) -> RealizationRecord:
         blocks = partition_blocks(hsqrt, region)
         spectrum = symplectic_spectrum(blocks)
         record = RealizationRecord(index=index, pd_ok=True)
@@ -237,12 +277,6 @@ def run_scan(config: ExperimentConfig) -> ScanResult:
         }
         record.log_negativity = log_negativity(spectrum)
         record.mu_max = float(spectrum.mu[-1])
-        inv_sqrt = np.abs(spd_inv_sqrt(data))
-        table = CorrelatorTable(
-            values=0.5 * (inv_sqrt + inv_sqrt.T),
-            lattice=lattice,
-            hsqrt_norm=float(data.frequencies[-1]),
-        )
         record.gs_correlator_bound = ground_state_correlator_bound(
             table, region, config.p, bound
         )
@@ -250,7 +284,6 @@ def run_scan(config: ExperimentConfig) -> ScanResult:
             weights = excitation_weights(data, blocks, spectrum)
             f_half = half_renyi_factor(spectrum.mu)
             log_product = float(np.sum(np.log(f_half)))
-            selected = np.array(modes, dtype=int) - 1
             computed = 2.0 * (
                 np.log1p(np.sqrt(weights[selected]) @ f_half) + log_product
             )
@@ -265,29 +298,94 @@ def run_scan(config: ExperimentConfig) -> ScanResult:
             record.ensemble_bound = single_excitation_ensemble_bound(
                 spectrum, lattice.size, region.size
             )
-        moment = table.values**config.s if collect_decay else None
-        return record, moment
+        return record
+
+    def worker(index: int):
+        springs = sample_springs(model, lattice, index)
+        if config.coupling_kind == "nearest":
+            h = assemble_anderson(lattice, springs)
+        else:
+            h = CouplingMatrix(matrix=np.diag(springs), lattice=lattice)
+        report = validate_coupling(h, bound)
+        if not report.is_positive_definite:
+            return [RealizationRecord(index=index, pd_ok=False) for _ in regions], None
+        data = eigensystem(h)
+        hsqrt = spd_sqrt(data)
+        inv_sqrt = np.abs(spd_inv_sqrt(data))
+        table = CorrelatorTable(
+            values=0.5 * (inv_sqrt + inv_sqrt.T),
+            lattice=lattice,
+            hsqrt_norm=float(data.frequencies[-1]),
+        )
+        records = [region_record(index, data, hsqrt, table, r) for r in regions]
+        moment = table.values**config.s if config.fit_decay else None
+        return records, moment
 
     threads = config.threads or os.cpu_count() or 1
     with ThreadPoolExecutor(max_workers=threads) as pool:
         outcomes = list(pool.map(worker, range(config.realizations)))
 
-    records = [record for record, _ in outcomes]
-    if not records[0].pd_ok:
+    # rows[index][position]: the record of realization ``index`` for region ``position``
+    rows = [records for records, _ in outcomes]
+    if not rows[0][0].pd_ok:
         raise ValueError("first realization failed the positive-definiteness check")
-    failed = sum(1 for r in records if not r.pd_ok)
-    if failed == len(records):
+    failed = sum(1 for row in rows if not row[0].pd_ok)
+    if failed == len(rows):
         raise ValueError("every realization failed the positive-definiteness check")
 
+    moments = [moment for _, moment in outcomes if moment is not None]
+    decay = None
+    constant = None
+    if moments:
+        moment_sum = moments[0]
+        for moment in moments[1:]:
+            moment_sum = moment_sum + moment
+        decay = _fit_binned(moment_sum / len(moments), lattice, config.s)
+        if decay.eta > 0:
+            constant = area_law_constant(
+                decay.prefactor, decay.eta, config.s, bound, config.dimension
+            )
+
+    results = []
+    for position, (scan_config, region) in enumerate(zip(configs, regions)):
+        boundary = len(inner_boundary(region))
+        records = [row[position] for row in rows]
+        empirical = None
+        if constant is not None:
+            empirical = {
+                "prefactor": decay.prefactor,
+                "eta": decay.eta,
+                "s": config.s,
+                "residual": decay.residual,
+                "constant": constant,
+                "constant_times_boundary": constant * boundary,
+                "note": "empirical",
+            }
+        results.append(
+            ScanResult(
+                config=scan_config,
+                lattice_size=lattice.size,
+                region_size=region.size,
+                boundary_size=boundary,
+                records=records,
+                aggregates=_aggregate(records),
+                failed_pd=failed,
+                decay=decay,
+                empirical_area_bound=empirical,
+            )
+        )
+    return results
+
+
+def _aggregate(records: list[RealizationRecord]) -> dict:
+    """Welford statistics of every per-realization quantity, in index order."""
     accumulators: dict[str, _Welford] = {}
 
     def push(name: str, value: float):
         if not math.isnan(value):
             accumulators.setdefault(name, _Welford()).add(value)
 
-    moment_sum = None
-    moment_count = 0
-    for record, moment in outcomes:
+    for record in records:
         if not record.pd_ok:
             continue
         for eps, value in record.ground_renyi.items():
@@ -298,40 +396,7 @@ def run_scan(config: ExperimentConfig) -> ScanResult:
         push("gs_correlator_bound", record.gs_correlator_bound)
         push("ensemble_bound", record.ensemble_bound)
         push("mu_max", record.mu_max)
-        if moment is not None:
-            moment_sum = moment if moment_sum is None else moment_sum + moment
-            moment_count += 1
-
-    aggregates = {name: acc.stats() for name, acc in accumulators.items()}
-    decay = None
-    empirical = None
-    if collect_decay and moment_count:
-        decay = _fit_binned(moment_sum / moment_count, lattice, config.s)
-        if decay.eta > 0:
-            constant = area_law_constant(
-                decay.prefactor, decay.eta, config.s, bound, config.dimension
-            )
-            empirical = {
-                "prefactor": decay.prefactor,
-                "eta": decay.eta,
-                "s": config.s,
-                "residual": decay.residual,
-                "constant": constant,
-                "constant_times_boundary": constant * boundary,
-                "note": "empirical",
-            }
-
-    return ScanResult(
-        config=config,
-        lattice_size=lattice.size,
-        region_size=region.size,
-        boundary_size=boundary,
-        records=records,
-        aggregates=aggregates,
-        failed_pd=failed,
-        decay=decay,
-        empirical_area_bound=empirical,
-    )
+    return {name: acc.stats() for name, acc in accumulators.items()}
 
 
 def area_law_fit(results):

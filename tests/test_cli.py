@@ -220,3 +220,41 @@ def test_scan_uses_disorder_seed_like_top_level_seed(scan_config, tmp_path):
     assert main(["scan", "--config", str(scan_config), "--out", str(out1)]) == 0
     assert main(["scan", "--config", str(nested), "--out", str(out2)]) == 0
     assert (out1 / "records.csv").read_bytes() == (out2 / "records.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["scan", "excited-entropy"])
+@pytest.mark.parametrize(
+    "policy",
+    [
+        [1, 3],
+        {"k_range": [1.7, 3]},
+        {"k_range": [1.0, 3.0]},
+        {"k_range": [1, 3], "step": 2},
+        {"k_range": [0, 3]},
+        {"k_range": [3, 1]},
+        {"k_range": [1, 13]},
+        {"range": [1, 3]},
+        "some",
+        3,
+    ],
+    ids=[
+        "list", "fractional", "float", "extra-key", "zero-lo", "reversed",
+        "beyond-modes", "wrong-key", "unknown-name", "bare-int",
+    ],
+)
+def test_both_commands_reject_the_same_excitation_policies(
+    command, policy, scan_config, tmp_path, capsys
+):
+    cfg = json.loads(scan_config.read_text())
+    cfg["excitations"] = policy
+    scan_config.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(scan_config), "--out", str(tmp_path / "o")]) == 2
+    assert "excitation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["scan", "excited-entropy"])
+def test_both_commands_accept_an_integer_k_range(command, scan_config, tmp_path):
+    cfg = json.loads(scan_config.read_text())
+    cfg["excitations"] = {"k_range": [2, 3]}
+    scan_config.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(scan_config), "--out", str(tmp_path / "o")]) == 0

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import oscent.entanglement
 from oscent import (
     DisorderModel,
     assemble_anderson,
@@ -13,6 +14,7 @@ from oscent import (
     eigensystem,
     entropy_report,
     excitation_profile,
+    excitation_profiles,
     excitation_weights,
     excited_diagonal_element,
     excited_diagonal_trace,
@@ -198,6 +200,58 @@ def test_energy_split_identity_per_mode():
         # definition route agrees with the Schur route
         direct = profile.frequency ** -1.0 * blocks.schur @ profile.v_region
         np.testing.assert_allclose(profile.nu, direct.ravel(), atol=1e-10)
+
+
+def _chain_system():
+    lat = build_box(1, [10])
+    springs = sample_springs(DisorderModel(k_max=8.0, seed=3), lat, 0)
+    data = eigensystem(assemble_anderson(lat, springs))
+    blocks = partition_blocks(spd_sqrt(data), make_region(lat, [(3,), (4,), (5,)]))
+    return data, blocks, symplectic_spectrum(blocks)
+
+
+def test_selected_profiles_are_bit_identical_to_single_profiles():
+    data, blocks, spec = _chain_system()
+    selected = excitation_profiles(data, blocks, spec, [7, 2, 9])
+    assert [p.mode for p in selected] == [7, 2, 9]
+    for profile in selected:
+        single = excitation_profile(data, blocks, spec, profile.mode)
+        assert profile.frequency == single.frequency
+        assert profile.complement_energy == single.complement_energy
+        for name in ("v_region", "v_complement", "nu", "weights"):
+            assert np.array_equal(getattr(profile, name), getattr(single, name))
+    assert [p.mode for p in excitation_profiles(data, blocks, spec)] == list(range(1, 11))
+    with pytest.raises(IndexError):
+        excitation_profiles(data, blocks, spec, [1, 11])
+
+
+def _break_arrays(monkeypatch, part):
+    original = oscent.entanglement._profile_arrays
+
+    def broken(*args):
+        arrays = list(original(*args))
+        arrays[part] = arrays[part].copy()
+        if part == 3:  # complement energy of mode 4
+            arrays[3][3] += 1e-6
+        else:  # weight row of mode 4
+            arrays[4][3, 0] += 2.1 - arrays[4][3].sum()
+        return tuple(arrays)
+
+    monkeypatch.setattr(oscent.entanglement, "_profile_arrays", broken)
+
+
+@pytest.mark.parametrize("part, message", [(3, "energy-split"), (4, "exceeds 2")])
+def test_every_batched_path_checks_the_identities(monkeypatch, part, message):
+    data, blocks, spec = _chain_system()
+    _break_arrays(monkeypatch, part)
+    with pytest.raises(ArithmeticError, match=message):
+        excitation_weights(data, blocks, spec)
+    with pytest.raises(ArithmeticError, match=message):
+        excitation_profiles(data, blocks, spec)
+    with pytest.raises(ArithmeticError, match=message):
+        excitation_profile(data, blocks, spec, 4)
+    # modes that are not returned are not checked
+    assert excitation_profile(data, blocks, spec, 3).mode == 3
 
 
 def test_excited_diagonal_decoupled_limit():

@@ -6,15 +6,19 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import oscent.entanglement
+import oscent.experiments
 from oscent import (
     AreaLawFit,
     ExperimentConfig,
     area_law_fit,
     run_scan,
+    run_scans,
     write_aggregates_json,
     write_records_csv,
     write_scaling_data,
 )
+from oscent.cli import main
 
 
 def small_config(**overrides):
@@ -189,3 +193,110 @@ def test_config_rejects_excitation_range_beyond_mode_count():
     assert small_config(excitations=(1, 14)).excitations == (1, 14)
     with pytest.raises(ValueError, match="exceeds mode count 14"):
         small_config(excitations=(1, 15))
+
+
+def _written(results, tmp_path, tag):
+    return (
+        write_records_csv(results, tmp_path / f"{tag}.csv"),
+        write_aggregates_json(results, tmp_path / f"{tag}.json"),
+        write_scaling_data(results, tmp_path / f"{tag}.dat"),
+    )
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+@pytest.mark.parametrize(
+    "configs",
+    [
+        [
+            small_config(lengths=(24,), region_corner=(12 - n // 2,), region_lengths=(n,))
+            for n in (2, 4, 8)
+        ],
+        [
+            small_config(
+                dimension=2,
+                lengths=(6, 5),
+                region_corner=(1, 1),
+                region_lengths=(3, 2),
+                fit_decay=True,
+            ),
+            small_config(
+                dimension=2,
+                lengths=(6, 5),
+                region_corner=None,
+                region_lengths=None,
+                region_sites=((0, 0), (2, 3), (5, 4)),
+                fit_decay=True,
+            ),
+        ],
+    ],
+    ids=["chain-windows", "grid-box-and-sites"],
+)
+def test_run_scans_matches_separate_scans_byte_for_byte(configs, threads, tmp_path):
+    configs = [dataclasses.replace(c, threads=threads) for c in configs]
+    shared = run_scans(configs)
+    separate = [run_scan(c) for c in configs]
+    assert [r.config for r in shared] == configs
+    assert _written(shared, tmp_path, "shared") == _written(separate, tmp_path, "separate")
+    for one, other in zip(shared, separate):
+        assert one.decay == other.decay
+        assert one.empirical_area_bound == other.empirical_area_bound
+
+
+@pytest.mark.parametrize(
+    "change", [{"k_max": 6.0}, {"eps_values": (0.5,)}, {"master_seed": 7}]
+)
+def test_run_scans_rejects_configs_differing_beyond_the_region(change):
+    base = small_config(realizations=1)
+    other = dataclasses.replace(base, region_lengths=(2,), **change)
+    with pytest.raises(ValueError, match="differ only in the region"):
+        run_scans([base, other])
+
+
+def _zero_springs_of(monkeypatch, failing_index):
+    original = oscent.experiments.sample_springs
+
+    def sample(model, lattice, index):
+        springs = original(model, lattice, index)
+        return springs * 0.0 if index == failing_index else springs
+
+    monkeypatch.setattr(oscent.experiments, "sample_springs", sample)
+
+
+def _decoupled_regions(sizes):
+    return [
+        small_config(coupling_kind="none", excitations="none", region_lengths=(n,))
+        for n in sizes
+    ]
+
+
+def test_run_scans_raises_when_the_first_realization_fails_pd(monkeypatch):
+    _zero_springs_of(monkeypatch, 0)
+    with pytest.raises(ValueError, match="first realization"):
+        run_scans(_decoupled_regions((2, 3)))
+
+
+def test_run_scans_marks_a_failed_realization_in_every_region(monkeypatch):
+    _zero_springs_of(monkeypatch, 2)
+    results = run_scans(_decoupled_regions((2, 3)))
+    for result in results:
+        assert result.failed_pd == 1
+        assert [r.pd_ok for r in result.records] == [True, True, False, True, True, True]
+        assert result.aggregates["log_negativity"]["n"] == 5
+
+
+def test_scan_enforces_the_weight_sum_rule(monkeypatch, tmp_path):
+    original = oscent.entanglement._profile_arrays
+
+    def corrupted(*args):
+        *rest, weights = original(*args)
+        weights = weights.copy()
+        weights[0, 0] += 2.1 - weights[0].sum()
+        return (*rest, weights)
+
+    monkeypatch.setattr(oscent.entanglement, "_profile_arrays", corrupted)
+    config = small_config(realizations=2)
+    with pytest.raises(ArithmeticError, match="exceeds 2"):
+        run_scan(config)
+    path = tmp_path / "scan.json"
+    path.write_text(json.dumps(config.to_dict()))
+    assert main(["scan", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
