@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import platform
 import sys
@@ -21,7 +20,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .correlators import _fit_binned, area_law_constant, correlator_csv
+from .correlators import _fit_binned, area_law_constant, correlator_csv, correlator_table, ensemble_mean
 from .entanglement import (
     entropy_report,
     excitation_profiles,
@@ -29,24 +28,18 @@ from .entanglement import (
 )
 from .experiments import (
     ExperimentConfig,
-    parse_excitations,
+    coupling_matrix,
+    region_of,
     run_scans,
     selected_modes,
     write_aggregates_json,
     write_records_csv,
     write_scaling_data,
 )
-from .hamiltonian import (
-    DisorderModel,
-    anderson_norm_bound,
-    assemble_anderson,
-    load_matrix_csv,
-    sample_springs,
-    validate_coupling,
-)
-from .lattice import box_region, build_box, make_region
+from .hamiltonian import validate_coupling
+from .lattice import build_box
 from .oracle import verify_report
-from .spectral import eigensystem, partition_blocks, spd_inv_sqrt, spd_sqrt, symplectic_spectrum
+from .spectral import eigensystem, partition_blocks, spd_sqrt, symplectic_spectrum
 
 USAGE_ERROR = 2
 COMPUTE_ERROR = 1
@@ -81,20 +74,7 @@ def parse_args(argv):
     return parser.parse_args(argv)
 
 
-def _parse_eps(text: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(v) for v in text.split(","))
-    except ValueError:
-        raise UsageError(f"cannot parse eps list {text!r}")
-    for v in values:
-        if not 0.0 < v <= 1.0:
-            raise UsageError(f"eps must lie in (0, 1], got {v}")
-    return values
-
-
 def _load_config(path: str) -> dict:
-    if path is None:
-        raise UsageError("this command requires --config")
     try:
         with open(path) as handle:
             return json.load(handle)
@@ -122,11 +102,12 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_manifest(out: Path, command: str, resolved: dict, seed):
+def _write_outputs(args, resolved: dict, config: ExperimentConfig, files=None) -> Path:
+    """Write manifest.json (config, seed, package versions) and ``files`` to the output directory."""
     manifest = {
-        "command": command,
+        "command": args.command,
         "config": resolved,
-        "seed": seed,
+        "seed": None if config.matrix_csv is not None else config.master_seed,
         "versions": {
             "oscent": __version__,
             "numpy": np.__version__,
@@ -134,69 +115,65 @@ def _write_manifest(out: Path, command: str, resolved: dict, seed):
             "python": platform.python_version(),
         },
     }
-    with open(out / "manifest.json", "w", newline="\n") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    out = _out_dir(args)
+    files = {"manifest.json": json.dumps(manifest, indent=2, sort_keys=True) + "\n", **(files or {})}
+    for name, text in files.items():
+        with open(out / name, "w", newline="\n") as handle:
+            handle.write(text)
+    return out
 
 
-def _build_system(cfg: dict, args):
-    """Lattice, region and one coupling matrix from a single-realization config."""
+def _configs(args) -> tuple[dict, list[ExperimentConfig]]:
+    """The config as written, and one parsed config per region (scan) with the flags applied."""
+    raw = _load_config(args.config)
+    resolved = dict(raw)
+    flags = {"seed": args.seed, "p": args.p_value, "s": args.s_value, "threads": _resolve_threads(args)}
+    resolved.update((key, value) for key, value in flags.items() if value is not None)
+    if args.eps is not None:
+        resolved["eps"] = args.eps.split(",")
+    regions = resolved.pop("regions", None)
+    if regions is None:
+        regions = [resolved.get("region")]
+    elif args.command != "scan":
+        raise UsageError("regions is read by scan only; give one region")
     try:
-        lattice = build_box(int(cfg["dimension"]), cfg["lengths"])
-        region_cfg = cfg.get("region", {})
-        if "sites" in region_cfg:
-            region = make_region(lattice, [tuple(s) for s in region_cfg["sites"]])
-        else:
-            region = box_region(lattice, region_cfg["corner"], region_cfg["lengths"])
-    except (KeyError, ValueError) as err:
-        raise UsageError(f"bad lattice/region config: {err}")
-    if "matrix_csv" in cfg:
-        h = load_matrix_csv(cfg["matrix_csv"], lattice)
-        bound = float(cfg.get("bound", math.nan))
-        seed = None
-    else:
-        disorder = cfg.get("disorder", {})
-        try:
-            k_max = float(disorder["k_max"])
-        except KeyError:
-            raise UsageError("config needs disorder.k_max or matrix_csv")
-        seed = args.seed if args.seed is not None else int(disorder.get("seed", 0))
-        model = DisorderModel(k_max=k_max, seed=seed)
-        springs = sample_springs(model, lattice, int(cfg.get("realization_index", 0)))
-        h = assemble_anderson(lattice, springs)
-        bound = float(cfg.get("bound", anderson_norm_bound(lattice.dimension, k_max)))
-    report = validate_coupling(h, bound if not math.isnan(bound) else math.inf)
-    if math.isnan(bound):
-        bound = report.hsqrt_norm
+        configs = [ExperimentConfig.from_dict(dict(resolved, region=spec)) for spec in regions]
+    except (KeyError, TypeError, ValueError) as err:
+        raise UsageError(f"bad config: {err}")
+    if args.command in ("scan", "correlators") and configs[0].matrix_csv is not None:
+        raise UsageError(f"{args.command} averages over disorder; matrix_csv is for single realizations")
+    return raw, configs
+
+
+def _single(args):
+    """Config, lattice and region of a single-realization command."""
+    raw, (config,) = _configs(args)
+    lattice = build_box(config.dimension, config.lengths)
+    return raw, config, lattice, region_of(config, lattice)
+
+
+def _ground_state(config: ExperimentConfig, lattice, region):
+    """Eigensystem, region blocks and symplectic spectrum of the configured realization."""
+    try:
+        h = coupling_matrix(config, lattice, config.realization_index)
+    except OSError as err:
+        raise UsageError(f"cannot read matrix_csv: {err}")
+    report = validate_coupling(h, config.norm_bound)
     if not report.is_positive_definite:
         raise ValueError(
             f"coupling matrix is not positive definite "
             f"(smallest eigenvalue {report.smallest_eigenvalue:.3e})"
         )
-    return lattice, region, h, bound, seed
-
-
-def _eps_list(cfg: dict, args) -> tuple[float, ...]:
-    if args.eps is not None:
-        return _parse_eps(args.eps)
-    values = tuple(float(e) for e in cfg.get("eps", [0.5, 1.0]))
-    for v in values:
-        if not 0.0 < v <= 1.0:
-            raise UsageError(f"eps must lie in (0, 1], got {v}")
-    return values
+    data = eigensystem(h)
+    blocks = partition_blocks(spd_sqrt(data), region)
+    return data, blocks, symplectic_spectrum(blocks)
 
 
 def _cmd_ground_entropy(args) -> int:
-    cfg = _load_config(args.config)
-    lattice, region, h, bound, seed = _build_system(cfg, args)
-    eps_values = _eps_list(cfg, args)
-    data = eigensystem(h)
-    blocks = partition_blocks(spd_sqrt(data), region)
-    spectrum = symplectic_spectrum(blocks)
-    report = entropy_report(spectrum, eps_values, lattice_size=lattice.size)
-    out = _out_dir(args)
-    _write_manifest(out, "ground-entropy", cfg, seed)
-    (out / "ground_entropy.json").write_text(report.to_json() + "\n")
+    raw, config, lattice, region = _single(args)
+    _, _, spectrum = _ground_state(config, lattice, region)
+    report = entropy_report(spectrum, config.eps_values, lattice_size=lattice.size)
+    _write_outputs(args, raw, config, {"ground_entropy.json": report.to_json() + "\n"})
     for eps, value in zip(report.eps, report.ground_renyi):
         print(f"eps={eps:g} renyi_entropy={value:.15g}")
     print(f"von_neumann={report.von_neumann:.15g}")
@@ -205,21 +182,13 @@ def _cmd_ground_entropy(args) -> int:
 
 
 def _cmd_excited_entropy(args) -> int:
-    cfg = _load_config(args.config)
-    lattice, region, h, bound, seed = _build_system(cfg, args)
-    eps_values = _eps_list(cfg, args)
-    try:
-        policy = parse_excitations(cfg.get("excitations", "all"), lattice.size)
-    except ValueError as err:
-        raise UsageError(str(err))
-    data = eigensystem(h)
-    blocks = partition_blocks(spd_sqrt(data), region)
-    spectrum = symplectic_spectrum(blocks)
-    profiles = excitation_profiles(data, blocks, spectrum, selected_modes(policy, lattice.size))
-    report = entropy_report(spectrum, eps_values, profiles, lattice_size=lattice.size)
-    out = _out_dir(args)
-    _write_manifest(out, "excited-entropy", cfg, seed)
-    (out / "excited_bounds.json").write_text(report.to_json() + "\n")
+    raw, config, lattice, region = _single(args)
+    data, blocks, spectrum = _ground_state(config, lattice, region)
+    profiles = excitation_profiles(
+        data, blocks, spectrum, selected_modes(config.excitations, lattice.size)
+    )
+    report = entropy_report(spectrum, config.eps_values, profiles, lattice_size=lattice.size)
+    _write_outputs(args, raw, config, {"excited_bounds.json": report.to_json() + "\n"})
     for mode, computed, theorem in zip(
         report.excited_modes, report.excited_computed_bounds, report.excited_theorem_bounds
     ):
@@ -228,47 +197,24 @@ def _cmd_excited_entropy(args) -> int:
 
 
 def _cmd_ensemble_bound(args) -> int:
-    cfg = _load_config(args.config)
-    lattice, region, h, bound, seed = _build_system(cfg, args)
-    data = eigensystem(h)
-    blocks = partition_blocks(spd_sqrt(data), region)
-    spectrum = symplectic_spectrum(blocks)
+    raw, config, lattice, region = _single(args)
+    _, _, spectrum = _ground_state(config, lattice, region)
     value = single_excitation_ensemble_bound(spectrum, lattice.size, region.size)
-    out = _out_dir(args)
-    _write_manifest(out, "ensemble-bound", cfg, seed)
     payload = {"ensemble_bound": value, "lattice_size": lattice.size, "region_size": region.size}
-    (out / "ensemble.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_outputs(args, raw, config, {"ensemble.json": json.dumps(payload, indent=2, sort_keys=True) + "\n"})
     print(f"ensemble_bound={value:.15g}")
     return 0
 
 
 def _cmd_correlators(args) -> int:
-    cfg = _load_config(args.config)
-    lattice, region, h, bound, seed = _build_system(cfg, args)
-    s_value = args.s_value if args.s_value is not None else float(cfg.get("s", 0.5))
-    if not 0.0 < s_value <= 1.0:
-        raise UsageError(f"s must lie in (0, 1], got {s_value}")
-    realizations = int(cfg.get("realizations", 1))
-    disorder = cfg.get("disorder")
-    if disorder is None or "matrix_csv" in cfg:
-        raise UsageError("correlators needs a disorder config (ensemble averaging)")
-    model = DisorderModel(
-        k_max=float(disorder["k_max"]),
-        seed=args.seed if args.seed is not None else int(disorder.get("seed", 0)),
+    # Serial on purpose: the mean needs one moment matrix at a time, and a
+    # thread pool would hold several without making the command faster.
+    raw, config, lattice, _ = _single(args)
+    mean_moment = ensemble_mean(
+        correlator_table(coupling_matrix(config, lattice, index)).values ** config.s
+        for index in range(config.realizations)
     )
-    moment_sum = None
-    for index in range(realizations):
-        springs = sample_springs(model, lattice, index)
-        table_h = assemble_anderson(lattice, springs)
-        data = eigensystem(table_h)
-        values = np.abs(spd_inv_sqrt(data))
-        moment = (0.5 * (values + values.T)) ** s_value
-        moment_sum = moment if moment_sum is None else moment_sum + moment
-    mean_moment = moment_sum / realizations
-    out = _out_dir(args)
-    _write_manifest(out, "correlators", cfg, model.seed)
-    (out / "correlators.csv").write_text(correlator_csv(mean_moment, lattice))
-    fit = _fit_binned(mean_moment, lattice, s_value)
+    fit = _fit_binned(mean_moment, lattice, config.s)
     payload = {
         "eta": fit.eta,
         "prefactor": fit.prefactor,
@@ -276,48 +222,23 @@ def _cmd_correlators(args) -> int:
         "residual": fit.residual,
         "distances": list(fit.distances),
         "area_law_constant": area_law_constant(
-            fit.prefactor, fit.eta, s_value, bound, lattice.dimension
+            fit.prefactor, fit.eta, config.s, config.norm_bound, lattice.dimension
         )
         if fit.eta > 0
         else None,
     }
-    (out / "decay.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_outputs(args, raw, config, {
+        "correlators.csv": correlator_csv(mean_moment, lattice),
+        "decay.json": json.dumps(payload, indent=2, sort_keys=True) + "\n",
+    })
     print(f"eta={fit.eta:.15g} prefactor={fit.prefactor:.15g} residual={fit.residual:.3e}")
     return 0
 
 
 def _cmd_scan(args) -> int:
-    cfg = _load_config(args.config)
-    overrides = dict(cfg)
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.eps is not None:
-        overrides["eps"] = list(_parse_eps(args.eps))
-    if args.p_value is not None:
-        overrides["p"] = args.p_value
-    if args.s_value is not None:
-        overrides["s"] = args.s_value
-    threads = _resolve_threads(args)
-    if threads is not None:
-        overrides["threads"] = threads
-    region_specs = overrides.get("regions")
-    if region_specs is None:
-        region_specs = [overrides.get("region")]
-        if region_specs[0] is None:
-            raise UsageError("scan config needs region or regions")
-    configs = []
-    try:
-        for spec in region_specs:
-            single = dict(overrides)
-            single["region"] = spec
-            single.pop("regions", None)
-            configs.append(ExperimentConfig.from_dict(single))
-    except (KeyError, TypeError, ValueError) as err:
-        raise UsageError(f"bad scan config: {err}")
+    _, configs = _configs(args)
     results = run_scans(configs)
-    out = _out_dir(args)
-    resolved = [r.config.to_dict() for r in results]
-    _write_manifest(out, "scan", {"scans": resolved}, results[0].config.master_seed)
+    out = _write_outputs(args, {"scans": [r.config.to_dict() for r in results]}, configs[0])
     write_records_csv(results, out / "records.csv")
     write_aggregates_json(results, out / "aggregates.json")
     write_scaling_data(results, out / "scaling.dat")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import Lattice, Region
-from .spectral import eigensystem, spd_inv_sqrt
+from .spectral import SpectralData, eigensystem, spd_inv_sqrt
 
 # Distance bins whose empirical mean falls below this are dropped from the
 # decay fit; deep-localization tails underflow long before they matter.
@@ -48,9 +48,10 @@ class DecayFit:
     distances: tuple[int, ...]
 
 
-def correlator_table(h) -> CorrelatorTable:
-    """Correlator matrix of one coupling matrix."""
-    data = eigensystem(h)
+def correlator_table(h, data: SpectralData | None = None) -> CorrelatorTable:
+    """Correlator matrix of one coupling matrix, reusing its eigensystem ``data`` if given."""
+    if data is None:
+        data = eigensystem(h)
     values = np.abs(spd_inv_sqrt(data))
     values = 0.5 * (values + values.T)
     return CorrelatorTable(
@@ -113,11 +114,16 @@ def decay_fit(tables: list[CorrelatorTable], s: float) -> DecayFit:
     lattice = tables[0].lattice
     if any(t.lattice is not lattice and t.lattice.sites != lattice.sites for t in tables):
         raise ValueError("all tables must share one lattice")
-    mean_moment = np.zeros_like(tables[0].values)
-    for table in tables:
-        mean_moment += table.values**s
-    mean_moment /= len(tables)
-    return _fit_binned(mean_moment, lattice, s)
+    return _fit_binned(ensemble_mean(t.values**s for t in tables), lattice, s)
+
+
+def ensemble_mean(moments) -> np.ndarray:
+    """Mean of moment matrices summed in order; a generator keeps one alive at a time."""
+    total, count = None, 0
+    for moment in moments:
+        total = moment if total is None else total + moment
+        count += 1
+    return total / count
 
 
 def _fit_binned(mean_moment: np.ndarray, lattice: Lattice, s: float) -> DecayFit:

@@ -1,4 +1,7 @@
-"""Disorder Monte Carlo: scans over realizations, aggregation, scaling fits.
+"""Run configs, disorder Monte Carlo scans, aggregation and scaling fits.
+
+``ExperimentConfig`` is the one config schema of every command, and
+``coupling_matrix`` the one place a config becomes a coupling matrix.
 
 A scan draws independent spring realizations, computes entropies and bounds
 for each, and aggregates with deterministic (Welford, index-ordered)
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .correlators import CorrelatorTable, DecayFit, _fit_binned, area_law_constant, ground_state_correlator_bound
+from .correlators import DecayFit, _fit_binned, area_law_constant, correlator_table, ensemble_mean, ground_state_correlator_bound
 from .entanglement import (
     excitation_weights,
     ground_state_renyi,
@@ -30,11 +33,27 @@ from .hamiltonian import (
     DisorderModel,
     anderson_norm_bound,
     assemble_anderson,
+    load_matrix_csv,
     sample_springs,
     validate_coupling,
 )
-from .lattice import box_region, build_box, inner_boundary, make_region
-from .spectral import eigensystem, partition_blocks, spd_inv_sqrt, spd_sqrt, symplectic_spectrum
+from .lattice import Lattice, Region, box_region, build_box, inner_boundary, make_region
+from .spectral import eigensystem, partition_blocks, spd_sqrt, symplectic_spectrum
+
+# The config schema: every key ``ExperimentConfig.from_dict`` reads, and
+# nothing else. ``disorder.kind`` is accepted because ``to_dict`` writes it.
+_CONFIG_KEYS = frozenset(
+    "dimension lengths region disorder matrix_csv bound realization_index realizations "
+    "eps excitations p s seed master_seed threads fit_decay coupling".split()
+)
+_DISORDER_KEYS = frozenset({"k_max", "seed", "kind"})
+_REGION_KEYS = frozenset({"corner", "lengths", "sites"})
+
+
+def _check_keys(entry, allowed, where: str):
+    unknown = sorted(set(entry) - allowed)
+    if unknown:
+        raise ValueError(f"unknown {where} keys {unknown}; allowed: {sorted(allowed)}")
 
 
 def parse_excitations(entry, modes: int) -> str | tuple[int, int]:
@@ -71,7 +90,7 @@ def _excitations_entry(policy) -> str | dict:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed to reproduce one scan byte for byte."""
+    """Everything needed to reproduce one run (a scan or a single-realization command) byte for byte."""
 
     dimension: int
     lengths: tuple[int, ...]
@@ -88,21 +107,59 @@ class ExperimentConfig:
     threads: int | None = None
     fit_decay: bool = False
     coupling_kind: str = "nearest"  # "nearest" or "none" (springs only, decoupled)
+    realization_index: int = 0  # the realization single-realization commands use
+    matrix_csv: str | None = None  # a fixed coupling matrix instead of disorder
+    bound: float | None = None  # norm bound D on ||h^{1/2}||; see ``norm_bound``
 
     def __post_init__(self):
+        if self.dimension < 1 or len(self.lengths) != self.dimension or min(self.lengths) < 1:
+            raise ValueError(f"need {self.dimension} >= 1 positive side lengths, got {self.lengths}")
         if self.coupling_kind not in ("nearest", "none"):
             raise ValueError(f"unknown coupling kind {self.coupling_kind!r}")
-        if self.realizations < 1:
-            raise ValueError("realizations must be >= 1")
+        if self.realizations < 1 or self.realization_index < 0:
+            raise ValueError("need realizations >= 1 and realization_index >= 0")
         if not all(0.0 < e <= 1.0 for e in self.eps_values):
             raise ValueError(f"every eps must lie in (0, 1], got {self.eps_values}")
-        if self.region_sites is None and (self.region_corner is None or self.region_lengths is None):
+        for name in ("p", "s"):
+            if not 0.0 < getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in (0, 1], got {getattr(self, name)}")
+        if self.threads is not None and self.threads < 1:
+            raise ValueError(f"threads must be >= 1, got {self.threads}")
+        if self.bound is not None and not self.bound > 0:
+            raise ValueError(f"bound must be positive, got {self.bound}")
+        DisorderModel(k_max=self.k_max, seed=self.master_seed)  # checks k_max > 0 and the seed
+        if self.region_sites is not None:
+            boxes = [(site, site) for site in self.region_sites]
+        elif self.region_corner is not None and self.region_lengths is not None:
+            far = [c + n - 1 for c, n in zip(self.region_corner, self.region_lengths)]
+            boxes = [(self.region_corner, far)]
+        else:
             raise ValueError("config needs region_sites or region_corner + region_lengths")
+        if not boxes or not all(
+            len(lo) == len(hi) == self.dimension
+            and all(0 <= a <= b < n for a, b, n in zip(lo, hi, self.lengths))
+            for lo, hi in boxes
+        ):
+            raise ValueError(f"region is empty or leaves the lattice {list(self.lengths)}")
         parse_excitations(_excitations_entry(self.excitations), math.prod(self.lengths))
+
+    @property
+    def norm_bound(self) -> float:
+        """The configured ``bound``, or the spring model's sqrt(4d + k_max)."""
+        return self.bound if self.bound is not None else anderson_norm_bound(self.dimension, self.k_max)
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
-        region = raw.get("region", {})
+        """Parse a JSON config; unknown keys and out-of-range values raise."""
+        _check_keys(raw, _CONFIG_KEYS, "config")
+        region = raw.get("region") or {}
+        _check_keys(region, _REGION_KEYS, "region")
+        disorder = raw.get("disorder") or {}
+        _check_keys(disorder, _DISORDER_KEYS, "disorder")
+        if disorder.get("kind", "uniform") != "uniform":
+            raise ValueError(f"unknown disorder kind {disorder['kind']!r}")
+        if "k_max" not in disorder and raw.get("matrix_csv") is None:
+            raise ValueError("config needs disorder.k_max or matrix_csv")
         excitations = parse_excitations(
             raw.get("excitations", "all"), math.prod(int(n) for n in raw["lengths"])
         )
@@ -112,18 +169,19 @@ class ExperimentConfig:
             region_corner=tuple(region["corner"]) if "corner" in region else None,
             region_lengths=tuple(region["lengths"]) if "lengths" in region else None,
             region_sites=tuple(tuple(s) for s in region["sites"]) if "sites" in region else None,
-            k_max=float(raw.get("disorder", {}).get("k_max", raw.get("k_max", 1.0))),
+            k_max=float(disorder.get("k_max", 1.0)),
             realizations=int(raw.get("realizations", 1)),
             eps_values=tuple(float(e) for e in raw.get("eps", [0.5, 1.0])),
             excitations=excitations,
             p=float(raw.get("p", 1.0)),
             s=float(raw.get("s", 0.5)),
-            master_seed=int(
-                raw.get("seed", raw.get("master_seed", raw.get("disorder", {}).get("seed", 0)))
-            ),
+            master_seed=int(raw.get("seed", raw.get("master_seed", disorder.get("seed", 0)))),
             threads=int(raw["threads"]) if raw.get("threads") is not None else None,
             fit_decay=bool(raw.get("fit_decay", False)),
             coupling_kind=str(raw.get("coupling", "nearest")),
+            realization_index=int(raw.get("realization_index", 0)),
+            matrix_csv=str(raw["matrix_csv"]) if raw.get("matrix_csv") is not None else None,
+            bound=float(raw["bound"]) if raw.get("bound") is not None else None,
         )
 
     def to_dict(self) -> dict:
@@ -147,6 +205,9 @@ class ExperimentConfig:
             "threads": self.threads,
             "fit_decay": self.fit_decay,
             "coupling": self.coupling_kind,
+            "realization_index": self.realization_index,
+            "matrix_csv": self.matrix_csv,
+            "bound": self.bound,
         }
 
 
@@ -219,10 +280,27 @@ def selected_modes(policy, total: int) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def _region_of(config: ExperimentConfig, lattice):
+def region_of(config: ExperimentConfig, lattice: Lattice) -> Region:
+    """The region a config selects on its lattice."""
     if config.region_sites is not None:
         return make_region(lattice, config.region_sites)
     return box_region(lattice, config.region_corner, config.region_lengths)
+
+
+def coupling_matrix(config: ExperimentConfig, lattice: Lattice, index: int) -> CouplingMatrix:
+    """The coupling matrix h of realization ``index`` of a config.
+
+    The config's ``matrix_csv`` if it names one; otherwise springs drawn
+    from its disorder model, coupled to nearest neighbors or not at all
+    according to ``coupling_kind``.
+    """
+    if config.matrix_csv is not None:
+        return load_matrix_csv(config.matrix_csv, lattice)
+    model = DisorderModel(k_max=config.k_max, seed=config.master_seed)
+    springs = sample_springs(model, lattice, index)
+    if config.coupling_kind == "nearest":
+        return assemble_anderson(lattice, springs)
+    return CouplingMatrix(matrix=np.diag(springs), lattice=lattice)
 
 
 def _without_region(config: ExperimentConfig) -> dict:
@@ -262,9 +340,8 @@ def run_scans(configs) -> list[ScanResult]:
         if differing:
             raise ValueError(f"scan configs may differ only in the region, not in {differing}")
     lattice = build_box(config.dimension, config.lengths)
-    regions = [_region_of(c, lattice) for c in configs]
-    model = DisorderModel(k_max=config.k_max, seed=config.master_seed)
-    bound = anderson_norm_bound(config.dimension, config.k_max)
+    regions = [region_of(c, lattice) for c in configs]
+    bound = config.norm_bound
     modes = selected_modes(config.excitations, lattice.size)
     selected = np.array(modes, dtype=int) - 1
 
@@ -301,22 +378,13 @@ def run_scans(configs) -> list[ScanResult]:
         return record
 
     def worker(index: int):
-        springs = sample_springs(model, lattice, index)
-        if config.coupling_kind == "nearest":
-            h = assemble_anderson(lattice, springs)
-        else:
-            h = CouplingMatrix(matrix=np.diag(springs), lattice=lattice)
+        h = coupling_matrix(config, lattice, index)
         report = validate_coupling(h, bound)
         if not report.is_positive_definite:
             return [RealizationRecord(index=index, pd_ok=False) for _ in regions], None
         data = eigensystem(h)
         hsqrt = spd_sqrt(data)
-        inv_sqrt = np.abs(spd_inv_sqrt(data))
-        table = CorrelatorTable(
-            values=0.5 * (inv_sqrt + inv_sqrt.T),
-            lattice=lattice,
-            hsqrt_norm=float(data.frequencies[-1]),
-        )
+        table = correlator_table(h, data)
         records = [region_record(index, data, hsqrt, table, r) for r in regions]
         moment = table.values**config.s if config.fit_decay else None
         return records, moment
@@ -337,10 +405,7 @@ def run_scans(configs) -> list[ScanResult]:
     decay = None
     constant = None
     if moments:
-        moment_sum = moments[0]
-        for moment in moments[1:]:
-            moment_sum = moment_sum + moment
-        decay = _fit_binned(moment_sum / len(moments), lattice, config.s)
+        decay = _fit_binned(ensemble_mean(moments), lattice, config.s)
         if decay.eta > 0:
             constant = area_law_constant(
                 decay.prefactor, decay.eta, config.s, bound, config.dimension

@@ -1,9 +1,12 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oscent import ExperimentConfig, run_scan
 from oscent.cli import main, parse_args
 
 
@@ -258,3 +261,94 @@ def test_both_commands_accept_an_integer_k_range(command, scan_config, tmp_path)
     cfg["excitations"] = {"k_range": [2, 3]}
     scan_config.write_text(json.dumps(cfg))
     assert main([command, "--config", str(scan_config), "--out", str(tmp_path / "o")]) == 0
+
+
+def _write(path, cfg):
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+COMMANDS = ["ground-entropy", "excited-entropy", "ensemble-bound", "correlators", "scan"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"p": 2.0},
+        {"s": 2.0},
+        {"disorder": {"k_max": 0.0}},
+        {"disorder": {"seed": 3}},
+        {"threads": -1},
+        {"bound": 0.0},
+        {"region": {"corner": [10], "lengths": [3]}},
+        {"realisations": 3},
+        {"disorder": {"k_max": 8.0, "kmax": 8.0}},
+        {"region": {"corner": [4], "lengths": [3], "size": 3}},
+        {"lengths": [12, 0]},
+    ],
+    ids=[
+        "p-above-1", "s-above-1", "zero-k_max", "no-k_max", "negative-threads", "zero-bound",
+        "region-outside", "top-level-typo", "disorder-typo", "region-typo", "bad-lengths",
+    ],
+)
+def test_every_command_rejects_bad_configs_with_exit_2(command, change, scan_config, tmp_path, capsys):
+    cfg = dict(json.loads(scan_config.read_text()), **change)
+    _write(scan_config, cfg)
+    assert main([command, "--config", str(scan_config), "--out", str(tmp_path / "o")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["scan", "correlators"])
+def test_ensemble_commands_reject_matrix_csv(command, two_site_config, tmp_path, capsys):
+    assert main([command, "--config", str(two_site_config), "--out", str(tmp_path / "o")]) == 2
+    assert "matrix_csv" in capsys.readouterr().err
+
+
+def test_readme_cli_examples_exit_0(tmp_path, monkeypatch):
+    root = Path(__file__).resolve().parents[1]
+    lines = re.findall(r"^oscent ([\w-]+)\s+--config (\S+)", (root / "README.md").read_text(), re.M)
+    assert len(lines) == 5
+    monkeypatch.chdir(root)
+    for command, config in lines:
+        out = tmp_path / command
+        assert main([command, "--config", config, "--out", str(out)]) == 0, command
+
+
+def _ground_entropy(config_path, out):
+    assert main(["ground-entropy", "--config", str(config_path), "--out", str(out)]) == 0
+    return json.loads((out / "ground_entropy.json").read_text())
+
+
+def test_ground_entropy_reads_coupling_none(scan_config, tmp_path):
+    cfg = dict(json.loads(scan_config.read_text()), coupling="none")
+    payload = _ground_entropy(_write(scan_config, cfg), tmp_path / "o")
+    assert payload["ground_renyi"] == [0.0, 0.0]
+    assert payload["log_negativity"] == 0.0 and payload["von_neumann"] == 0.0
+
+
+def test_ground_entropy_takes_the_top_level_seed_first(scan_config, tmp_path):
+    cfg = json.loads(scan_config.read_text())
+    cfg["disorder"]["seed"] = 5
+    both = _ground_entropy(_write(tmp_path / "both.json", cfg), tmp_path / "both")
+    del cfg["seed"]
+    nested = _ground_entropy(_write(tmp_path / "nested.json", cfg), tmp_path / "nested")
+    cfg["disorder"]["seed"] = 11
+    top = _ground_entropy(_write(tmp_path / "top.json", cfg), tmp_path / "top")
+    assert both == top != nested
+    assert json.loads((tmp_path / "both" / "manifest.json").read_text())["seed"] == 11
+
+
+def test_scan_bound_below_the_norm_exits_1(scan_config, tmp_path, capsys):
+    cfg = dict(json.loads(scan_config.read_text()), bound=0.5)
+    assert main(["scan", "--config", str(_write(scan_config, cfg)), "--out", str(tmp_path / "o")]) == 1
+    assert "below the actual square-root norm" in capsys.readouterr().err
+
+
+def test_correlators_decay_matches_the_scan_fit(scan_config, tmp_path):
+    out = tmp_path / "o"
+    assert main(["correlators", "--config", str(scan_config), "--out", str(out)]) == 0
+    payload = json.loads((out / "decay.json").read_text())
+    cfg = dict(json.loads(scan_config.read_text()), fit_decay=True)
+    decay = run_scan(ExperimentConfig.from_dict(cfg)).decay
+    assert (payload["eta"], payload["prefactor"]) == (decay.eta, decay.prefactor)

@@ -51,10 +51,17 @@ def test_config_validation():
         small_config(coupling_kind="next-nearest")
     with pytest.raises(ValueError):
         ExperimentConfig(dimension=1, lengths=(4,))
+    for bad in (
+        dict(p=2.0), dict(s=0.0), dict(threads=0), dict(bound=0.0), dict(realization_index=-1),
+        dict(region_corner=(12,)), dict(region_lengths=(0,)), dict(region_sites=((14,),)),
+        dict(lengths=(14, 2)), dict(master_seed=-1),
+    ):
+        with pytest.raises(ValueError):
+            small_config(**bad)
 
 
 def test_config_json_roundtrip():
-    config = small_config(excitations=(2, 5), fit_decay=True)
+    config = small_config(excitations=(2, 5), fit_decay=True, realization_index=3, bound=7.5)
     clone = ExperimentConfig.from_dict(config.to_dict())
     assert clone == config
 
@@ -184,9 +191,9 @@ def test_writers_produce_stable_files(tmp_path):
     assert all(len(row.split()) == 6 for row in rows)
 
 
-def test_scan_rejects_degenerate_disorder():
-    with pytest.raises(ValueError):
-        run_scan(small_config(k_max=0.0))
+def test_config_rejects_nonpositive_k_max():
+    with pytest.raises(ValueError, match="k_max must be positive"):
+        small_config(k_max=0.0)
 
 
 def test_config_rejects_excitation_range_beyond_mode_count():
