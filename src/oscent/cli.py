@@ -20,7 +20,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .correlators import _fit_binned, area_law_constant, correlator_csv, correlator_table, ensemble_mean
+from .correlators import _fit_binned, area_law_constant, correlator_csv, correlator_table, ensemble_mean, require_norm_bound
 from .entanglement import (
     entropy_report,
     excitation_profiles,
@@ -28,6 +28,7 @@ from .entanglement import (
 )
 from .experiments import (
     ExperimentConfig,
+    checked_eigensystem,
     coupling_matrix,
     region_of,
     run_scans,
@@ -36,10 +37,9 @@ from .experiments import (
     write_records_csv,
     write_scaling_data,
 )
-from .hamiltonian import validate_coupling
 from .lattice import build_box
 from .oracle import verify_report
-from .spectral import eigensystem, partition_blocks, spd_sqrt, symplectic_spectrum
+from .spectral import partition_blocks, spd_sqrt, symplectic_spectrum
 
 USAGE_ERROR = 2
 COMPUTE_ERROR = 1
@@ -102,11 +102,12 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_outputs(args, resolved: dict, config: ExperimentConfig, files=None) -> Path:
-    """Write manifest.json (config, seed, package versions) and ``files`` to the output directory."""
+def _write_outputs(args, configs: list[ExperimentConfig], files=None) -> Path:
+    """Write manifest.json (resolved config, seed, package versions) and ``files`` to the output directory."""
+    config = configs[0]
     manifest = {
         "command": args.command,
-        "config": resolved,
+        "config": {"scans": [c.to_dict() for c in configs]} if args.command == "scan" else config.to_dict(),
         "seed": None if config.matrix_csv is not None else config.master_seed,
         "versions": {
             "oscent": __version__,
@@ -123,10 +124,9 @@ def _write_outputs(args, resolved: dict, config: ExperimentConfig, files=None) -
     return out
 
 
-def _configs(args) -> tuple[dict, list[ExperimentConfig]]:
-    """The config as written, and one parsed config per region (scan) with the flags applied."""
-    raw = _load_config(args.config)
-    resolved = dict(raw)
+def _configs(args) -> list[ExperimentConfig]:
+    """One parsed config per region (scan) with the flags applied."""
+    resolved = _load_config(args.config)
     flags = {"seed": args.seed, "p": args.p_value, "s": args.s_value, "threads": _resolve_threads(args)}
     resolved.update((key, value) for key, value in flags.items() if value is not None)
     if args.eps is not None:
@@ -142,14 +142,14 @@ def _configs(args) -> tuple[dict, list[ExperimentConfig]]:
         raise UsageError(f"bad config: {err}")
     if args.command in ("scan", "correlators") and configs[0].matrix_csv is not None:
         raise UsageError(f"{args.command} averages over disorder; matrix_csv is for single realizations")
-    return raw, configs
+    return configs
 
 
 def _single(args):
     """Config, lattice and region of a single-realization command."""
-    raw, (config,) = _configs(args)
+    (config,) = _configs(args)
     lattice = build_box(config.dimension, config.lengths)
-    return raw, config, lattice, region_of(config, lattice)
+    return config, lattice, region_of(config, lattice)
 
 
 def _ground_state(config: ExperimentConfig, lattice, region):
@@ -158,22 +158,18 @@ def _ground_state(config: ExperimentConfig, lattice, region):
         h = coupling_matrix(config, lattice, config.realization_index)
     except OSError as err:
         raise UsageError(f"cannot read matrix_csv: {err}")
-    report = validate_coupling(h, config.norm_bound)
-    if not report.is_positive_definite:
-        raise ValueError(
-            f"coupling matrix is not positive definite "
-            f"(smallest eigenvalue {report.smallest_eigenvalue:.3e})"
-        )
-    data = eigensystem(h)
+    report, data = checked_eigensystem(h, config.norm_bound)
+    if data is None:
+        raise ValueError(f"coupling matrix is not positive definite (smallest eigenvalue {report.smallest_eigenvalue:.3e})")
     blocks = partition_blocks(spd_sqrt(data), region)
     return data, blocks, symplectic_spectrum(blocks)
 
 
 def _cmd_ground_entropy(args) -> int:
-    raw, config, lattice, region = _single(args)
+    config, lattice, region = _single(args)
     _, _, spectrum = _ground_state(config, lattice, region)
     report = entropy_report(spectrum, config.eps_values, lattice_size=lattice.size)
-    _write_outputs(args, raw, config, {"ground_entropy.json": report.to_json() + "\n"})
+    _write_outputs(args, [config], {"ground_entropy.json": report.to_json() + "\n"})
     for eps, value in zip(report.eps, report.ground_renyi):
         print(f"eps={eps:g} renyi_entropy={value:.15g}")
     print(f"von_neumann={report.von_neumann:.15g}")
@@ -182,13 +178,13 @@ def _cmd_ground_entropy(args) -> int:
 
 
 def _cmd_excited_entropy(args) -> int:
-    raw, config, lattice, region = _single(args)
+    config, lattice, region = _single(args)
     data, blocks, spectrum = _ground_state(config, lattice, region)
     profiles = excitation_profiles(
         data, blocks, spectrum, selected_modes(config.excitations, lattice.size)
     )
     report = entropy_report(spectrum, config.eps_values, profiles, lattice_size=lattice.size)
-    _write_outputs(args, raw, config, {"excited_bounds.json": report.to_json() + "\n"})
+    _write_outputs(args, [config], {"excited_bounds.json": report.to_json() + "\n"})
     for mode, computed, theorem in zip(
         report.excited_modes, report.excited_computed_bounds, report.excited_theorem_bounds
     ):
@@ -197,11 +193,11 @@ def _cmd_excited_entropy(args) -> int:
 
 
 def _cmd_ensemble_bound(args) -> int:
-    raw, config, lattice, region = _single(args)
+    config, lattice, region = _single(args)
     _, _, spectrum = _ground_state(config, lattice, region)
     value = single_excitation_ensemble_bound(spectrum, lattice.size, region.size)
     payload = {"ensemble_bound": value, "lattice_size": lattice.size, "region_size": region.size}
-    _write_outputs(args, raw, config, {"ensemble.json": json.dumps(payload, indent=2, sort_keys=True) + "\n"})
+    _write_outputs(args, [config], {"ensemble.json": json.dumps(payload, indent=2, sort_keys=True) + "\n"})
     print(f"ensemble_bound={value:.15g}")
     return 0
 
@@ -209,11 +205,9 @@ def _cmd_ensemble_bound(args) -> int:
 def _cmd_correlators(args) -> int:
     # Serial on purpose: the mean needs one moment matrix at a time, and a
     # thread pool would hold several without making the command faster.
-    raw, config, lattice, _ = _single(args)
-    mean_moment = ensemble_mean(
-        correlator_table(coupling_matrix(config, lattice, index)).values ** config.s
-        for index in range(config.realizations)
-    )
+    config, lattice, _ = _single(args)
+    tables = (correlator_table(coupling_matrix(config, lattice, i)) for i in range(config.realizations))
+    mean_moment = ensemble_mean(require_norm_bound(t, config.norm_bound).values ** config.s for t in tables)
     fit = _fit_binned(mean_moment, lattice, config.s)
     payload = {
         "eta": fit.eta,
@@ -227,7 +221,7 @@ def _cmd_correlators(args) -> int:
         if fit.eta > 0
         else None,
     }
-    _write_outputs(args, raw, config, {
+    _write_outputs(args, [config], {
         "correlators.csv": correlator_csv(mean_moment, lattice),
         "decay.json": json.dumps(payload, indent=2, sort_keys=True) + "\n",
     })
@@ -236,9 +230,9 @@ def _cmd_correlators(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    _, configs = _configs(args)
+    configs = _configs(args)
     results = run_scans(configs)
-    out = _write_outputs(args, {"scans": [r.config.to_dict() for r in results]}, configs[0])
+    out = _write_outputs(args, configs)
     write_records_csv(results, out / "records.csv")
     write_aggregates_json(results, out / "aggregates.json")
     write_scaling_data(results, out / "scaling.dat")

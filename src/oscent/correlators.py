@@ -50,15 +50,19 @@ class DecayFit:
 
 def correlator_table(h, data: SpectralData | None = None) -> CorrelatorTable:
     """Correlator matrix of one coupling matrix, reusing its eigensystem ``data`` if given."""
-    if data is None:
-        data = eigensystem(h)
-    values = np.abs(spd_inv_sqrt(data))
-    values = 0.5 * (values + values.T)
+    data = eigensystem(h) if data is None else data
     return CorrelatorTable(
-        values=values,
+        values=np.abs(spd_inv_sqrt(data)),  # spd_inv_sqrt is exactly symmetric
         lattice=h.lattice,
         hsqrt_norm=float(data.frequencies[-1]),
     )
+
+
+def require_norm_bound(table: CorrelatorTable, bound: float) -> CorrelatorTable:
+    """Return ``table``; raise ValueError if ``bound`` does not dominate its ||h^{1/2}||."""
+    if bound < table.hsqrt_norm * (1.0 - 1e-12):
+        raise ValueError(f"bound {bound} is below the actual square-root norm {table.hsqrt_norm}")
+    return table
 
 
 def ground_state_correlator_bound(table: CorrelatorTable, region: Region, p: float, bound: float) -> float:
@@ -70,10 +74,7 @@ def ground_state_correlator_bound(table: CorrelatorTable, region: Region, p: flo
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must lie in (0, 1], got {p}")
-    if bound < table.hsqrt_norm * (1.0 - 1e-12):
-        raise ValueError(
-            f"bound {bound} is below the actual square-root norm {table.hsqrt_norm}"
-        )
+    require_norm_bound(table, bound)
     cross = table.values[np.ix_(region.indices, region.complement_indices)]
     return float(bound ** (p / 2.0) / p * np.sum(cross ** (p / 2.0)))
 

@@ -120,20 +120,18 @@ class ExcitationProfile:
     complement_energy: float
     weights: np.ndarray
 
-    @property
-    def region_size(self) -> int:
-        return self.weights.shape[0]
-
 
 def _profile_arrays(data: SpectralData, blocks: BipartitionBlocks, spectrum: SymplecticSpectrum):
-    """Vectorized nu vectors, complement energies and weights for all modes."""
-    ri = blocks.region.indices
-    ci = blocks.region.complement_indices
-    v_region = data.vectors[ri, :]
-    v_complement = data.vectors[ci, :]
-    b_inv_v = blocks.solve_b(v_complement)
-    nu = v_region - blocks.c @ b_inv_v
-    complement_energy = data.frequencies * np.einsum("ik,ik->k", v_complement, b_inv_v)
+    """Vectorized nu vectors, complement energies and weights for all modes.
+
+    No complement-block solve: the complement rows of h^{1/2} v = gamma v give
+    gamma b^{-1} v_C = v_C + b^{-1} c^T v_R.
+    """
+    v_region = data.vectors[blocks.region.indices, :]
+    v_complement = data.vectors[blocks.region.complement_indices, :]
+    scaled = v_complement + blocks.b_inv_ct @ v_region  # gamma_k b^{-1} (v_k)_c
+    nu = v_region - (blocks.c @ scaled) / data.frequencies
+    complement_energy = np.einsum("ik,ik->k", v_complement, scaled)
     frame = spectrum.f2.T @ spectrum.a_inv_sqrt
     x = frame @ nu
     y = frame @ v_region

@@ -38,7 +38,7 @@ from .hamiltonian import (
     validate_coupling,
 )
 from .lattice import Lattice, Region, box_region, build_box, inner_boundary, make_region
-from .spectral import eigensystem, partition_blocks, spd_sqrt, symplectic_spectrum
+from .spectral import decompose, eigensystem, partition_blocks, spd_sqrt, symplectic_spectrum
 
 # The config schema: every key ``ExperimentConfig.from_dict`` reads, and
 # nothing else. ``disorder.kind`` is accepted because ``to_dict`` writes it.
@@ -303,6 +303,13 @@ def coupling_matrix(config: ExperimentConfig, lattice: Lattice, index: int) -> C
     return CouplingMatrix(matrix=np.diag(springs), lattice=lattice)
 
 
+def checked_eigensystem(h: CouplingMatrix, bound: float):
+    """One decomposition of h: its validate_coupling report, and its eigensystem (None unless positive definite)."""
+    data = decompose(h)
+    report = validate_coupling(data, bound)
+    return report, eigensystem(data) if report.is_positive_definite else None
+
+
 def _without_region(config: ExperimentConfig) -> dict:
     return {
         f.name: getattr(config, f.name)
@@ -379,10 +386,9 @@ def run_scans(configs) -> list[ScanResult]:
 
     def worker(index: int):
         h = coupling_matrix(config, lattice, index)
-        report = validate_coupling(h, bound)
-        if not report.is_positive_definite:
+        _, data = checked_eigensystem(h, bound)
+        if data is None:
             return [RealizationRecord(index=index, pd_ok=False) for _ in regions], None
-        data = eigensystem(h)
         hsqrt = spd_sqrt(data)
         table = correlator_table(h, data)
         records = [region_record(index, data, hsqrt, table, r) for r in regions]

@@ -127,19 +127,23 @@ def load_matrix_csv(path, lattice: Lattice) -> CouplingMatrix:
     return assemble_custom(lattice, m)
 
 
-def validate_coupling(h: CouplingMatrix, bound: float) -> AssumptionReport:
+def is_positive_definite(eigenvalues) -> bool:
+    """The positive-definiteness verdict on ascending eigenvalues: the floor is PD_TOLERANCE * ||h||."""
+    return bool(eigenvalues[0] > PD_TOLERANCE * max(abs(eigenvalues[0]), abs(eigenvalues[-1])))
+
+
+def validate_coupling(h, bound: float) -> AssumptionReport:
     """Check positive definiteness and the norm bound ||h^{1/2}|| <= bound.
 
-    Never raises; failures are carried in the report so disorder loops can
-    count and skip bad realizations.
+    ``h`` is a CouplingMatrix or its ``spectral.decompose``, whose eigenvalues
+    are then reused. Never raises; failures are carried in the report so
+    disorder loops can count and skip bad realizations.
     """
-    eigenvalues = np.linalg.eigvalsh(0.5 * (h.matrix + h.matrix.T))
-    smallest = float(eigenvalues[0])
-    largest = float(eigenvalues[-1])
-    hsqrt_norm = float(np.sqrt(max(largest, 0.0)))
+    eigenvalues = h.eigenvalues if hasattr(h, "eigenvalues") else np.linalg.eigvalsh(0.5 * (h.matrix + h.matrix.T))
+    hsqrt_norm = float(np.sqrt(max(eigenvalues[-1], 0.0)))
     return AssumptionReport(
-        is_positive_definite=smallest > PD_TOLERANCE * max(abs(largest), abs(smallest)),
-        smallest_eigenvalue=smallest,
+        is_positive_definite=is_positive_definite(eigenvalues),
+        smallest_eigenvalue=float(eigenvalues[0]),
         hsqrt_norm=hsqrt_norm,
         bound=float(bound),
         bound_satisfied=hsqrt_norm <= float(bound),

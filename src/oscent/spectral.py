@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh
 
-from .hamiltonian import CouplingMatrix, PD_TOLERANCE
+from .hamiltonian import CouplingMatrix, is_positive_definite
 from .lattice import Region
 
 # mu_j^2 below 1 by more than this is a hard error; anything closer is
@@ -39,13 +39,14 @@ class SpectralData:
 class BipartitionBlocks:
     """Blocks of the SPD square root in the region-first ordering.
 
-    ``a`` is the region block, ``b`` the complement block, ``c`` the
-    off-diagonal coupling, and ``schur`` = a - c b^{-1} c^T.
+    ``a`` is the region block, ``b`` the complement block, ``c`` the off-diagonal
+    coupling, ``b_inv_ct`` = b^{-1} c^T, and ``schur`` = a - c b^{-1} c^T.
     """
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
+    b_inv_ct: np.ndarray
     schur: np.ndarray
     region: Region
     _b_factor: tuple = field(repr=False)
@@ -93,10 +94,6 @@ class CovarianceMatrix:
         return self.matrix.shape[0] // 2
 
 
-def _as_matrix(h) -> np.ndarray:
-    return h.matrix if isinstance(h, CouplingMatrix) else np.asarray(h, dtype=float)
-
-
 def _fix_eigenvector_signs(vectors: np.ndarray) -> np.ndarray:
     """Make the largest-magnitude entry of each column positive (first on ties)."""
     idx = np.abs(vectors).argmax(axis=0)
@@ -105,25 +102,22 @@ def _fix_eigenvector_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
-def eigensystem(h) -> SpectralData:
-    """Eigendecomposition of a coupling matrix with a deterministic sign convention.
+def decompose(h) -> SpectralData:
+    """Eigendecomposition with a deterministic sign convention, unchecked: eigenvalues < 0 get nan frequencies."""
+    m = h.matrix if isinstance(h, CouplingMatrix) else np.asarray(h, dtype=float)
+    eigenvalues, vectors = eigh(0.5 * (m + m.T))
+    with np.errstate(invalid="ignore"):
+        return SpectralData(eigenvalues, np.sqrt(eigenvalues), _fix_eigenvector_signs(vectors))
 
-    Raises if any eigenvalue fails the positive-definiteness floor.
-    """
-    m = _as_matrix(h)
-    m = 0.5 * (m + m.T)
-    eigenvalues, vectors = eigh(m)
-    floor = PD_TOLERANCE * max(abs(eigenvalues[0]), abs(eigenvalues[-1]))
-    if eigenvalues[0] <= floor:
+
+def eigensystem(h) -> SpectralData:
+    """``decompose(h)``, or a given decomposition, checked: raises unless positive definite."""
+    data = h if isinstance(h, SpectralData) else decompose(h)
+    if not is_positive_definite(data.eigenvalues):
         raise np.linalg.LinAlgError(
-            f"matrix is not positive definite: smallest eigenvalue {eigenvalues[0]:.3e}"
+            f"matrix is not positive definite: smallest eigenvalue {data.eigenvalues[0]:.3e}"
         )
-    vectors = _fix_eigenvector_signs(vectors)
-    return SpectralData(
-        eigenvalues=eigenvalues,
-        frequencies=np.sqrt(eigenvalues),
-        vectors=vectors,
-    )
+    return data
 
 
 def spd_sqrt(h) -> np.ndarray:
@@ -160,14 +154,15 @@ def partition_blocks(hsqrt: np.ndarray, region: Region) -> BipartitionBlocks:
         b_factor = cho_factor(b)
     except np.linalg.LinAlgError as err:
         raise np.linalg.LinAlgError(f"complement block is not positive definite: {err}")
-    schur = a - c @ cho_solve(b_factor, c.T)
+    b_inv_ct = cho_solve(b_factor, c.T)
+    schur = a - c @ b_inv_ct
     schur = 0.5 * (schur + schur.T)
     try:
         schur_factor = cho_factor(schur)
     except np.linalg.LinAlgError as err:
         raise np.linalg.LinAlgError(f"Schur complement is not positive definite: {err}")
     return BipartitionBlocks(
-        a=a, b=b, c=c, schur=schur, region=region,
+        a=a, b=b, c=c, b_inv_ct=b_inv_ct, schur=schur, region=region,
         _b_factor=b_factor, _schur_factor=schur_factor,
     )
 

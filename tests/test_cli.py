@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oscent.spectral
 from oscent import ExperimentConfig, run_scan
 from oscent.cli import main, parse_args
 
@@ -352,3 +353,71 @@ def test_correlators_decay_matches_the_scan_fit(scan_config, tmp_path):
     cfg = dict(json.loads(scan_config.read_text()), fit_decay=True)
     decay = run_scan(ExperimentConfig.from_dict(cfg)).decay
     assert (payload["eta"], payload["prefactor"]) == (decay.eta, decay.prefactor)
+
+
+def test_correlators_bound_below_the_norm_exits_1(scan_config, tmp_path, capsys):
+    cfg = dict(json.loads(scan_config.read_text()), bound=0.5)
+    out = tmp_path / "o"
+    assert main(["correlators", "--config", str(_write(scan_config, cfg)), "--out", str(out)]) == 1
+    assert "below the actual square-root norm" in capsys.readouterr().err
+    assert not (out / "decay.json").exists()
+
+
+SINGLE_SHOT_OUTPUTS = {
+    "ground-entropy": "ground_entropy.json",
+    "excited-entropy": "excited_bounds.json",
+    "ensemble-bound": "ensemble.json",
+    "correlators": "decay.json",
+}
+
+
+@pytest.mark.parametrize("command", sorted(SINGLE_SHOT_OUTPUTS))
+def test_single_shot_manifest_reproduces_the_run(command, scan_config, tmp_path):
+    flags = ["--eps", "0.75", "--seed", "5", "--s", "0.25"]
+    first = tmp_path / "first"
+    assert main([command, "--config", str(scan_config), "--out", str(first), *flags]) == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    assert manifest["config"]["eps"] == [0.75]
+    assert (manifest["config"]["seed"], manifest["config"]["s"], manifest["seed"]) == (5, 0.25, 5)
+    again = tmp_path / "again"
+    rerun = _write(tmp_path / "manifest-config.json", manifest["config"])
+    assert main([command, "--config", str(rerun), "--out", str(again)]) == 0
+    for name in ("manifest.json", SINGLE_SHOT_OUTPUTS[command]):
+        assert (again / name).read_bytes() == (first / name).read_bytes()
+
+
+def _count_full_eigensolves(monkeypatch, n, fail=False):
+    """Count n x n symmetric eigensolves through every solver oscent can reach."""
+    calls = []
+
+    def counting(solver):
+        def wrapper(a, *args, **kwargs):
+            if np.shape(a) == (n, n):
+                calls.append(solver.__name__)
+                if fail:
+                    raise np.linalg.LinAlgError("eigenvalue solver did not converge")
+            return solver(a, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(oscent.spectral, "eigh", counting(oscent.spectral.eigh))
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+    return calls
+
+
+@pytest.mark.parametrize("command", [*sorted(SINGLE_SHOT_OUTPUTS), "scan"])
+def test_one_eigensolve_of_h_per_realization(command, scan_config, tmp_path, monkeypatch):
+    calls = _count_full_eigensolves(monkeypatch, 12)
+    argv = [command, "--config", str(scan_config), "--out", str(tmp_path / "o")]
+    assert main(argv) == 0
+    assert len(calls) == (3 if command in ("scan", "correlators") else 1)
+
+
+@pytest.mark.parametrize("command", [*sorted(SINGLE_SHOT_OUTPUTS), "scan"])
+def test_a_failed_eigensolve_fails_the_command(command, scan_config, tmp_path, monkeypatch, capsys):
+    _count_full_eigensolves(monkeypatch, 12, fail=True)
+    argv = [command, "--config", str(scan_config), "--out", str(tmp_path / "o")]
+    assert main(argv) == 1
+    assert "did not converge" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "records.csv").exists()

@@ -218,3 +218,14 @@ def test_correlator_csv_matches_pair_loop():
             distance = l1_distance(lat.sites[i], lat.sites[j])
             lines.append(f"{i},{j},{distance},{values[i, j]:.15g}")
     assert correlator_csv(values, lat) == "\n".join(lines) + "\n"
+
+
+def test_table_is_exactly_symmetric_without_a_second_symmetrization():
+    lat = build_box(2, [6, 6])
+    for index in range(3):
+        h = assemble_anderson(lat, sample_springs(DisorderModel(k_max=8.0, seed=17), lat, index))
+        values = correlator_table(h).values
+        assert np.array_equal(values, values.T)
+        # the symmetrization the table no longer applies would change no bit
+        assert np.array_equal(values, 0.5 * (values + values.T))
+

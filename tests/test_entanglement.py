@@ -9,6 +9,7 @@ from oscent import (
     DisorderModel,
     assemble_anderson,
     assemble_custom,
+    box_region,
     bruteforce_reduced_diagonal,
     build_box,
     eigensystem,
@@ -31,6 +32,7 @@ from oscent import (
     spd_sqrt,
     symplectic_spectrum,
 )
+from oscent.spectral import SpectralData
 
 
 def series_renyi(mu, eps, terms=400):
@@ -384,3 +386,50 @@ def test_entropy_report_serialization():
     assert len(rows) == 3 and all(len(r.split(",")) == 4 for r in rows)
     values = report.ground_renyi
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
+
+
+_BOXES = {
+    "1d": ((24,), (9,), (5,)),
+    "2d": ((7, 7), (2, 2), (3, 3)),
+    "3d": ((5, 5, 5), (1, 1, 1), (2, 2, 2)),
+}
+
+
+def _box_system(name, seed=2024):
+    lengths, corner, region_lengths = _BOXES[name]
+    lat = build_box(len(lengths), lengths)
+    springs = sample_springs(DisorderModel(k_max=8.0, seed=seed), lat, 0)
+    data = eigensystem(assemble_anderson(lat, springs))
+    blocks = partition_blocks(spd_sqrt(data), box_region(lat, corner, region_lengths))
+    return data, blocks, symplectic_spectrum(blocks)
+
+
+@pytest.mark.parametrize("name", sorted(_BOXES))
+def test_profile_arrays_match_the_complement_block_solve(name):
+    data, blocks, spec = _box_system(name)
+    v_region, v_complement, nu, complement_energy, _ = oscent.entanglement._profile_arrays(
+        data, blocks, spec
+    )
+    # reference: solve the complement block against every eigenvector
+    b_inv_v = blocks.solve_b(v_complement)
+    np.testing.assert_allclose(nu, v_region - blocks.c @ b_inv_v, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        complement_energy,
+        data.frequencies * np.einsum("ik,ik->k", v_complement, b_inv_v),
+        rtol=0,
+        atol=1e-12,
+    )
+    split = data.frequencies * np.einsum("ik,ik->k", nu, blocks.solve_schur(nu))
+    assert np.abs(split + complement_energy - 1.0).max() < 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(_BOXES))
+def test_an_eigenvector_off_by_one_part_in_a_million_fails_the_energy_split(name):
+    data, blocks, spec = _box_system(name)
+    excitation_weights(data, blocks, spec)
+    for k in range(data.size):
+        vectors = data.vectors.copy()
+        vectors[:, k] *= 1.0 + 1e-6
+        perturbed = SpectralData(data.eigenvalues, data.frequencies, vectors)
+        with pytest.raises(ArithmeticError, match="energy-split"):
+            excitation_weights(perturbed, blocks, spec)

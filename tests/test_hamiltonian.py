@@ -7,11 +7,14 @@ from oscent import (
     assemble_anderson,
     assemble_custom,
     build_box,
+    eigensystem,
     l1_distance,
     load_matrix_csv,
     sample_springs,
     validate_coupling,
 )
+from oscent.hamiltonian import PD_TOLERANCE
+from oscent.spectral import decompose
 
 
 def test_springs_stay_in_support():
@@ -173,3 +176,26 @@ def test_assembly_is_bit_identical_to_pair_loop(lengths):
     lat = build_box(len(lengths), lengths)
     springs = sample_springs(DisorderModel(k_max=8.0, seed=5), lat, 0)
     assert np.array_equal(assemble_anderson(lat, springs).matrix, _loop_anderson(lat, springs))
+
+
+@pytest.mark.parametrize("entries", [np.eye(2), [[2.0, -1.0], [-1.0, 2.0]], [[1.0, 2.0], [2.0, 1.0]]])
+def test_validate_reads_a_given_decomposition(entries):
+    h = assemble_custom(build_box(1, [2]), entries)
+    direct, reused = validate_coupling(h, 1.5), validate_coupling(decompose(h), 1.5)
+    assert reused.is_positive_definite == direct.is_positive_definite
+    assert reused.bound_satisfied == direct.bound_satisfied
+    assert reused.smallest_eigenvalue == pytest.approx(direct.smallest_eigenvalue, abs=1e-14)
+    assert reused.hsqrt_norm == pytest.approx(direct.hsqrt_norm, abs=1e-14)
+
+
+def test_one_positive_definiteness_floor_for_the_report_and_the_eigensystem():
+    lat = build_box(1, [2])
+    for smallest in (2e-10, 1e-10, 5e-11):
+        h = assemble_custom(lat, np.diag([smallest, 1.0]))
+        verdict = validate_coupling(decompose(h), 1.0).is_positive_definite
+        assert verdict == (smallest > PD_TOLERANCE)
+        if verdict:
+            eigensystem(h)
+        else:
+            with pytest.raises(np.linalg.LinAlgError):
+                eigensystem(h)

@@ -16,6 +16,7 @@ from oscent import (
     spd_sqrt,
     symplectic_spectrum,
 )
+from oscent.spectral import decompose
 
 SQ3 = np.sqrt(3.0)
 
@@ -220,3 +221,25 @@ def test_eigenvector_signs_are_deterministic():
     assert np.array_equal(first, second)
     idx = np.abs(first).argmax(axis=0)
     assert np.all(first[idx, np.arange(first.shape[1])] > 0)
+
+
+def test_decompose_never_raises_and_eigensystem_checks_it():
+    indefinite = assemble_custom(build_box(1, [2]), [[1.0, 2.0], [2.0, 1.0]])
+    data = decompose(indefinite)
+    np.testing.assert_allclose(data.eigenvalues, [-1.0, 3.0], atol=1e-12)
+    assert np.isnan(data.frequencies[0])
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        eigensystem(data)
+    lat, h = random_chain(12, seed=71)
+    data = decompose(h)
+    assert eigensystem(data) is data
+    fresh = eigensystem(h)
+    for name in ("eigenvalues", "frequencies", "vectors"):
+        assert np.array_equal(getattr(fresh, name), getattr(data, name))
+
+
+def test_partition_blocks_keeps_the_complement_solve():
+    lat, h = random_chain(10, seed=5)
+    blocks = partition_blocks(spd_sqrt(h), make_region(lat, [(3,), (4,), (5,)]))
+    assert blocks.b_inv_ct.shape == (7, 3)
+    np.testing.assert_allclose(blocks.b @ blocks.b_inv_ct, blocks.c.T, atol=1e-13)
