@@ -13,7 +13,6 @@ from .lattice import (
     box_region,
     build_box,
     inner_boundary,
-    is_connected,
     l1_distance,
     make_region,
 )

@@ -155,12 +155,17 @@ def _fit_binned(mean_moment: np.ndarray, lattice: Lattice, s: float) -> DecayFit
 def correlator_csv(values: np.ndarray, lattice: Lattice) -> str:
     """Render a correlator (or moment) matrix as CSV rows j,k,distance,value."""
     values = np.asarray(values)
-    # One joined string per matrix row keeps the peak memory near the size
-    # of the output text rather than one small string object per entry.
+    n = lattice.size
+    # One %-format per matrix row: the C formatter fills the whole row in one
+    # call, and the peak memory stays near the size of the output text.
+    # Columns k, distance, value interleave in one reused argument list.
     chunks = ["j,k,distance,value\n"]
-    for i in range(lattice.size):
-        row = zip(lattice.distances[i].tolist(), values[i].tolist())
-        chunks.append("".join(f"{i},{j},{d},{v:.15g}\n" for j, (d, v) in enumerate(row)))
+    args = [0] * (3 * n)
+    args[0::3] = range(n)
+    for i in range(n):
+        args[1::3] = lattice.distances[i].tolist()
+        args[2::3] = values[i].tolist()
+        chunks.append((f"{i},%d,%d,%.15g\n" * n) % tuple(args))
     return "".join(chunks)
 
 

@@ -31,6 +31,15 @@ MU_ONE_THRESHOLD = 1.0 + 1e-8
 # rather than rounding noise.
 NEGATIVE_FLOOR = -1e-12
 
+# Below this distance 1 - eps from the von Neumann point, E_eps takes its
+# cumulant series: the 1/(1-eps) prefactor would amplify the cancellation in
+# log f_eps, and the neglected delta^3 term is below 1e-12 per mode here.
+SERIES_DELTA = 1e-4
+
+# Tolerance of both weight sum rules: a row (one excitation) sums to at
+# most 2, a column (one symplectic mode, over all excitations) to exactly 2.
+WEIGHT_SUM_TOLERANCE = 1e-9
+
 
 def renyi_factor(x, eps: float):
     """Per-mode factor f_eps(x) of the ground-state Renyi formula.
@@ -48,12 +57,14 @@ def renyi_factor(x, eps: float):
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     a = (x + 1.0) / 2.0
     # At x = 1 the logarithm is -inf and expm1(-inf) = -1, so f_eps(1) = 1.
-    with np.errstate(divide="ignore"):
-        log_ratio = np.where(
-            x < 3.0, np.log((x - 1.0) / (x + 1.0)), np.log1p(-2.0 / (x + 1.0))
-        )
-    value = -1.0 / (a**eps * np.expm1(eps * log_ratio))
+    value = -1.0 / (a**eps * np.expm1(eps * _log_ratio(x)))
     return value if value.ndim else float(value)
+
+
+def _log_ratio(x: np.ndarray) -> np.ndarray:
+    """log((x-1)/(x+1)): log1p(-2/(x+1)) from x = 3 on, a plain log below; -inf at x = 1."""
+    with np.errstate(divide="ignore"):
+        return np.where(x < 3.0, np.log((x - 1.0) / (x + 1.0)), np.log1p(-2.0 / (x + 1.0)))
 
 
 def half_renyi_factor(x):
@@ -80,20 +91,45 @@ def ground_state_renyi(spectrum, eps: float) -> float:
 
     eps = 1 takes the separate von Neumann branch rather than a numerical
     limit; both closed forms come straight from the symplectic eigenvalues.
-    Accepts a SymplecticSpectrum or a bare array of mu values.
+    For 1 - eps below SERIES_DELTA the value is the von Neumann entropy plus
+    the first two terms of its series in 1 - eps. Accepts a
+    SymplecticSpectrum or a bare array of mu values.
     """
     mu = _mu_of(spectrum)
     if np.any(mu < 1.0):
         raise ValueError("symplectic eigenvalues must all be >= 1")
     if eps == 1.0:
-        plus = (mu + 1.0) / 2.0
-        minus = (mu - 1.0) / 2.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = plus * np.log(plus) - np.where(minus > 0, minus * np.log(minus), 0.0)
-        return float(np.sum(terms))
+        return _von_neumann(mu)
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    return float(np.sum(np.log(renyi_factor(mu, eps))) / (1.0 - eps))
+    delta = 1.0 - eps
+    if delta < SERIES_DELTA:
+        return _near_von_neumann(mu, delta)
+    return float(np.sum(np.log(renyi_factor(mu, eps))) / delta)
+
+
+def _von_neumann(mu: np.ndarray) -> float:
+    plus = (mu + 1.0) / 2.0
+    minus = (mu - 1.0) / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = plus * np.log(plus) - np.where(minus > 0, minus * np.log(minus), 0.0)
+    return float(np.sum(terms))
+
+
+def _near_von_neumann(mu: np.ndarray, delta: float) -> float:
+    """E_eps at delta = 1 - eps from its expansion S + delta k2/2 + delta^2 k3/6.
+
+    Mode j is a thermal state with occupation ratio r = (mu-1)/(mu+1); k2
+    and k3 sum the second and third cumulants of -log p over those states:
+    k2 = (log r)^2 (mu^2-1)/4 and k3 = -(log r)^3 mu (mu^2-1)/4 per mode.
+    A mode at mu = 1 is pure and adds 0.
+    """
+    mixed = mu[mu > 1.0]
+    log_r = _log_ratio(mixed)
+    spread = (mixed - 1.0) * (mixed + 1.0) / 4.0
+    k2 = np.sum(log_r**2 * spread)
+    k3 = -np.sum(log_r**3 * mixed * spread)
+    return _von_neumann(mu) + float(delta * k2 / 2.0 + delta**2 * k3 / 6.0)
 
 
 def log_negativity(spectrum) -> float:
@@ -152,7 +188,7 @@ def _check_excitation_identities(
     gamma_k (nu^T schur^{-1} nu + (v)_c^T b^{-1} (v)_c) must equal 1.
     """
     sums = weights.sum(axis=1)
-    over = np.flatnonzero(sums > 2.0 + 1e-9)
+    over = np.flatnonzero(sums > 2.0 + WEIGHT_SUM_TOLERANCE)
     if over.size:
         raise ArithmeticError(f"weight sum {sums[over].max()} exceeds 2")
     split = frequencies * np.einsum("ik,ik->k", nu, blocks.solve_schur(nu))
@@ -161,6 +197,14 @@ def _check_excitation_identities(
     if off.size:
         worst = off[np.argmax(np.abs(residual[off]))]
         raise ArithmeticError(f"energy-split identity violated by {residual[worst]:.3e}")
+
+
+def _check_weight_columns(weights):
+    """Raise ArithmeticError unless each column of the all-mode weights sums to 2."""
+    residual = weights.sum(axis=0) - 2.0
+    worst = np.argmax(np.abs(residual))
+    if not abs(residual[worst]) <= WEIGHT_SUM_TOLERANCE:  # a nan fails too
+        raise ArithmeticError(f"weight column sum is off 2 by {residual[worst]:.3e}")
 
 
 def excitation_profile(
@@ -185,10 +229,11 @@ def excitation_weights(
 
     Row sums are <= 2 and every column sums to exactly 2. Raises
     ArithmeticError if any mode violates the identities excitation_profile
-    enforces.
+    enforces, or if a column sum is off 2 by more than WEIGHT_SUM_TOLERANCE.
     """
     _, _, nu, complement_energy, weights = _profile_arrays(data, blocks, spectrum)
     _check_excitation_identities(data.frequencies, blocks, nu, complement_energy, weights)
+    _check_weight_columns(weights)
     return weights
 
 
@@ -203,7 +248,8 @@ def excitation_profiles(
     ``modes`` lists 1-based mode indices (default: every mode, ascending).
     The arrays are built once for all modes and the requested ones are
     selected, so each profile is bit-identical to excitation_profile's;
-    the same identities are checked for every returned mode.
+    the same identities are checked for every returned mode, and the weight
+    column sums as in excitation_weights when every mode is returned.
     """
     ks = np.arange(data.size) if modes is None else np.asarray(modes, dtype=int) - 1
     outside = ks[(ks < 0) | (ks >= data.size)]
@@ -215,6 +261,8 @@ def excitation_profiles(
     _check_excitation_identities(
         data.frequencies[ks], blocks, nu[:, ks], complement_energy[ks], weights[ks]
     )
+    if np.unique(ks).size == data.size:
+        _check_weight_columns(weights)
     return [
         ExcitationProfile(
             mode=int(k) + 1,
@@ -378,15 +426,6 @@ class EntropyReport:
             "mu": self.mu,
         }
         return json.dumps(payload, indent=2, sort_keys=True)
-
-    def to_csv_rows(self) -> list[str]:
-        """One comma-separated row per requested eps value."""
-        rows = []
-        for e, value in zip(self.eps, self.ground_renyi):
-            rows.append(
-                f"{e:.15g},{value:.15g},{self.von_neumann:.15g},{self.log_negativity:.15g}"
-            )
-        return rows
 
 
 def entropy_report(

@@ -162,18 +162,3 @@ def inner_boundary(region: Region) -> set[Site]:
         if any(nb in outside for nb in _neighbors(site))
     }
 
-
-def is_connected(region: Region) -> bool:
-    """Nearest-neighbor connectivity of the region (optional validator).
-
-    Connectivity is assumed by the bound theorems but never used by the
-    numerics, so nothing in this package enforces it.
-    """
-    todo = {region.sites[0]}
-    seen: set[Site] = set()
-    members = set(region.sites)
-    while todo:
-        site = todo.pop()
-        seen.add(site)
-        todo.update(nb for nb in _neighbors(site) if nb in members and nb not in seen)
-    return seen == members

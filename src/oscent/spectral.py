@@ -1,10 +1,11 @@
 """Eigensystems, SPD square roots, bipartition blocks and symplectic spectra.
 
 Everything here is dense linear algebra: eigendecomposition of the coupling
-matrix, functions of it (square root, inverse square root), the block
-decomposition of the square root induced by a region, the Schur complement
-of the complement block, and the symplectic eigenvalues mu_j >= 1 that carry
-all the ground-state entanglement information.
+matrix (from its two diagonals alone when it is tridiagonal, as on a chain),
+functions of it (square root, inverse square root), the block decomposition
+of the square root induced by a region, the Schur complement of the
+complement block, and the symplectic eigenvalues mu_j >= 1 that carry all
+the ground-state entanglement information.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh
+from scipy.linalg import bandwidth, cho_factor, cho_solve, eigh, eigh_tridiagonal
 
 from .hamiltonian import CouplingMatrix, is_positive_definite
 from .lattice import Region
@@ -102,10 +103,27 @@ def _fix_eigenvector_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
+def _symmetric_eigh(m: np.ndarray):
+    """``eigh(m)`` of a symmetric matrix; a tridiagonal one skips the dense reduction.
+
+    For n > 1, LAPACK's dsyevr reduces m to tridiagonal form, runs the MRRR
+    solver dstemr and back-transforms. On a tridiagonal m every Householder
+    tau is 0, so the reduction and the back-transform change nothing and
+    dstemr on the two diagonals returns the same bits. If dstemr fails, the
+    dense call runs dsyevr's own fallback.
+    """
+    if m.shape[0] > 1 and max(bandwidth(m)) <= 1:
+        try:
+            return eigh_tridiagonal(np.diag(m), np.diag(m, -1), lapack_driver="stemr")
+        except np.linalg.LinAlgError:
+            pass
+    return eigh(m)
+
+
 def decompose(h) -> SpectralData:
     """Eigendecomposition with a deterministic sign convention, unchecked: eigenvalues < 0 get nan frequencies."""
     m = h.matrix if isinstance(h, CouplingMatrix) else np.asarray(h, dtype=float)
-    eigenvalues, vectors = eigh(0.5 * (m + m.T))
+    eigenvalues, vectors = _symmetric_eigh(0.5 * (m + m.T))
     with np.errstate(invalid="ignore"):
         return SpectralData(eigenvalues, np.sqrt(eigenvalues), _fix_eigenvector_signs(vectors))
 

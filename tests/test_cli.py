@@ -387,12 +387,16 @@ def test_single_shot_manifest_reproduces_the_run(command, scan_config, tmp_path)
 
 
 def _count_full_eigensolves(monkeypatch, n, fail=False):
-    """Count n x n symmetric eigensolves through every solver oscent can reach."""
+    """Count n x n symmetric eigensolves through every solver oscent can reach.
+
+    A tridiagonal h goes to ``eigh_tridiagonal``, whose first argument is
+    the length-n diagonal.
+    """
     calls = []
 
-    def counting(solver):
+    def counting(solver, shape=(n, n)):
         def wrapper(a, *args, **kwargs):
-            if np.shape(a) == (n, n):
+            if np.shape(a) == shape:
                 calls.append(solver.__name__)
                 if fail:
                     raise np.linalg.LinAlgError("eigenvalue solver did not converge")
@@ -401,6 +405,9 @@ def _count_full_eigensolves(monkeypatch, n, fail=False):
         return wrapper
 
     monkeypatch.setattr(oscent.spectral, "eigh", counting(oscent.spectral.eigh))
+    monkeypatch.setattr(
+        oscent.spectral, "eigh_tridiagonal", counting(oscent.spectral.eigh_tridiagonal, (n,))
+    )
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
     return calls

@@ -229,3 +229,25 @@ def test_table_is_exactly_symmetric_without_a_second_symmetrization():
         # the symmetrization the table no longer applies would change no bit
         assert np.array_equal(values, 0.5 * (values + values.T))
 
+
+
+def _csv_per_entry(values, lattice):
+    """The per-entry f-string rendering correlator_csv must reproduce byte for byte."""
+    chunks = ["j,k,distance,value\n"]
+    for i in range(lattice.size):
+        row = zip(lattice.distances[i].tolist(), values[i].tolist())
+        chunks.append("".join(f"{i},{j},{d},{v:.15g}\n" for j, (d, v) in enumerate(row)))
+    return "".join(chunks)
+
+
+@pytest.mark.parametrize("lengths", [[1], [13], [4, 5]])
+def test_correlator_csv_is_byte_equal_to_the_per_entry_format(lengths):
+    lat = build_box(len(lengths), lengths)
+    rng = np.random.default_rng(8)
+    values = rng.random((lat.size, lat.size)) * 10.0 ** rng.integers(-320, 20, (lat.size, lat.size))
+    special = [0.0, 5e-324, 2.2250738585072014e-308, 1e-310, 1e17, 0.1, 1.0, 123456789012345.67]
+    flat = values.ravel()
+    flat[: min(len(special), flat.size)] = special[: flat.size]
+    text = correlator_csv(values, lat)
+    assert text.encode() == _csv_per_entry(values, lat).encode()
+    assert text.count("\n") == lat.size**2 + 1

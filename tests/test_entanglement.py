@@ -382,8 +382,6 @@ def test_entropy_report_serialization():
     assert payload["ground_renyi"][0] == pytest.approx(report.log_negativity)
     assert len(payload["excited_computed_bounds"]) == 3
     assert payload["ensemble_bound"] is None  # 2^2 > 3
-    rows = report.to_csv_rows()
-    assert len(rows) == 3 and all(len(r.split(",")) == 4 for r in rows)
     values = report.ground_renyi
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
@@ -433,3 +431,70 @@ def test_an_eigenvector_off_by_one_part_in_a_million_fails_the_energy_split(name
         perturbed = SpectralData(data.eigenvalues, data.frequencies, vectors)
         with pytest.raises(ArithmeticError, match="energy-split"):
             excitation_weights(perturbed, blocks, spec)
+
+
+def test_weight_columns_must_sum_to_two(monkeypatch):
+    data, blocks, spec = _chain_system()
+    original = oscent.entanglement._profile_arrays
+    shift = {"value": 1e-6}
+
+    def corrupted(*args):
+        *rest, weights = original(*args)
+        weights = weights.copy()
+        weights[3, 0] -= shift["value"]  # row 4 only shrinks; column 1 misses 2
+        return (*rest, weights)
+
+    monkeypatch.setattr(oscent.entanglement, "_profile_arrays", corrupted)
+    with pytest.raises(ArithmeticError, match="column sum"):
+        excitation_weights(data, blocks, spec)
+    with pytest.raises(ArithmeticError, match="column sum"):
+        excitation_profiles(data, blocks, spec)
+    with pytest.raises(ArithmeticError, match="column sum"):
+        excitation_profiles(data, blocks, spec, range(10, 0, -1))
+    # without every mode the columns are incomplete, and go unchecked
+    assert len(excitation_profiles(data, blocks, spec, range(1, 10))) == 9
+    assert excitation_profile(data, blocks, spec, 4).mode == 4
+    shift["value"] = 1e-10  # inside the 1e-9 tolerance
+    assert excitation_weights(data, blocks, spec).shape == (10, 3)
+
+
+NEAR_ONE_MU = np.array([1.0 + 1e-7, 1.3, 4.0, 30.0])
+
+
+def _mp_renyi(mu, eps):
+    """E_eps at 50 digits from the definition 1/(1-eps) sum log f_eps(mu)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        total = sum(mpmath.log(_mp_renyi_factor(float(m), eps)) for m in mu)
+        return total / (1 - mpmath.mpf(eps))
+
+
+@pytest.mark.parametrize("delta", [1e-5, 1e-6, 1e-8, 1e-10, 1e-13, 1e-15])
+def test_renyi_near_von_neumann_matches_mpmath(delta):
+    eps = 1.0 - delta
+    assert abs(ground_state_renyi(NEAR_ONE_MU, eps) - _mp_renyi(NEAR_ONE_MU, eps)) < 2e-14
+
+
+@pytest.mark.parametrize("delta", [1.0001e-4, 0.9999e-4, 1e-3])
+def test_renyi_both_branches_agree_with_mpmath_at_the_crossover(delta):
+    eps = 1.0 - delta
+    assert abs(ground_state_renyi(NEAR_ONE_MU, eps) - _mp_renyi(NEAR_ONE_MU, eps)) < 1e-11
+
+
+def test_renyi_near_von_neumann_skips_pure_modes():
+    mixed = NEAR_ONE_MU
+    padded = np.concatenate([np.ones(3), mixed])
+    for eps in (1.0 - 1e-6, 1.0 - 1e-12):
+        assert ground_state_renyi(padded, eps) == ground_state_renyi(mixed, eps)
+        assert ground_state_renyi(np.ones(4), eps) == 0.0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_renyi_does_not_increase_in_eps(seed):
+    rng = np.random.default_rng(seed)
+    mu = np.concatenate([[1.0, 1.0 + 1e-9], 1.0 + rng.exponential(2.0, size=12), [1e4]])
+    eps = np.concatenate(
+        [np.linspace(0.05, 0.999, 60), 1.0 - np.geomspace(1e-3, 1e-15, 49), [1.0]]
+    )
+    values = np.array([ground_state_renyi(mu, e) for e in eps])
+    assert np.all(np.diff(values) <= 0.0)

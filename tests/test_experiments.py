@@ -307,3 +307,17 @@ def test_scan_enforces_the_weight_sum_rule(monkeypatch, tmp_path):
     path = tmp_path / "scan.json"
     path.write_text(json.dumps(config.to_dict()))
     assert main(["scan", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+
+
+def test_scan_enforces_the_weight_column_sums(monkeypatch):
+    original = oscent.entanglement._profile_arrays
+
+    def corrupted(*args):
+        *rest, weights = original(*args)
+        weights = weights.copy()
+        weights[0, 0] -= 1e-6
+        return (*rest, weights)
+
+    monkeypatch.setattr(oscent.entanglement, "_profile_arrays", corrupted)
+    with pytest.raises(ArithmeticError, match="column sum"):
+        run_scan(small_config(realizations=2))

@@ -5,7 +5,6 @@ from oscent import (
     box_region,
     build_box,
     inner_boundary,
-    is_connected,
     l1_distance,
     make_region,
 )
@@ -111,12 +110,6 @@ def test_box_region_matches_explicit_sites():
     lat = build_box(2, [4, 4])
     region = box_region(lat, (1, 1), (2, 2))
     assert set(region.sites) == {(1, 1), (1, 2), (2, 1), (2, 2)}
-
-
-def test_connectivity_helper():
-    lat = build_box(1, [6])
-    assert is_connected(make_region(lat, [(1,), (2,), (3,)]))
-    assert not is_connected(make_region(lat, [(0,), (3,)]))
 
 
 GEOMETRY_BOXES = [[7], [3, 1, 4], [4, 4, 4]]

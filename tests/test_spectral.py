@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+import oscent.spectral
 from oscent import (
     DisorderModel,
+    ExperimentConfig,
     assemble_anderson,
     assemble_custom,
     build_box,
     covariance_matrix,
     covariance_symplectic_eigenvalues,
     eigensystem,
+    load_matrix_csv,
     make_region,
     partition_blocks,
     sample_springs,
@@ -16,7 +20,8 @@ from oscent import (
     spd_sqrt,
     symplectic_spectrum,
 )
-from oscent.spectral import decompose
+from oscent.experiments import coupling_matrix
+from oscent.spectral import _fix_eigenvector_signs, decompose
 
 SQ3 = np.sqrt(3.0)
 
@@ -30,6 +35,11 @@ def random_chain(n, seed, k_max=8.0, index=0):
     lat = build_box(1, [n])
     springs = sample_springs(DisorderModel(k_max=k_max, seed=seed), lat, index)
     return lat, assemble_anderson(lat, springs)
+
+
+def random_box(lengths, seed):
+    lat = build_box(len(lengths), lengths)
+    return assemble_anderson(lat, sample_springs(DisorderModel(k_max=8.0, seed=seed), lat, 0))
 
 
 def test_eigensystem_identity():
@@ -243,3 +253,93 @@ def test_partition_blocks_keeps_the_complement_solve():
     blocks = partition_blocks(spd_sqrt(h), make_region(lat, [(3,), (4,), (5,)]))
     assert blocks.b_inv_ct.shape == (7, 3)
     np.testing.assert_allclose(blocks.b @ blocks.b_inv_ct, blocks.c.T, atol=1e-13)
+
+
+def _spy(monkeypatch, name, fail=False):
+    """Record the shapes of the first argument of ``oscent.spectral.<name>``."""
+    solver = getattr(oscent.spectral, name)
+    shapes = []
+
+    def wrapper(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        if fail:
+            raise np.linalg.LinAlgError("dstemr failed")
+        return solver(a, *args, **kwargs)
+
+    monkeypatch.setattr(oscent.spectral, name, wrapper)
+    return shapes
+
+
+def _assert_dense_bits(data, matrix):
+    """``data`` carries the exact bits of dense eigh plus the sign fix."""
+    eigenvalues, vectors = scipy.linalg.eigh(0.5 * (matrix + matrix.T))
+    assert data.eigenvalues.tobytes() == eigenvalues.tobytes()
+    assert data.vectors.tobytes() == _fix_eigenvector_signs(vectors).tobytes()
+    assert data.frequencies.tobytes() == np.sqrt(eigenvalues).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 12, 160, 400])
+def test_a_chain_takes_the_tridiagonal_route_bit_for_bit(n, monkeypatch):
+    tridiagonal = _spy(monkeypatch, "eigh_tridiagonal")
+    dense = _spy(monkeypatch, "eigh")
+    for seed in (2024, 7):
+        _, h = random_chain(n, seed)
+        _assert_dense_bits(decompose(h), h.matrix)
+    assert tridiagonal == [(n,), (n,)]
+    assert dense == []
+
+
+@pytest.mark.parametrize("n", [2, 3, 12, 160, 400])
+def test_decoupled_springs_take_the_tridiagonal_route_bit_for_bit(n, monkeypatch):
+    tridiagonal = _spy(monkeypatch, "eigh_tridiagonal")
+    config = ExperimentConfig(
+        dimension=1, lengths=(n,), region_corner=(0,), region_lengths=(1,),
+        k_max=8.0, master_seed=5, coupling_kind="none",
+    )
+    h = coupling_matrix(config, build_box(1, [n]), 0)
+    _assert_dense_bits(decompose(h), h.matrix)
+    assert tridiagonal == [(n,)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 12, 160, 400])
+def test_a_tridiagonal_matrix_csv_takes_the_route_bit_for_bit(n, tmp_path, monkeypatch):
+    tridiagonal = _spy(monkeypatch, "eigh_tridiagonal")
+    lat, h = random_chain(n, seed=31)
+    path = tmp_path / "chain.csv"
+    np.savetxt(path, h.matrix, delimiter=",")
+    loaded = load_matrix_csv(path, lat)
+    _assert_dense_bits(decompose(loaded), loaded.matrix)
+    assert tridiagonal == [(n,)]
+
+
+def _ring(n):
+    _, h = random_chain(n, seed=3)
+    matrix = h.matrix.copy()
+    matrix[0, -1] = matrix[-1, 0] = -1.0
+    return matrix
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        pytest.param(lambda: random_box([6, 6], seed=2024).matrix, id="2d-box"),
+        pytest.param(lambda: _ring(12), id="ring"),
+        pytest.param(lambda: np.array([[2.5]]), id="one-site"),
+    ],
+)
+def test_other_matrices_keep_the_dense_route(matrix, monkeypatch):
+    matrix = matrix()
+    tridiagonal = _spy(monkeypatch, "eigh_tridiagonal")
+    dense = _spy(monkeypatch, "eigh")
+    _assert_dense_bits(decompose(matrix), matrix)
+    assert tridiagonal == []
+    assert dense == [matrix.shape]
+
+
+def test_a_failed_dstemr_falls_back_to_dense_eigh(monkeypatch):
+    tridiagonal = _spy(monkeypatch, "eigh_tridiagonal", fail=True)
+    dense = _spy(monkeypatch, "eigh")
+    _, h = random_chain(40, seed=9)
+    _assert_dense_bits(decompose(h), h.matrix)
+    assert tridiagonal == [(40,)]
+    assert dense == [(40, 40)]
