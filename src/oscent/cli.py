@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import sys
@@ -57,20 +58,18 @@ def parse_args(argv):
     parser.add_argument("--version", action="version", version=f"oscent {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_config=True):
-        p.add_argument("--config", type=str, required=needs_config, help="JSON config path")
+    for name in ("ground-entropy", "excited-entropy", "ensemble-bound", "correlators", "scan"):
+        p = sub.add_parser(name)
+        p.add_argument("--config", type=str, required=True, help="JSON config path")
         p.add_argument("--out", type=str, default=None, help="output directory")
         p.add_argument("--threads", type=int, default=None)
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
         p.add_argument("--eps", type=str, default=None, help="comma-separated eps list")
         p.add_argument("--p", dest="p_value", type=float, default=None)
         p.add_argument("--s", dest="s_value", type=float, default=None)
-        p.add_argument("--tolerance", type=float, default=None)
-
-    for name in ("ground-entropy", "excited-entropy", "ensemble-bound", "correlators", "scan"):
-        add_common(sub.add_parser(name))
     verify = sub.add_parser("verify")
-    add_common(verify, needs_config=False)
+    verify.add_argument("--out", type=str, default=None, help="output directory")
+    verify.add_argument("--tolerance", type=float, default=1e-8, help="positive, finite identity tolerance")
     return parser.parse_args(argv)
 
 
@@ -245,8 +244,9 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    tolerance = args.tolerance if args.tolerance is not None else 1e-8
-    rows = verify_report(tolerance=tolerance)
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        raise UsageError(f"tolerance must be positive and finite, got {args.tolerance}")
+    rows = verify_report(tolerance=args.tolerance)
     width = max(len(r.name) for r in rows)
     failures = 0
     print(f"{'identity':<{width}}  {'worst':>12}  {'tolerance':>10}  status")

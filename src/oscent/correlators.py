@@ -86,7 +86,10 @@ def distance_bins(lattice: Lattice) -> dict[int, np.ndarray]:
     order, the order ``np.flatnonzero(lattice.distances == r)`` gives.
     """
     flat = lattice.distances.ravel()
-    order = np.argsort(flat, kind="stable")
+    # Distances up to 65535 fit 8- or 16-bit keys, which numpy's stable sort
+    # radix-sorts. A stable sort's output depends only on the keys, so the
+    # narrower copy gives the same bins.
+    order = np.argsort(flat.astype(np.min_scalar_type(flat.max())), kind="stable")
     ends = np.cumsum(np.bincount(flat))
     return {
         r: order[ends[r - 1] : ends[r]]
@@ -153,19 +156,40 @@ def _fit_binned(mean_moment: np.ndarray, lattice: Lattice, s: float) -> DecayFit
 
 
 def correlator_csv(values: np.ndarray, lattice: Lattice) -> str:
-    """Render a correlator (or moment) matrix as CSV rows j,k,distance,value."""
-    values = np.asarray(values)
+    """Render a real correlator (or moment) matrix as CSV rows j,k,distance,value.
+
+    Values are written with ``%.15g``. Each entry on or above the diagonal is
+    formatted once; its mirror (k, j) reuses that string when their float64
+    bits agree (an int64 view keeps -0.0 and NaN payloads apart) and is
+    formatted on its own otherwise. A symmetric matrix costs about half the
+    conversions, and every matrix gives the bytes of formatting each entry.
+    """
+    values = np.asarray(values).astype(np.float64, casting="same_kind", copy=False)
+    bits = values.view(np.int64)
     n = lattice.size
-    # One %-format per matrix row: the C formatter fills the whole row in one
-    # call, and the peak memory stays near the size of the output text.
-    # Columns k, distance, value interleave in one reused argument list.
+    distances = lattice.distances
+    # Decimal strings with their trailing comma, for the k and distance columns.
+    decimals = np.array([f"{x}," for x in range(max(n, int(distances.max(initial=0)) + 1))], dtype=object)
+    fmt = "%.15g\n".__mod__
+    # Row i stores its strings for columns > i; column i is cleared once row i
+    # has taken them, so at most about n^2/4 strings are alive at a time.
+    pending = np.empty((n, n), dtype=object)
     chunks = ["j,k,distance,value\n"]
-    args = [0] * (3 * n)
-    args[0::3] = range(n)
+    parts = [None] * (4 * n)
+    parts[1::4] = decimals[:n].tolist()
     for i in range(n):
-        args[1::3] = lattice.distances[i].tolist()
-        args[2::3] = values[i].tolist()
-        chunks.append((f"{i},%d,%d,%.15g\n" * n) % tuple(args))
+        row = values[i]
+        upper = list(map(fmt, row[i:].tolist()))
+        pending[i, i + 1 :] = upper[1:]
+        column = pending[:i, i]
+        lower = column.tolist()
+        column[...] = None
+        for k in np.flatnonzero(bits[i, :i] != bits[:i, i]).tolist():
+            lower[k] = fmt(row[k].item())
+        parts[0::4] = [f"{i},"] * n
+        parts[2::4] = decimals[distances[i]].tolist()
+        parts[3::4] = lower + upper
+        chunks.append("".join(parts))
     return "".join(chunks)
 
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh
-from scipy.special import roots_hermite
 
 from .lattice import Region
 from .spectral import eigensystem, partition_blocks, spd_sqrt, symplectic_spectrum
@@ -127,6 +126,9 @@ class QuadratureRule:
 @functools.lru_cache(maxsize=64)
 def _gh_raw(order: int):
     """Plain Gauss-Hermite nodes and weights (weight function exp(-x^2))."""
+    # Imported here so that the compute commands never load scipy.special.
+    from scipy.special import roots_hermite
+
     return roots_hermite(order)
 
 

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +168,18 @@ def test_verify_fails_with_absurd_tolerance(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("tolerance", ["0", "-1", "nan", "inf"])
+def test_verify_rejects_a_tolerance_that_is_not_positive_and_finite(tolerance, capsys):
+    assert main(["verify", "--tolerance", tolerance]) == 2
+    assert "tolerance" in capsys.readouterr().err
+
+
+def test_verify_rejects_flags_it_does_not_read():
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--seed", "3"])
+    assert info.value.code == 2
+
+
 def test_seed_override_changes_draw(two_site_config, tmp_path):
     # matrix-file config ignores seeds; use a disorder config instead
     config = tmp_path / "disorder.json"
@@ -298,6 +313,25 @@ def test_every_command_rejects_bad_configs_with_exit_2(command, change, scan_con
     _write(scan_config, cfg)
     assert main([command, "--config", str(scan_config), "--out", str(tmp_path / "o")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_compute_commands_reject_the_tolerance_flag(command, scan_config, tmp_path):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--config", str(scan_config), "--out", str(tmp_path / "o"), "--tolerance", "5"])
+    assert info.value.code == 2
+
+
+def test_compute_commands_do_not_import_scipy_special(scan_config, tmp_path):
+    src = Path(oscent.spectral.__file__).resolve().parents[1]
+    script = (
+        "import sys, oscent.cli\n"
+        f"assert oscent.cli.main(['scan', '--config', {str(scan_config)!r}, '--out', {str(tmp_path / 'o')!r}]) == 0\n"
+        "print('scipy.special' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.splitlines()[-1] == "False"
 
 
 @pytest.mark.parametrize("command", ["scan", "correlators"])

@@ -26,6 +26,7 @@ from oscent.correlators import (
     CorrelatorTable,
     correlator_csv,
     distance_bins,
+    ensemble_mean,
     lattice_exponential_sum,
     mean_moment_by_distance,
 )
@@ -187,7 +188,8 @@ def _loop_distances(lattice):
 GEOMETRY_BOXES = [[7], [3, 1, 4], [4, 4, 4]]
 
 
-@pytest.mark.parametrize("lengths", GEOMETRY_BOXES)
+# [300] has 16-bit distance keys; [20, 20] has 8-bit keys over 160000 pairs.
+@pytest.mark.parametrize("lengths", GEOMETRY_BOXES + [[300], [20, 20]])
 def test_distance_bins_match_nonzero_order(lengths):
     lat = build_box(len(lengths), lengths)
     dist = _loop_distances(lat)
@@ -240,14 +242,51 @@ def _csv_per_entry(values, lattice):
     return "".join(chunks)
 
 
-@pytest.mark.parametrize("lengths", [[1], [13], [4, 5]])
-def test_correlator_csv_is_byte_equal_to_the_per_entry_format(lengths):
+def _with_mirror_differences(values, lattice):
+    """A bit-symmetric matrix whose pairs (0,1), (0,2), (1,2) differ: -0.0, two NaNs, 1 ulp."""
+    values = 0.5 * (values + values.T)
+    n = values.shape[0]
+    if n >= 3:
+        values[0, 1], values[1, 0] = 0.0, -0.0
+        values[0, 2], values[2, 0] = np.nan, -np.nan
+        values[2, 1] = np.nextafter(values[1, 2], np.inf)
+        bits = values.view(np.int64)
+        assert bits[0, 1] != bits[1, 0] and bits[0, 2] != bits[2, 0] and bits[1, 2] != bits[2, 1]
+    return values
+
+
+def _ensemble_mean_moment(values, lattice):
+    springs = (sample_springs(DisorderModel(k_max=8.0, seed=29), lattice, index) for index in range(3))
+    return ensemble_mean(correlator_table(assemble_anderson(lattice, k)).values ** 0.5 for k in springs)
+
+
+CSV_INPUTS = {
+    "asymmetric": lambda v, lat: v,
+    "symmetric": lambda v, lat: 0.5 * (v + v.T),
+    "mirror-differences": _with_mirror_differences,
+    "ensemble-mean": _ensemble_mean_moment,
+    "float32": lambda v, lat: v.astype(np.float32),
+    "int": lambda v, lat: np.random.default_rng(9).integers(-(2**62), 2**62, v.shape),
+    "transposed-view": lambda v, lat: v.T,
+}
+
+
+@pytest.mark.parametrize(
+    "lengths, kind",
+    [
+        pytest.param(lengths, kind, id=f"lengths{i}" + ("" if kind == "asymmetric" else f"-{kind}"))
+        for i, lengths in enumerate([[1], [13], [4, 5]])
+        for kind in CSV_INPUTS
+    ],
+)
+def test_correlator_csv_is_byte_equal_to_the_per_entry_format(lengths, kind):
     lat = build_box(len(lengths), lengths)
     rng = np.random.default_rng(8)
     values = rng.random((lat.size, lat.size)) * 10.0 ** rng.integers(-320, 20, (lat.size, lat.size))
     special = [0.0, 5e-324, 2.2250738585072014e-308, 1e-310, 1e17, 0.1, 1.0, 123456789012345.67]
     flat = values.ravel()
     flat[: min(len(special), flat.size)] = special[: flat.size]
+    values = CSV_INPUTS[kind](values, lat)
     text = correlator_csv(values, lat)
     assert text.encode() == _csv_per_entry(values, lat).encode()
     assert text.count("\n") == lat.size**2 + 1
