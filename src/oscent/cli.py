@@ -101,13 +101,11 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_outputs(args, configs: list[ExperimentConfig], files=None) -> Path:
-    """Write manifest.json (resolved config, seed, package versions) and ``files`` to the output directory."""
-    config = configs[0]
+def _write_run(args, entries: dict, files=None) -> Path:
+    """Write manifest.json (the command, ``entries`` and package versions) and ``files`` to the output directory."""
     manifest = {
         "command": args.command,
-        "config": {"scans": [c.to_dict() for c in configs]} if args.command == "scan" else config.to_dict(),
-        "seed": None if config.matrix_csv is not None else config.master_seed,
+        **entries,
         "versions": {
             "oscent": __version__,
             "numpy": np.__version__,
@@ -121,6 +119,18 @@ def _write_outputs(args, configs: list[ExperimentConfig], files=None) -> Path:
         with open(out / name, "w", newline="\n") as handle:
             handle.write(text)
     return out
+
+
+def _write_outputs(args, configs: list[ExperimentConfig], files=None, execution=None) -> Path:
+    """``_write_run`` with the resolved config, the seed and a scan's ``execution`` in the manifest."""
+    config = configs[0]
+    entries = {
+        "config": {"scans": [c.to_dict() for c in configs]} if args.command == "scan" else config.to_dict(),
+        "seed": None if config.matrix_csv is not None else config.master_seed,
+    }
+    if execution is not None:
+        entries["execution"] = execution
+    return _write_run(args, entries, files)
 
 
 def _configs(args) -> list[ExperimentConfig]:
@@ -202,8 +212,10 @@ def _cmd_ensemble_bound(args) -> int:
 
 
 def _cmd_correlators(args) -> int:
-    # Serial on purpose: the mean needs one moment matrix at a time, and a
-    # thread pool would hold several without making the command faster.
+    # Serial on purpose: the mean consumes one n x n moment matrix at a
+    # time, where a pool would hold one per thread. Single-shot commands keep
+    # the environment's BLAS threads, which parallelize each LAPACK call
+    # instead of running several at once as the scan pool does.
     config, lattice, _ = _single(args)
     tables = (correlator_table(coupling_matrix(config, lattice, i)) for i in range(config.realizations))
     mean_moment = ensemble_mean(require_norm_bound(t, config.norm_bound).values ** config.s for t in tables)
@@ -231,7 +243,7 @@ def _cmd_correlators(args) -> int:
 def _cmd_scan(args) -> int:
     configs = _configs(args)
     results = run_scans(configs)
-    out = _write_outputs(args, configs)
+    out = _write_outputs(args, configs, execution=results[0].execution)
     write_records_csv(results, out / "records.csv")
     write_aggregates_json(results, out / "aggregates.json")
     write_scaling_data(results, out / "scaling.dat")
@@ -255,12 +267,14 @@ def _cmd_verify(args) -> int:
         failures += 0 if row.passed else 1
         print(f"{row.name:<{width}}  {row.worst:12.3e}  {row.tolerance:10.1e}  {status}")
     if args.out:
-        out = _out_dir(args)
         payload = [
             {"name": r.name, "worst": r.worst, "tolerance": r.tolerance, "passed": r.passed}
             for r in rows
         ]
-        (out / "verify.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_run(
+            args, {"tolerance": args.tolerance},
+            {"verify.json": json.dumps(payload, indent=2, sort_keys=True) + "\n"},
+        )
     return 0 if failures == 0 else 1
 
 

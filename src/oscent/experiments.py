@@ -6,7 +6,9 @@
 A scan draws independent spring realizations, computes entropies and bounds
 for each, and aggregates with deterministic (Welford, index-ordered)
 accumulation, so the output is byte-identical no matter how many worker
-threads ran the realizations.
+threads ran the realizations. The worker threads are the only compute
+threads: the eigensolves release the GIL, and every loaded OpenBLAS is
+pinned to one thread while the pool runs.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .hamiltonian import (
     sample_springs,
     validate_coupling,
 )
+from .lapack import single_blas_thread
 from .lattice import Lattice, Region, box_region, build_box, inner_boundary, make_region
 from .spectral import decompose, eigensystem, partition_blocks, spd_sqrt, symplectic_spectrum
 
@@ -240,6 +243,7 @@ class ScanResult:
     failed_pd: int
     decay: DecayFit | None = None
     empirical_area_bound: dict | None = None
+    execution: dict | None = None  # pool threads, pinned BLAS libraries, BLAS threads in the pool
 
     @property
     def excited_theorem_mean(self) -> float:
@@ -396,8 +400,11 @@ def run_scans(configs) -> list[ScanResult]:
         return records, moment
 
     threads = config.threads or os.cpu_count() or 1
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    # Pinned for every pool size, so no output depends on the BLAS threads
+    # of the environment; the pool exits (all workers done) before the pin.
+    with single_blas_thread() as blas, ThreadPoolExecutor(max_workers=threads) as pool:
         outcomes = list(pool.map(worker, range(config.realizations)))
+    execution = {"pool_threads": threads, "blas_libraries": blas, "blas_threads": 1 if blas else None}
 
     # rows[index][position]: the record of realization ``index`` for region ``position``
     rows = [records for records, _ in outcomes]
@@ -443,6 +450,7 @@ def run_scans(configs) -> list[ScanResult]:
                 failed_pd=failed,
                 decay=decay,
                 empirical_area_bound=empirical,
+                execution=execution,
             )
         )
     return results

@@ -13,9 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import bandwidth, cho_factor, cho_solve, eigh, eigh_tridiagonal
+from scipy.linalg import bandwidth, cho_factor, cho_solve
 
 from .hamiltonian import CouplingMatrix, is_positive_definite
+from .lapack import stemr, syevr
 from .lattice import Region
 
 # mu_j^2 below 1 by more than this is a hard error; anything closer is
@@ -104,7 +105,7 @@ def _fix_eigenvector_signs(vectors: np.ndarray) -> np.ndarray:
 
 
 def _symmetric_eigh(m: np.ndarray):
-    """``eigh(m)`` of a symmetric matrix; a tridiagonal one skips the dense reduction.
+    """``scipy.linalg.eigh(m)`` of a symmetric matrix, bit for bit, without holding the GIL.
 
     For n > 1, LAPACK's dsyevr reduces m to tridiagonal form, runs the MRRR
     solver dstemr and back-transforms. On a tridiagonal m every Householder
@@ -114,10 +115,10 @@ def _symmetric_eigh(m: np.ndarray):
     """
     if m.shape[0] > 1 and max(bandwidth(m)) <= 1:
         try:
-            return eigh_tridiagonal(np.diag(m), np.diag(m, -1), lapack_driver="stemr")
+            return stemr(np.diag(m), np.diag(m, -1))
         except np.linalg.LinAlgError:
             pass
-    return eigh(m)
+    return syevr(m)
 
 
 def decompose(h) -> SpectralData:
@@ -197,7 +198,7 @@ def symplectic_spectrum(blocks: BipartitionBlocks) -> SymplecticSpectrum:
     a_inv_sqrt = spd_inv_sqrt(a_data)
     core = a_sqrt @ blocks.solve_schur(a_sqrt)
     core = 0.5 * (core + core.T)
-    mu_sq, f2 = eigh(core)
+    mu_sq, f2 = syevr(core)
     if mu_sq[0] < 1.0 - MU_CLIP_TOLERANCE:
         raise np.linalg.LinAlgError(
             f"symplectic eigenvalue below 1: mu^2 = {mu_sq[0]:.15f}"

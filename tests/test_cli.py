@@ -161,6 +161,10 @@ def test_verify_passes_and_writes_report(tmp_path, capsys):
     assert "pass" in stdout and "FAIL" not in stdout
     payload = json.loads((out / "verify.json").read_text())
     assert all(row["passed"] for row in payload)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(manifest) == ["command", "tolerance", "versions"]
+    assert (manifest["command"], manifest["tolerance"]) == ("verify", 1e-8)
+    assert "scipy" in manifest["versions"]
 
 
 def test_verify_fails_with_absurd_tolerance(capsys):
@@ -423,8 +427,8 @@ def test_single_shot_manifest_reproduces_the_run(command, scan_config, tmp_path)
 def _count_full_eigensolves(monkeypatch, n, fail=False):
     """Count n x n symmetric eigensolves through every solver oscent can reach.
 
-    A tridiagonal h goes to ``eigh_tridiagonal``, whose first argument is
-    the length-n diagonal.
+    ``spectral`` solves through ``syevr`` (dense) and ``stemr`` (a
+    tridiagonal h, whose first argument is the length-n diagonal).
     """
     calls = []
 
@@ -438,10 +442,8 @@ def _count_full_eigensolves(monkeypatch, n, fail=False):
 
         return wrapper
 
-    monkeypatch.setattr(oscent.spectral, "eigh", counting(oscent.spectral.eigh))
-    monkeypatch.setattr(
-        oscent.spectral, "eigh_tridiagonal", counting(oscent.spectral.eigh_tridiagonal, (n,))
-    )
+    monkeypatch.setattr(oscent.spectral, "syevr", counting(oscent.spectral.syevr))
+    monkeypatch.setattr(oscent.spectral, "stemr", counting(oscent.spectral.stemr, (n,)))
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
     return calls

@@ -1,0 +1,232 @@
+import dataclasses
+import json
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+import oscent.experiments
+from oscent import (
+    DisorderModel,
+    ExperimentConfig,
+    assemble_anderson,
+    build_box,
+    run_scans,
+    sample_springs,
+    write_aggregates_json,
+    write_records_csv,
+    write_scaling_data,
+)
+from oscent.cli import main
+from oscent.lapack import loaded_openblas, single_blas_thread, stemr, syevr
+
+
+def anderson(lengths, seed=2024):
+    lat = build_box(len(lengths), lengths)
+    return assemble_anderson(lat, sample_springs(DisorderModel(k_max=8.0, seed=seed), lat, 0)).matrix
+
+
+def dense(n, seed=0):
+    x = np.random.default_rng(seed).standard_normal((n, n))
+    return x + x.T
+
+
+def assert_same_bits(actual, expected):
+    for got, want in zip(actual, expected):
+        assert got.shape == want.shape and got.strides == want.strides
+        assert got.tobytes() == want.tobytes()
+
+
+TRIDIAGONAL = [
+    pytest.param(lambda: anderson([1]), id="chain-1"),
+    pytest.param(lambda: anderson([2]), id="chain-2"),
+    pytest.param(lambda: anderson([160]), id="chain-160"),
+    pytest.param(lambda: anderson([1, 2]), id="box-1x2"),
+    pytest.param(lambda: anderson([1, 1, 2]), id="box-1x1x2"),
+]
+MATRICES = TRIDIAGONAL + [
+    pytest.param(lambda: anderson([1, 1]), id="box-1x1"),
+    pytest.param(lambda: anderson([12, 12]), id="box-12x12"),
+    pytest.param(lambda: anderson([1, 1, 1]), id="box-1x1x1"),
+    pytest.param(lambda: anderson([6, 6, 6]), id="box-6x6x6"),
+    pytest.param(lambda: dense(120), id="dense-120"),
+]
+
+
+@pytest.mark.parametrize("matrix", MATRICES)
+def test_syevr_is_scipy_eigh_bit_for_bit(matrix):
+    matrix = matrix()
+    assert_same_bits(syevr(matrix), scipy.linalg.eigh(matrix))
+
+
+@pytest.mark.parametrize("matrix", TRIDIAGONAL)
+def test_stemr_is_scipy_eigh_tridiagonal_bit_for_bit(matrix):
+    matrix = matrix()
+    d, e = np.diag(matrix), np.diag(matrix, -1)
+    expected = scipy.linalg.eigh_tridiagonal(d, e, lapack_driver="stemr")
+    if matrix.shape[0] == 1:  # scipy answers n = 1 without LAPACK, in C order
+        assert [a.tobytes() for a in stemr(d, e)] == [a.tobytes() for a in expected]
+    else:
+        assert_same_bits(stemr(d, e), expected)
+
+
+def test_syevr_reads_the_lower_triangle_like_eigh():
+    matrix = np.random.default_rng(1).standard_normal((30, 30))
+    assert_same_bits(syevr(matrix), scipy.linalg.eigh(matrix))
+
+
+def test_solvers_reject_bad_input():
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        syevr(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+    with pytest.raises(ValueError, match="square"):
+        syevr(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        stemr([1.0, np.inf], [0.5])
+    with pytest.raises(ValueError, match="len"):
+        stemr([1.0, 2.0], [0.5, 0.5])
+
+
+def test_concurrent_solves_give_the_serial_bits():
+    jobs = [(syevr, (anderson([6, 6, 6], seed),)) for seed in range(4)]
+    jobs += [(stemr, (np.diag(m), np.diag(m, -1))) for m in (anderson([400], seed) for seed in range(4))]
+    jobs += [(syevr, (dense(200, seed),)) for seed in range(4)]
+    with single_blas_thread():  # as in the scan pool
+        serial = [solver(*args) for solver, args in jobs]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(solver, *args) for solver, args in jobs]
+            concurrent = [future.result(timeout=60) for future in futures]
+    for got, want in zip(concurrent, serial):
+        assert_same_bits(got, want)
+
+
+def _counts():
+    return [lib.get_threads() for lib in loaded_openblas()]
+
+
+@pytest.fixture
+def blas_at_two_threads():
+    """Every loaded OpenBLAS at two threads for the test, restored afterwards."""
+    libraries = loaded_openblas()
+    if not libraries:
+        pytest.skip("no OpenBLAS is loaded")
+    saved = _counts()
+    for lib in libraries:
+        lib.set_threads(2)
+    try:
+        yield libraries
+    finally:
+        for lib, count in zip(libraries, saved):
+            lib.set_threads(count)
+
+
+def test_loaded_openblas_finds_the_numpy_and_scipy_builds():
+    names = [lib.name for lib in loaded_openblas()]
+    assert names == sorted(names)
+    assert all("openblas" in name.lower() for name in names)
+    builds = [np.show_config(mode="dicts"), scipy.show_config(mode="dicts")]
+    bundled = sum(b["Build Dependencies"]["blas"]["name"] == "scipy-openblas" for b in builds)
+    assert len(names) >= bundled  # each wheel bundles its own copy
+
+
+def test_single_blas_thread_pins_and_restores(blas_at_two_threads):
+    with single_blas_thread() as names:
+        assert names == [lib.name for lib in blas_at_two_threads]
+        assert _counts() == [1] * len(names)
+    assert _counts() == [2] * len(names)
+    with pytest.raises(RuntimeError):
+        with single_blas_thread():
+            raise RuntimeError("boom")
+    assert _counts() == [2] * len(names)
+
+
+def chain_config(**overrides):
+    base = dict(
+        dimension=1, lengths=(24,), region_corner=(8,), region_lengths=(6,),
+        k_max=8.0, realizations=4, master_seed=5, threads=2,
+    )
+    base.update(overrides)
+    return ExperimentConfig(**base)
+
+
+def test_run_scans_restores_blas_threads_after_it_returns(blas_at_two_threads, monkeypatch):
+    seen = []
+    coupling_matrix = oscent.experiments.coupling_matrix
+
+    def recording(config, lattice, index):
+        seen.append(_counts())
+        return coupling_matrix(config, lattice, index)
+
+    monkeypatch.setattr(oscent.experiments, "coupling_matrix", recording)
+    (result,) = run_scans([chain_config()])
+    pinned = [1] * len(blas_at_two_threads)
+    assert seen == [pinned] * 4
+    assert _counts() == [2] * len(blas_at_two_threads)
+    assert result.execution == {
+        "pool_threads": 2,
+        "blas_libraries": [lib.name for lib in blas_at_two_threads],
+        "blas_threads": 1,
+    }
+
+
+def test_run_scans_restores_blas_threads_after_a_worker_raises(blas_at_two_threads, monkeypatch):
+    coupling_matrix = oscent.experiments.coupling_matrix
+
+    def failing(config, lattice, index):
+        if index == 2:
+            raise RuntimeError("worker failed")
+        return coupling_matrix(config, lattice, index)
+
+    monkeypatch.setattr(oscent.experiments, "coupling_matrix", failing)
+    with pytest.raises(RuntimeError, match="worker failed"):
+        run_scans([chain_config()])
+    assert _counts() == [2] * len(blas_at_two_threads)
+
+
+def _scan_texts(config, tmp_path):
+    results = run_scans([config])
+    return [
+        write(results, tmp_path / name)
+        for write, name in (
+            (write_records_csv, "records.csv"),
+            (write_aggregates_json, "aggregates.json"),
+            (write_scaling_data, "scaling.dat"),
+        )
+    ]
+
+
+BULK = ExperimentConfig(
+    dimension=3, lengths=(8, 8, 8), region_corner=(2, 2, 2), region_lengths=(4, 4, 4),
+    k_max=8.0, realizations=4, excitations="all", master_seed=2024, fit_decay=True, threads=1,
+)
+
+
+def test_a_3d_scan_is_byte_identical_at_one_and_two_threads(tmp_path):
+    one = _scan_texts(BULK, tmp_path)
+    two = _scan_texts(dataclasses.replace(BULK, threads=2), tmp_path)
+    assert one == two
+
+
+def test_a_3d_scan_does_not_depend_on_the_blas_threads_it_starts_with(blas_at_two_threads, tmp_path):
+    two = _scan_texts(BULK, tmp_path)
+    for lib in blas_at_two_threads:
+        lib.set_threads(1)
+    assert _scan_texts(BULK, tmp_path) == two
+
+
+def test_scan_manifest_records_the_execution(tmp_path):
+    config = tmp_path / "scan.json"
+    config.write_text(json.dumps({
+        "dimension": 1, "lengths": [16], "regions": [{"corner": [4], "lengths": [4]}],
+        "disorder": {"k_max": 8.0}, "seed": 3, "realizations": 3,
+    }))
+    out = tmp_path / "out"
+    assert main(["scan", "--config", str(config), "--out", str(out), "--threads", "3"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(manifest) == ["command", "config", "execution", "seed", "versions"]
+    names = [lib.name for lib in loaded_openblas()]
+    assert manifest["execution"] == {
+        "pool_threads": 3,
+        "blas_libraries": names,
+        "blas_threads": 1 if names else None,
+    }

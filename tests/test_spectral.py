@@ -256,7 +256,11 @@ def test_partition_blocks_keeps_the_complement_solve():
 
 
 def _spy(monkeypatch, name, fail=False):
-    """Record the shapes of the first argument of ``oscent.spectral.<name>``."""
+    """Record the shapes of the first argument of ``oscent.spectral.<name>``.
+
+    ``stemr`` is the tridiagonal route (its first argument is the length-n
+    diagonal), ``syevr`` the dense one.
+    """
     solver = getattr(oscent.spectral, name)
     shapes = []
 
@@ -280,8 +284,8 @@ def _assert_dense_bits(data, matrix):
 
 @pytest.mark.parametrize("n", [2, 3, 12, 160, 400])
 def test_a_chain_takes_the_tridiagonal_route_bit_for_bit(n, monkeypatch):
-    tridiagonal = _spy(monkeypatch, "eigh_tridiagonal")
-    dense = _spy(monkeypatch, "eigh")
+    tridiagonal = _spy(monkeypatch, "stemr")
+    dense = _spy(monkeypatch, "syevr")
     for seed in (2024, 7):
         _, h = random_chain(n, seed)
         _assert_dense_bits(decompose(h), h.matrix)
@@ -291,7 +295,7 @@ def test_a_chain_takes_the_tridiagonal_route_bit_for_bit(n, monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 3, 12, 160, 400])
 def test_decoupled_springs_take_the_tridiagonal_route_bit_for_bit(n, monkeypatch):
-    tridiagonal = _spy(monkeypatch, "eigh_tridiagonal")
+    tridiagonal = _spy(monkeypatch, "stemr")
     config = ExperimentConfig(
         dimension=1, lengths=(n,), region_corner=(0,), region_lengths=(1,),
         k_max=8.0, master_seed=5, coupling_kind="none",
@@ -303,7 +307,7 @@ def test_decoupled_springs_take_the_tridiagonal_route_bit_for_bit(n, monkeypatch
 
 @pytest.mark.parametrize("n", [2, 3, 12, 160, 400])
 def test_a_tridiagonal_matrix_csv_takes_the_route_bit_for_bit(n, tmp_path, monkeypatch):
-    tridiagonal = _spy(monkeypatch, "eigh_tridiagonal")
+    tridiagonal = _spy(monkeypatch, "stemr")
     lat, h = random_chain(n, seed=31)
     path = tmp_path / "chain.csv"
     np.savetxt(path, h.matrix, delimiter=",")
@@ -329,16 +333,16 @@ def _ring(n):
 )
 def test_other_matrices_keep_the_dense_route(matrix, monkeypatch):
     matrix = matrix()
-    tridiagonal = _spy(monkeypatch, "eigh_tridiagonal")
-    dense = _spy(monkeypatch, "eigh")
+    tridiagonal = _spy(monkeypatch, "stemr")
+    dense = _spy(monkeypatch, "syevr")
     _assert_dense_bits(decompose(matrix), matrix)
     assert tridiagonal == []
     assert dense == [matrix.shape]
 
 
 def test_a_failed_dstemr_falls_back_to_dense_eigh(monkeypatch):
-    tridiagonal = _spy(monkeypatch, "eigh_tridiagonal", fail=True)
-    dense = _spy(monkeypatch, "eigh")
+    tridiagonal = _spy(monkeypatch, "stemr", fail=True)
+    dense = _spy(monkeypatch, "syevr")
     _, h = random_chain(40, seed=9)
     _assert_dense_bits(decompose(h), h.matrix)
     assert tridiagonal == [(40,)]
