@@ -121,13 +121,26 @@ def decay_fit(tables: list[CorrelatorTable], s: float) -> DecayFit:
     return _fit_binned(ensemble_mean(t.values**s for t in tables), lattice, s)
 
 
+class MomentSum:
+    """Moment matrices summed left to right as they are added; ``mean`` divides once, at the end."""
+
+    def __init__(self):
+        self.total, self.count = None, 0
+
+    def add(self, moment: np.ndarray):
+        self.total = moment if self.total is None else self.total + moment
+        self.count += 1
+
+    def mean(self) -> np.ndarray:
+        return self.total / self.count
+
+
 def ensemble_mean(moments) -> np.ndarray:
     """Mean of moment matrices summed in order; a generator keeps one alive at a time."""
-    total, count = None, 0
+    moment_sum = MomentSum()
     for moment in moments:
-        total = moment if total is None else total + moment
-        count += 1
-    return total / count
+        moment_sum.add(moment)
+    return moment_sum.mean()
 
 
 def _fit_binned(mean_moment: np.ndarray, lattice: Lattice, s: float) -> DecayFit:

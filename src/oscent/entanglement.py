@@ -373,14 +373,23 @@ def excited_half_renyi_bounds(
     is reported as nan for single-site regions, where its derivation needs
     region size > 1.
     """
+    f_half, log_product, theorem = _half_renyi_terms(spectrum)
+    return _computed_half_renyi_bound(profile.weights, f_half, log_product), theorem
+
+
+def _half_renyi_terms(spectrum: SymplecticSpectrum) -> tuple[np.ndarray, float, float]:
+    """What the 1/2-Renyi excitation bounds share across modes: f_{1/2}(mu), its log-sum and the theorem bound."""
     f_half = half_renyi_factor(spectrum.mu)
     log_product = float(np.sum(np.log(f_half)))
-    computed = 2.0 * (math.log1p(float(np.sqrt(profile.weights) @ f_half)) + log_product)
     if spectrum.size > 1:
         theorem = 2.0 * log_negativity(spectrum) + 4.0 * math.log(spectrum.size)
     else:
         theorem = math.nan
-    return computed, theorem
+    return f_half, log_product, theorem
+
+
+def _computed_half_renyi_bound(weights: np.ndarray, f_half: np.ndarray, log_product: float) -> float:
+    return 2.0 * (math.log1p(float(np.sqrt(weights) @ f_half)) + log_product)
 
 
 def single_excitation_ensemble_bound(
@@ -443,11 +452,13 @@ def entropy_report(
         log_negativity=log_negativity(spectrum),
         mu=[float(m) for m in spectrum.mu],
     )
-    for profile in profiles:
-        computed, theorem = excited_half_renyi_bounds(profile, spectrum)
-        report.excited_modes.append(profile.mode)
-        report.excited_computed_bounds.append(computed)
-        report.excited_theorem_bounds.append(theorem)
+    if profiles:
+        f_half, log_product, theorem = _half_renyi_terms(spectrum)
+        for profile in profiles:
+            computed = _computed_half_renyi_bound(profile.weights, f_half, log_product)
+            report.excited_modes.append(profile.mode)
+            report.excited_computed_bounds.append(computed)
+            report.excited_theorem_bounds.append(theorem)
     if lattice_size is not None and spectrum.size**2 <= lattice_size:
         report.ensemble_bound = single_excitation_ensemble_bound(
             spectrum, lattice_size, spectrum.size

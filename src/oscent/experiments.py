@@ -17,12 +17,13 @@ import json
 import math
 import numbers
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .correlators import DecayFit, _fit_binned, area_law_constant, correlator_table, ensemble_mean, ground_state_correlator_bound
+from .correlators import DecayFit, MomentSum, _fit_binned, area_law_constant, correlator_table, ground_state_correlator_bound
 from .entanglement import (
     excitation_weights,
     ground_state_renyi,
@@ -336,6 +337,10 @@ def run_scans(configs) -> list[ScanResult]:
     result is byte-identical to a separate run of its config. The decay
     fit, which depends only on the lattice, runs once and is shared.
 
+    Realizations are reduced in index order as they finish, with at most
+    two per pool thread in flight, so memory does not grow with the number
+    of realizations.
+
     Realizations failing the positive-definiteness check are recorded with
     pd_ok = False and excluded from every aggregate; the first realization
     must pass (anything else means the config itself is bad). Raises
@@ -400,25 +405,27 @@ def run_scans(configs) -> list[ScanResult]:
         return records, moment
 
     threads = config.threads or os.cpu_count() or 1
+    rows = []  # rows[index][position]: the record of realization ``index`` for region ``position``
+    moments = MomentSum()
     # Pinned for every pool size, so no output depends on the BLAS threads
     # of the environment; the pool exits (all workers done) before the pin.
     with single_blas_thread() as blas, ThreadPoolExecutor(max_workers=threads) as pool:
-        outcomes = list(pool.map(worker, range(config.realizations)))
+        for records, moment in _in_index_order(pool, worker, config.realizations, 2 * threads):
+            rows.append(records)
+            if moment is not None:
+                moments.add(moment)
     execution = {"pool_threads": threads, "blas_libraries": blas, "blas_threads": 1 if blas else None}
 
-    # rows[index][position]: the record of realization ``index`` for region ``position``
-    rows = [records for records, _ in outcomes]
     if not rows[0][0].pd_ok:
         raise ValueError("first realization failed the positive-definiteness check")
     failed = sum(1 for row in rows if not row[0].pd_ok)
     if failed == len(rows):
         raise ValueError("every realization failed the positive-definiteness check")
 
-    moments = [moment for _, moment in outcomes if moment is not None]
     decay = None
     constant = None
-    if moments:
-        decay = _fit_binned(ensemble_mean(moments), lattice, config.s)
+    if moments.count:
+        decay = _fit_binned(moments.mean(), lattice, config.s)
         if decay.eta > 0:
             constant = area_law_constant(
                 decay.prefactor, decay.eta, config.s, bound, config.dimension
@@ -454,6 +461,26 @@ def run_scans(configs) -> list[ScanResult]:
             )
         )
     return results
+
+
+def _in_index_order(pool, worker, count: int, window: int):
+    """``worker(0)``, ..., ``worker(count - 1)`` run on ``pool`` and yielded in index order.
+
+    At most ``window`` results are running or waiting to be read at once,
+    so memory stays flat in ``count``. A worker's exception propagates when
+    its result is read, and the realizations still queued are cancelled.
+    """
+    pending = deque()
+    try:
+        for index in range(count):
+            if len(pending) == window:
+                yield pending.popleft().result()
+            pending.append(pool.submit(worker, index))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
 
 
 def _aggregate(records: list[RealizationRecord]) -> dict:

@@ -1,13 +1,15 @@
-"""Symmetric eigensolvers that release the GIL, and the OpenBLAS thread pin.
+"""LAPACK solvers that release the GIL, and the OpenBLAS thread pin.
 
-scipy's f2py wrappers of ``dsyevr`` (``scipy.linalg.eigh``) and ``dstemr``
-(``eigh_tridiagonal``) hold the GIL while LAPACK runs, so threads that
-decompose different matrices run one at a time. ``syevr`` and ``stemr``
-call the same LAPACK routines with the same arguments and workspace sizes,
-reached through the function pointers ``scipy.linalg.cython_lapack``
-exports. They are called through ``ctypes``, which releases the GIL for the
-length of a foreign call, and return the bits of ``eigh(a)`` and
-``eigh_tridiagonal(d, e, lapack_driver="stemr")``.
+scipy's f2py wrappers of ``dsyevr`` (``scipy.linalg.eigh``), ``dstemr``
+(``eigh_tridiagonal``) and ``dpotrf``/``dpotrs`` (``cho_factor`` and
+``cho_solve``) hold the GIL for much of each call, so threads that work on
+different matrices queue on it. ``syevr``, ``stemr``, ``potrf`` and
+``potrs`` call the same LAPACK routines with the same arguments and
+workspace sizes, reached through the function pointers
+``scipy.linalg.cython_lapack`` exports. They are called through ``ctypes``,
+which releases the GIL for the length of a foreign call, and return the
+bits of ``eigh(a)``, ``eigh_tridiagonal(d, e, lapack_driver="stemr")``,
+``cho_factor(a)[0]`` and ``cho_solve((c, False), b)``.
 
 ``single_blas_thread`` pins every loaded OpenBLAS to one thread while a
 thread pool runs, so the pool's threads are the only compute threads.
@@ -25,67 +27,81 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import cython_lapack
 
-_CHAR = ctypes.c_char_p
-_INT = ctypes.POINTER(ctypes.c_int)
-_DOUBLE = ctypes.POINTER(ctypes.c_double)
-
 _capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
 _capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
     ("PyCapsule_GetPointer", ctypes.pythonapi)
 )
 
 
-def _routine(name: str, argtypes):
-    """The cython_lapack routine ``name`` as a ctypes function (which drops the GIL when called)."""
+def _routine(name: str, arity: int):
+    """The cython_lapack routine ``name`` as a ctypes function (which drops the GIL when called).
+
+    Every argument is a raw address, scalars included (LAPACK takes them by
+    reference): converting a plain int is the cheapest foreign argument.
+    """
     capsule = cython_lapack.__pyx_capi__[name]
-    return ctypes.CFUNCTYPE(None, *argtypes)(_capsule_pointer(capsule, _capsule_name(capsule)))
+    function = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * arity)
+    return function(_capsule_pointer(capsule, _capsule_name(capsule)))
 
 
 # jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol, m, w, z, ldz, isuppz,
 # work, lwork, iwork, liwork, info
-_dsyevr = _routine(
-    "dsyevr",
-    [_CHAR, _CHAR, _CHAR, _INT, _DOUBLE, _INT, _DOUBLE, _DOUBLE, _INT, _INT, _DOUBLE,
-     _INT, _DOUBLE, _DOUBLE, _INT, _INT, _DOUBLE, _INT, _INT, _INT, _INT],
-)
+_dsyevr = _routine("dsyevr", 21)
 # jobz, range, n, d, e, vl, vu, il, iu, m, w, z, ldz, nzc, isuppz, tryrac,
 # work, lwork, iwork, liwork, info
-_dstemr = _routine(
-    "dstemr",
-    [_CHAR, _CHAR, _INT, _DOUBLE, _DOUBLE, _DOUBLE, _DOUBLE, _INT, _INT, _INT, _DOUBLE,
-     _DOUBLE, _INT, _INT, _INT, _INT, _DOUBLE, _INT, _INT, _INT, _INT],
-)
+_dstemr = _routine("dstemr", 21)
+# uplo, n, a, lda, info
+_dpotrf = _routine("dpotrf", 5)
+# uplo, n, nrhs, a, lda, b, ldb, info
+_dpotrs = _routine("dpotrs", 8)
 
 
-def _doubles(array: np.ndarray):
-    return array.ctypes.data_as(_DOUBLE)
+def _scalars(ctype, *values):
+    """``values`` side by side in one ctypes array of ``ctype``, and the address of each.
 
-
-def _ints(array: np.ndarray):
-    return array.ctypes.data_as(_INT)
-
-
-def _int(value: int):
-    return ctypes.byref(ctypes.c_int(value))
-
-
-def _check_info(info: ctypes.c_int, routine: str):
-    if info.value < 0:
-        raise ValueError(f"illegal value in argument {-info.value} of {routine}")
-    if info.value > 0:
-        raise np.linalg.LinAlgError(f"{routine} failed (info = {info.value})")
-
-
-def _query_then_solve(call):
-    """Run ``call(work, lwork, iwork, liwork)`` as a workspace query, then with the sizes it returned.
-
-    scipy sizes the workspaces by the same query, and the blocked reduction
-    inside dsyevr picks its block size from ``lwork``, so the bits depend on it.
+    The addresses are valid while the array is alive.
     """
-    work, iwork = np.empty(1), np.empty(1, dtype=np.intc)
-    call(work, -1, iwork, -1)
-    lwork, liwork = int(work[0]), int(iwork[0])
-    call(np.empty(lwork), lwork, np.empty(liwork, dtype=np.intc), liwork)
+    block = (ctype * len(values))(*values)
+    base, size = ctypes.addressof(block), ctypes.sizeof(ctype)
+    return block, [base + size * k for k in range(len(values))]
+
+
+# vl, vu and abstol: read-only inputs, so every call can share one zero
+_ZERO = ctypes.c_double(0.0)
+_ZERO_AT = ctypes.addressof(_ZERO)
+
+
+def _check_info(info, routine: str):
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {routine}")
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{routine} failed (info = {info})")
+
+
+# (routine, n) -> (lwork, liwork), as LAPACK's workspace query answered them.
+# Threads may race to fill an entry; they store the same sizes.
+_workspace_sizes: dict[tuple[str, int], tuple[int, int]] = {}
+
+
+def _workspace(routine: str, n: int, query) -> tuple[np.ndarray, np.ndarray]:
+    """Fresh ``work`` and ``iwork`` arrays of the sizes ``routine`` asks for at order ``n``.
+
+    ``query(work, iwork)`` runs the routine as a workspace query, the same
+    one scipy makes, once per (routine, n): the sizes depend on nothing
+    else, and the blocked reduction inside dsyevr picks its block size from
+    ``lwork``, so the bits depend on them.
+    """
+    sizes = _workspace_sizes.get((routine, n))
+    if sizes is None:
+        work, iwork = np.empty(1), np.empty(1, dtype=np.intc)
+        query(work, iwork)
+        sizes = _workspace_sizes[routine, n] = (int(work[0]), int(iwork[0]))
+    return np.empty(sizes[0]), np.empty(sizes[1], dtype=np.intc)
+
+
+def _square(a: np.ndarray, routine: str):
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"{routine} expects a square matrix, got shape {a.shape}")
 
 
 def syevr(a) -> tuple[np.ndarray, np.ndarray]:
@@ -95,25 +111,27 @@ def syevr(a) -> tuple[np.ndarray, np.ndarray]:
     input and LinAlgError if LAPACK fails.
     """
     a = np.array(np.asarray_chkfinite(a, dtype=np.float64), order="F")  # dsyevr overwrites it
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    _square(a, "syevr")
     n = a.shape[0]
     w = np.empty(n)
     z = np.empty((n, n), order="F")
     isuppz = np.empty(2 * n, dtype=np.intc)
-    bound, tolerance = ctypes.c_double(0.0), ctypes.c_double(0.0)
-    found, info = ctypes.c_int(0), ctypes.c_int(0)
+    ints, (n_, ld, first, last, found, lwork, liwork, info) = _scalars(
+        ctypes.c_int, n, max(n, 1), 1, n, 0, -1, -1, 0
+    )
+    arrays = a.ctypes.data, w.ctypes.data, z.ctypes.data, isuppz.ctypes.data
 
-    def call(work, lwork, iwork, liwork):
+    def call(work, iwork):
         _dsyevr(
-            b"V", b"A", b"L", _int(n), _doubles(a), _int(max(n, 1)),
-            ctypes.byref(bound), ctypes.byref(bound), _int(1), _int(n), ctypes.byref(tolerance),
-            ctypes.byref(found), _doubles(w), _doubles(z), _int(max(n, 1)), _ints(isuppz),
-            _doubles(work), _int(lwork), _ints(iwork), _int(liwork), ctypes.byref(info),
+            b"V", b"A", b"L", n_, arrays[0], ld, _ZERO_AT, _ZERO_AT, first, last, _ZERO_AT,
+            found, arrays[1], arrays[2], ld, arrays[3],
+            work.ctypes.data, lwork, iwork.ctypes.data, liwork, info,
         )
-        _check_info(info, "dsyevr")
+        _check_info(ints[-1], "dsyevr")
 
-    _query_then_solve(call)
+    work, iwork = _workspace("dsyevr", n, call)
+    ints[5:7] = work.size, iwork.size
+    call(work, iwork)
     return w, z
 
 
@@ -134,20 +152,61 @@ def stemr(d, e) -> tuple[np.ndarray, np.ndarray]:
     w = np.empty(n)
     z = np.empty((n, n), order="F")
     isuppz = np.empty(2 * n, dtype=np.intc)
-    bound = ctypes.c_double(0.0)
-    found, info = ctypes.c_int(0), ctypes.c_int(0)
+    ints, (n_, first, last, found, ldz, nzc, tryrac, lwork, liwork, info) = _scalars(
+        ctypes.c_int, n, 1, n, 0, n, n, 1, -1, -1, 0
+    )
+    arrays = d.ctypes.data, e.ctypes.data, w.ctypes.data, z.ctypes.data, isuppz.ctypes.data
 
-    def call(work, lwork, iwork, liwork):
+    def call(work, iwork):
         _dstemr(
-            b"V", b"A", _int(n), _doubles(d), _doubles(e), ctypes.byref(bound), ctypes.byref(bound),
-            _int(1), _int(n), ctypes.byref(found), _doubles(w), _doubles(z), _int(n), _int(n),
-            _ints(isuppz), _int(1), _doubles(work), _int(lwork), _ints(iwork), _int(liwork),
-            ctypes.byref(info),
+            b"V", b"A", n_, arrays[0], arrays[1], _ZERO_AT, _ZERO_AT, first, last, found,
+            arrays[2], arrays[3], ldz, nzc, arrays[4], tryrac,
+            work.ctypes.data, lwork, iwork.ctypes.data, liwork, info,
         )
-        _check_info(info, "dstemr")
+        _check_info(ints[-1], "dstemr")
 
-    _query_then_solve(call)
-    return w[: found.value], z[:, : found.value]
+    work, iwork = _workspace("dstemr", n, call)
+    ints[7:9] = work.size, iwork.size
+    call(work, iwork)
+    m = int(ints[3])
+    return w[:m], z[:, :m]
+
+
+def potrf(a) -> np.ndarray:
+    """Upper Cholesky factor u (a = u^T u) of symmetric positive-definite ``a``: the bits of ``scipy.linalg.cho_factor(a)[0]``.
+
+    Reads the upper triangle and, like ``cho_factor``, leaves the input's
+    strict lower triangle in place; Fortran order. Raises ValueError on
+    non-finite or non-square input and LinAlgError unless ``a`` is
+    positive definite.
+    """
+    c = np.array(np.asarray_chkfinite(a, dtype=np.float64), order="F")  # dpotrf overwrites it
+    _square(c, "potrf")
+    n = c.shape[0]
+    ints, (n_, ld, info) = _scalars(ctypes.c_int, n, max(n, 1), 0)
+    _dpotrf(b"U", n_, c.ctypes.data, ld, info)
+    if ints[-1] > 0:  # scipy's wording
+        raise np.linalg.LinAlgError(f"{ints[-1]}-th leading minor of the array is not positive definite")
+    _check_info(ints[-1], "dpotrf")
+    return c
+
+
+def potrs(c, b) -> np.ndarray:
+    """Solve a x = b from the upper Cholesky factor ``c`` of ``potrf(a)``: the bits of ``cho_solve((c, False), b)``.
+
+    ``b`` is a vector or a matrix of right-hand sides; ``x`` has its shape,
+    in Fortran order. Raises ValueError on non-finite or mis-sized input.
+    """
+    c = np.asfortranarray(np.asarray_chkfinite(c, dtype=np.float64))
+    x = np.array(np.asarray_chkfinite(b, dtype=np.float64), order="F")  # dpotrs overwrites it
+    _square(c, "potrs")
+    if x.ndim not in (1, 2) or x.shape[0] != c.shape[0]:
+        raise ValueError(f"right-hand side of shape {x.shape} does not fit a factor of shape {c.shape}")
+    n = c.shape[0]
+    ints, (n_, nrhs, ld, info) = _scalars(ctypes.c_int, n, 1 if x.ndim == 1 else x.shape[1], max(n, 1), 0)
+    _dpotrs(b"U", n_, nrhs, c.ctypes.data, ld, x.ctypes.data, ld, info)
+    _check_info(ints[-1], "dpotrs")
+    return x
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import bandwidth, cho_factor, cho_solve
+from scipy.linalg import bandwidth
 
 from .hamiltonian import CouplingMatrix, is_positive_definite
-from .lapack import stemr, syevr
+from .lapack import potrf, potrs, stemr, syevr
 from .lattice import Region
 
 # mu_j^2 below 1 by more than this is a hard error; anything closer is
@@ -51,14 +51,14 @@ class BipartitionBlocks:
     b_inv_ct: np.ndarray
     schur: np.ndarray
     region: Region
-    _b_factor: tuple = field(repr=False)
-    _schur_factor: tuple = field(repr=False)
+    _b_factor: np.ndarray = field(repr=False)  # upper Cholesky factors, from ``potrf``
+    _schur_factor: np.ndarray = field(repr=False)
 
     def solve_b(self, rhs: np.ndarray) -> np.ndarray:
-        return cho_solve(self._b_factor, rhs)
+        return potrs(self._b_factor, rhs)
 
     def solve_schur(self, rhs: np.ndarray) -> np.ndarray:
-        return cho_solve(self._schur_factor, rhs)
+        return potrs(self._schur_factor, rhs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,14 +170,14 @@ def partition_blocks(hsqrt: np.ndarray, region: Region) -> BipartitionBlocks:
     b = hsqrt[np.ix_(ci, ci)]
     c = hsqrt[np.ix_(ri, ci)]
     try:
-        b_factor = cho_factor(b)
+        b_factor = potrf(b)
     except np.linalg.LinAlgError as err:
         raise np.linalg.LinAlgError(f"complement block is not positive definite: {err}")
-    b_inv_ct = cho_solve(b_factor, c.T)
+    b_inv_ct = potrs(b_factor, c.T)
     schur = a - c @ b_inv_ct
     schur = 0.5 * (schur + schur.T)
     try:
-        schur_factor = cho_factor(schur)
+        schur_factor = potrf(schur)
     except np.linalg.LinAlgError as err:
         raise np.linalg.LinAlgError(f"Schur complement is not positive definite: {err}")
     return BipartitionBlocks(

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import oscent.spectral
 from oscent import ExperimentConfig, run_scan
@@ -464,3 +465,25 @@ def test_a_failed_eigensolve_fails_the_command(command, scan_config, tmp_path, m
     assert main(argv) == 1
     assert "did not converge" in capsys.readouterr().err
     assert not (tmp_path / "o" / "records.csv").exists()
+
+
+@pytest.mark.parametrize("command", [*sorted(SINGLE_SHOT_OUTPUTS), "scan"])
+def test_commands_factor_and_solve_through_oscent_lapack(command, scan_config, tmp_path, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("scipy's Cholesky was called")
+
+    # Both the scipy names and any copy bound into an oscent module (the
+    # oracle's is the referee and stays scipy's).
+    for module in [scipy.linalg, scipy.linalg._decomp_cholesky, *(
+        module for name, module in sys.modules.items()
+        if name.startswith("oscent") and name != "oscent.oracle"
+    )]:
+        for name in ("cho_factor", "cho_solve"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    factored = []
+    potrf = oscent.spectral.potrf
+    monkeypatch.setattr(oscent.spectral, "potrf", lambda a: factored.append(np.shape(a)) or potrf(a))
+    argv = [command, "--config", str(scan_config), "--out", str(tmp_path / "o")]
+    assert main(argv) == 0
+    assert bool(factored) == (command != "correlators")  # correlators needs no region blocks

@@ -498,3 +498,18 @@ def test_renyi_does_not_increase_in_eps(seed):
     )
     values = np.array([ground_state_renyi(mu, e) for e in eps])
     assert np.all(np.diff(values) <= 0.0)
+
+
+@pytest.mark.parametrize("name", sorted(_BOXES))
+def test_entropy_report_computes_the_shared_bound_terms_once(name, monkeypatch):
+    data, blocks, spec = _box_system(name)
+    profiles = excitation_profiles(data, blocks, spec)
+    expected = [excited_half_renyi_bounds(profile, spec) for profile in profiles]
+    calls = []
+    factor = oscent.entanglement.half_renyi_factor
+    monkeypatch.setattr(oscent.entanglement, "half_renyi_factor", lambda x: calls.append(x) or factor(x))
+    report = entropy_report(spec, [0.5], profiles)
+    assert len(calls) == 1
+    computed, theorem = zip(*expected)
+    assert report.excited_computed_bounds == list(computed)  # the same floats, bit for bit
+    assert report.excited_theorem_bounds == list(theorem)

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import statistics
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -321,3 +323,61 @@ def test_scan_enforces_the_weight_column_sums(monkeypatch):
     monkeypatch.setattr(oscent.entanglement, "_profile_arrays", corrupted)
     with pytest.raises(ArithmeticError, match="column sum"):
         run_scan(small_config(realizations=2))
+
+
+def _scan_peak_bytes(config) -> int:
+    tracemalloc.start()
+    try:
+        run_scans([config])
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("threads, slack", [(1, 1), (2, 4)])
+def test_scan_memory_is_flat_in_the_number_of_realizations(threads, slack):
+    # Holding every realization's moment matrix until the pool ends adds 24 of
+    # them here. With two workers, how their temporaries overlap moves the
+    # peak by up to about 3 moment matrices from run to run.
+    config = small_config(
+        lengths=(160,), region_corner=(60,), region_lengths=(16,), excitations="none",
+        fit_decay=True, threads=threads,
+    )
+    moment_bytes = 160 * 160 * 8
+    run_scans([config])  # warm caches
+    few, many = (
+        statistics.median(_scan_peak_bytes(dataclasses.replace(config, realizations=n)) for _ in range(3))
+        for n in (8, 32)
+    )
+    assert many < few + slack * moment_bytes
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_worker_exception_stops_the_scan_early(threads, monkeypatch):
+    started = []
+    coupling_matrix = oscent.experiments.coupling_matrix
+
+    def failing(config, lattice, index):
+        started.append(index)
+        if index == 1:
+            raise RuntimeError("worker failed")
+        return coupling_matrix(config, lattice, index)
+
+    monkeypatch.setattr(oscent.experiments, "coupling_matrix", failing)
+    with pytest.raises(RuntimeError, match="worker failed"):
+        run_scans([small_config(realizations=40, threads=threads)])
+    assert len(started) <= 1 + 2 * threads  # realizations beyond the in-flight window never start
+
+
+def test_a_worker_exception_wins_over_a_failed_first_realization(monkeypatch):
+    _zero_springs_of(monkeypatch, 0)
+    coupling_matrix = oscent.experiments.coupling_matrix
+
+    def failing(config, lattice, index):
+        if index == 3:
+            raise RuntimeError("worker failed")
+        return coupling_matrix(config, lattice, index)
+
+    monkeypatch.setattr(oscent.experiments, "coupling_matrix", failing)
+    with pytest.raises(RuntimeError, match="worker failed"):
+        run_scans(_decoupled_regions((2, 3)))

@@ -7,10 +7,12 @@ import pytest
 import scipy.linalg
 
 import oscent.experiments
+import oscent.lapack
 from oscent import (
     DisorderModel,
     ExperimentConfig,
     assemble_anderson,
+    box_region,
     build_box,
     run_scans,
     sample_springs,
@@ -19,7 +21,8 @@ from oscent import (
     write_scaling_data,
 )
 from oscent.cli import main
-from oscent.lapack import loaded_openblas, single_blas_thread, stemr, syevr
+from oscent.lapack import loaded_openblas, potrf, potrs, single_blas_thread, stemr, syevr
+from oscent.spectral import partition_blocks
 
 
 def anderson(lengths, seed=2024):
@@ -30,6 +33,11 @@ def anderson(lengths, seed=2024):
 def dense(n, seed=0):
     x = np.random.default_rng(seed).standard_normal((n, n))
     return x + x.T
+
+
+def spd(n, seed=0):
+    x = np.random.default_rng(seed).standard_normal((n, n))
+    return x @ x.T + n * np.eye(n)
 
 
 def assert_same_bits(actual, expected):
@@ -85,19 +93,101 @@ def test_solvers_reject_bad_input():
         stemr([1.0, np.inf], [0.5])
     with pytest.raises(ValueError, match="len"):
         stemr([1.0, 2.0], [0.5, 0.5])
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        potrf(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+    for shape in [(2, 3), (4,)]:
+        with pytest.raises(ValueError, match="square"):
+            potrf(np.ones(shape))
+    factor = potrf(spd(3))
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        potrs(factor, [1.0, np.inf, 0.0])
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        potrs(np.where(np.eye(3) > 0, np.nan, factor), np.ones(3))
+    with pytest.raises(ValueError, match="square"):
+        potrs(factor[:, :2], np.ones(3))
+    for shape in [(4,), (3, 2, 2)]:
+        with pytest.raises(ValueError, match="does not fit"):
+            potrs(factor, np.ones(shape))
+
+
+CHOLESKY_SIZES = [1, 2, 16, 150, 448]
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("n", CHOLESKY_SIZES)
+def test_potrf_is_scipy_cho_factor_bit_for_bit(n, order):
+    matrix = np.asarray(spd(n), order=order)
+    matrix[np.tril_indices(n, -1)] += 1.0  # the strict lower triangle is neither read nor cleaned
+    expected, lower = scipy.linalg.cho_factor(matrix)
+    assert not lower
+    assert_same_bits([potrf(matrix)], [expected])
+
+
+RIGHT_HAND_SIDES = {
+    "vector": lambda n, rng: rng.standard_normal(n),
+    "matrix-C": lambda n, rng: rng.standard_normal((n, 5)),
+    "matrix-F": lambda n, rng: np.asfortranarray(rng.standard_normal((n, 5))),
+    "transposed": lambda n, rng: rng.standard_normal((3, n)).T,
+    "one-column": lambda n, rng: rng.standard_normal((n, 1)),
+}
+
+
+@pytest.mark.parametrize("rhs", sorted(RIGHT_HAND_SIDES))
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("n", CHOLESKY_SIZES)
+def test_potrs_is_scipy_cho_solve_bit_for_bit(n, order, rhs):
+    factor = np.asarray(scipy.linalg.cho_factor(spd(n))[0], order=order)
+    b = RIGHT_HAND_SIDES[rhs](n, np.random.default_rng(n))
+    assert_same_bits([potrs(factor, b)], [scipy.linalg.cho_solve((factor, False), b)])
+
+
+def test_potrf_raises_like_cho_factor_unless_positive_definite():
+    matrix = spd(6)
+    matrix[3, 3] = -1.0
+    with pytest.raises(np.linalg.LinAlgError) as ours:
+        potrf(matrix)
+    with pytest.raises(np.linalg.LinAlgError) as scipys:
+        scipy.linalg.cho_factor(matrix)
+    assert str(ours.value) == str(scipys.value) == "4-th leading minor of the array is not positive definite"
+
+
+def test_partition_blocks_names_the_block_that_is_not_positive_definite():
+    lattice = build_box(1, [6])
+    hsqrt = spd(6)
+    hsqrt[5, 5] = -1.0  # a complement site
+    with pytest.raises(np.linalg.LinAlgError, match="^complement block is not positive definite: 4-th leading minor"):
+        partition_blocks(hsqrt, box_region(lattice, [0], [2]))
 
 
 def test_concurrent_solves_give_the_serial_bits():
     jobs = [(syevr, (anderson([6, 6, 6], seed),)) for seed in range(4)]
     jobs += [(stemr, (np.diag(m), np.diag(m, -1))) for m in (anderson([400], seed) for seed in range(4))]
     jobs += [(syevr, (dense(200, seed),)) for seed in range(4)]
+    jobs += [(potrf, (spd(300, seed),)) for seed in range(4)]
+    jobs += [(potrs, (potrf(spd(300, seed)), dense(300, seed)[:, :40])) for seed in range(4)]
+    # repeated mixed sizes, so most solves reuse a cached workspace size
+    jobs += [(syevr, (dense(n, seed),)) for seed in range(3) for n in (16, 64, 17, 16)]
+    jobs += [(stemr, (np.diag(m), np.diag(m, -1))) for m in (anderson([n], seed) for seed in range(3) for n in (16, 90, 16))]
     with single_blas_thread():  # as in the scan pool
         serial = [solver(*args) for solver, args in jobs]
         with ThreadPoolExecutor(max_workers=4) as pool:
             futures = [pool.submit(solver, *args) for solver, args in jobs]
             concurrent = [future.result(timeout=60) for future in futures]
     for got, want in zip(concurrent, serial):
+        if isinstance(want, np.ndarray):
+            got, want = [got], [want]
         assert_same_bits(got, want)
+
+
+def test_a_cached_workspace_gives_the_bits_of_a_fresh_query(monkeypatch):
+    matrices = [dense(n, seed) for seed in range(2) for n in (5, 40, 5, 130, 40)]
+    warm = [syevr(m) for m in matrices]
+    monkeypatch.setattr(oscent.lapack, "_workspace_sizes", {})
+    cold = [syevr(m) for m in matrices]
+    assert sorted(oscent.lapack._workspace_sizes) == [("dsyevr", 5), ("dsyevr", 40), ("dsyevr", 130)]
+    for got, want, m in zip(warm, cold, matrices):
+        assert_same_bits(got, want)
+        assert_same_bits(got, scipy.linalg.eigh(m))
 
 
 def _counts():
