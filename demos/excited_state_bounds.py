@@ -37,7 +37,7 @@ theorem = None
 print("  mode   freq      computed   theorem")
 profiles = oc.excitation_profiles(data, blocks, spectrum)
 for profile in profiles[:8]:
-    computed, theorem = oc.excited_half_renyi_bounds(profile, spectrum)
+    computed, theorem = oc.excited_half_renyi_bounds(profile.weights, spectrum)
     print(f"  {profile.mode:>4} {profile.frequency:8.4f} {computed:10.5f} {theorem:9.5f}")
 print("  ... theorem bound is mode-independent:",
       round(2 * oc.log_negativity(spectrum) + 4 * np.log(region.size), 5))

@@ -51,7 +51,7 @@ for a, bra in enumerate(box):
 eigenvalues = np.linalg.eigvalsh(matrix)
 positive = eigenvalues[eigenvalues > 1e-14]
 half_renyi = 2.0 * math.log(np.sum(np.sqrt(positive)))
-computed, theorem = oc.excited_half_renyi_bounds(profile, spectrum)
+computed, theorem = oc.excited_half_renyi_bounds(profile.weights, spectrum)
 
 print("trace of reconstruction:", round(matrix.trace(), 10))
 print("largest eigenvalues:", np.round(np.sort(eigenvalues)[::-1][:4], 6))

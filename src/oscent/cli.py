@@ -21,17 +21,13 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .correlators import _fit_binned, area_law_constant, correlator_csv, correlator_table, ensemble_mean, require_norm_bound
-from .entanglement import (
-    entropy_report,
-    excitation_profiles,
-    single_excitation_ensemble_bound,
-)
+from .correlators import correlator_csv, correlator_table, ensemble_mean, fit_decay_constant, require_norm_bound
+from .entanglement import single_excitation_ensemble_bound
 from .experiments import (
     ExperimentConfig,
-    checked_eigensystem,
-    coupling_matrix,
+    checked_realization,
     region_of,
+    region_report,
     run_scans,
     selected_modes,
     write_aggregates_json,
@@ -40,7 +36,7 @@ from .experiments import (
 )
 from .lattice import build_box
 from .oracle import verify_report
-from .spectral import partition_blocks, spd_sqrt, symplectic_spectrum
+from .spectral import partition_blocks, spd_sqrt
 
 USAGE_ERROR = 2
 COMPUTE_ERROR = 1
@@ -161,23 +157,26 @@ def _single(args):
     return config, lattice, region_of(config, lattice)
 
 
-def _ground_state(config: ExperimentConfig, lattice, region):
-    """Eigensystem, region blocks and symplectic spectrum of the configured realization."""
+def _realization(config: ExperimentConfig, lattice, index: int):
+    """h and eigensystem of realization ``index``; raises ValueError unless h is positive definite."""
     try:
-        h = coupling_matrix(config, lattice, config.realization_index)
+        h, report, data = checked_realization(config, lattice, index)
     except OSError as err:
         raise UsageError(f"cannot read matrix_csv: {err}")
-    report, data = checked_eigensystem(h, config.norm_bound)
     if data is None:
         raise ValueError(f"coupling matrix is not positive definite (smallest eigenvalue {report.smallest_eigenvalue:.3e})")
-    blocks = partition_blocks(spd_sqrt(data), region)
-    return data, blocks, symplectic_spectrum(blocks)
+    return h, data
+
+
+def _region_report(config: ExperimentConfig, lattice, region, modes=()):
+    """The region report of the configured realization, holding the bounds of excitations ``modes``."""
+    data = _realization(config, lattice, config.realization_index)[1]  # h is dropped before the weights
+    return region_report(config, data, partition_blocks(spd_sqrt(data), region), modes)
 
 
 def _cmd_ground_entropy(args) -> int:
     config, lattice, region = _single(args)
-    _, _, spectrum = _ground_state(config, lattice, region)
-    report = entropy_report(spectrum, config.eps_values, lattice_size=lattice.size)
+    report = _region_report(config, lattice, region)
     _write_outputs(args, [config], {"ground_entropy.json": report.to_json() + "\n"})
     for eps, value in zip(report.eps, report.ground_renyi):
         print(f"eps={eps:g} renyi_entropy={value:.15g}")
@@ -188,11 +187,7 @@ def _cmd_ground_entropy(args) -> int:
 
 def _cmd_excited_entropy(args) -> int:
     config, lattice, region = _single(args)
-    data, blocks, spectrum = _ground_state(config, lattice, region)
-    profiles = excitation_profiles(
-        data, blocks, spectrum, selected_modes(config.excitations, lattice.size)
-    )
-    report = entropy_report(spectrum, config.eps_values, profiles, lattice_size=lattice.size)
+    report = _region_report(config, lattice, region, selected_modes(config.excitations, lattice.size))
     _write_outputs(args, [config], {"excited_bounds.json": report.to_json() + "\n"})
     for mode, computed, theorem in zip(
         report.excited_modes, report.excited_computed_bounds, report.excited_theorem_bounds
@@ -203,8 +198,8 @@ def _cmd_excited_entropy(args) -> int:
 
 def _cmd_ensemble_bound(args) -> int:
     config, lattice, region = _single(args)
-    _, _, spectrum = _ground_state(config, lattice, region)
-    value = single_excitation_ensemble_bound(spectrum, lattice.size, region.size)
+    report = _region_report(config, lattice, region)
+    value = single_excitation_ensemble_bound(report.mu, lattice.size, region.size)
     payload = {"ensemble_bound": value, "lattice_size": lattice.size, "region_size": region.size}
     _write_outputs(args, [config], {"ensemble.json": json.dumps(payload, indent=2, sort_keys=True) + "\n"})
     print(f"ensemble_bound={value:.15g}")
@@ -217,20 +212,16 @@ def _cmd_correlators(args) -> int:
     # the environment's BLAS threads, which parallelize each LAPACK call
     # instead of running several at once as the scan pool does.
     config, lattice, _ = _single(args)
-    tables = (correlator_table(coupling_matrix(config, lattice, i)) for i in range(config.realizations))
+    tables = (correlator_table(*_realization(config, lattice, i)) for i in range(config.realizations))
     mean_moment = ensemble_mean(require_norm_bound(t, config.norm_bound).values ** config.s for t in tables)
-    fit = _fit_binned(mean_moment, lattice, config.s)
+    fit, constant = fit_decay_constant(mean_moment, lattice, config.s, config.norm_bound)
     payload = {
         "eta": fit.eta,
         "prefactor": fit.prefactor,
         "s": fit.s,
         "residual": fit.residual,
         "distances": list(fit.distances),
-        "area_law_constant": area_law_constant(
-            fit.prefactor, fit.eta, config.s, config.norm_bound, lattice.dimension
-        )
-        if fit.eta > 0
-        else None,
+        "area_law_constant": constant,
     }
     _write_outputs(args, [config], {
         "correlators.csv": correlator_csv(mean_moment, lattice),

@@ -143,6 +143,14 @@ def ensemble_mean(moments) -> np.ndarray:
     return moment_sum.mean()
 
 
+def fit_decay_constant(mean_moment: np.ndarray, lattice: Lattice, s: float, bound: float) -> tuple[DecayFit, float | None]:
+    """The decay fit of a mean moment matrix and its area-law constant, which is None unless eta > 0."""
+    fit = _fit_binned(mean_moment, lattice, s)
+    if not fit.eta > 0:
+        return fit, None
+    return fit, area_law_constant(fit.prefactor, fit.eta, s, bound, lattice.dimension)
+
+
 def _fit_binned(mean_moment: np.ndarray, lattice: Lattice, s: float) -> DecayFit:
     by_distance = mean_moment_by_distance(mean_moment, lattice)
     usable = {r: v for r, v in by_distance.items() if v > UNDERFLOW_FLOOR}

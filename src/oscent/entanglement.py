@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -177,34 +177,31 @@ def _profile_arrays(data: SpectralData, blocks: BipartitionBlocks, spectrum: Sym
     return v_region, v_complement, nu, complement_energy, weights.T
 
 
-def _check_excitation_identities(
-    frequencies, blocks: BipartitionBlocks, nu, complement_energy, weights
-):
-    """Raise ArithmeticError unless every given mode satisfies the defining identities.
+def _checked_arrays(data: SpectralData, blocks: BipartitionBlocks, spectrum: SymplecticSpectrum):
+    """``_profile_arrays``, raising ArithmeticError unless every mode satisfies the defining identities.
 
-    Entries of ``frequencies`` and ``complement_energy``, columns of ``nu``
-    and rows of ``weights`` are modes: each weight row must sum to at most
-    2, and the frequency-weighted energy split
+    Each weight row (one excitation) must sum to at most 2, each weight
+    column (one symplectic mode) to 2 within WEIGHT_SUM_TOLERANCE, and the
+    frequency-weighted energy split
     gamma_k (nu^T schur^{-1} nu + (v)_c^T b^{-1} (v)_c) must equal 1.
     """
+    arrays = _profile_arrays(data, blocks, spectrum)
+    _, _, nu, complement_energy, weights = arrays
     sums = weights.sum(axis=1)
     over = np.flatnonzero(sums > 2.0 + WEIGHT_SUM_TOLERANCE)
     if over.size:
         raise ArithmeticError(f"weight sum {sums[over].max()} exceeds 2")
-    split = frequencies * np.einsum("ik,ik->k", nu, blocks.solve_schur(nu))
+    split = data.frequencies * np.einsum("ik,ik->k", nu, blocks.solve_schur(nu))
     residual = split + complement_energy - 1.0
     off = np.flatnonzero(np.abs(residual) > 1e-8)
     if off.size:
         worst = off[np.argmax(np.abs(residual[off]))]
         raise ArithmeticError(f"energy-split identity violated by {residual[worst]:.3e}")
-
-
-def _check_weight_columns(weights):
-    """Raise ArithmeticError unless each column of the all-mode weights sums to 2."""
     residual = weights.sum(axis=0) - 2.0
     worst = np.argmax(np.abs(residual))
     if not abs(residual[worst]) <= WEIGHT_SUM_TOLERANCE:  # a nan fails too
         raise ArithmeticError(f"weight column sum is off 2 by {residual[worst]:.3e}")
+    return arrays
 
 
 def excitation_profile(
@@ -213,13 +210,14 @@ def excitation_profile(
     spectrum: SymplecticSpectrum,
     mode: int,
 ) -> ExcitationProfile:
-    """Build the excitation profile for 1-based mode index ``mode``.
+    """The excitation profile of 1-based mode index ``mode``.
 
-    Validates the defining identities on construction: weights are
-    nonnegative with sum <= 2, and the frequency-weighted energy split
-    gamma_k (nu^T schur^{-1} nu + (v)_c^T b^{-1} (v)_c) equals 1.
+    Checks the defining identities of every mode, as excitation_profiles
+    does, and raises IndexError for a mode outside 1..data.size.
     """
-    return excitation_profiles(data, blocks, spectrum, [mode])[0]
+    if not 1 <= mode <= data.size:
+        raise IndexError(f"mode must lie in 1..{data.size}, got {mode}")
+    return excitation_profiles(data, blocks, spectrum)[mode - 1]
 
 
 def excitation_weights(
@@ -228,44 +226,24 @@ def excitation_weights(
     """Weights Q_{k,j} for every excitation at once, shape (modes, region size).
 
     Row sums are <= 2 and every column sums to exactly 2. Raises
-    ArithmeticError if any mode violates the identities excitation_profile
-    enforces, or if a column sum is off 2 by more than WEIGHT_SUM_TOLERANCE.
+    ArithmeticError if any mode violates the defining identities: a row sum
+    above 2, a column sum off 2 by more than WEIGHT_SUM_TOLERANCE, or an
+    energy split off 1.
     """
-    _, _, nu, complement_energy, weights = _profile_arrays(data, blocks, spectrum)
-    _check_excitation_identities(data.frequencies, blocks, nu, complement_energy, weights)
-    _check_weight_columns(weights)
-    return weights
+    return _checked_arrays(data, blocks, spectrum)[4]
 
 
 def excitation_profiles(
-    data: SpectralData,
-    blocks: BipartitionBlocks,
-    spectrum: SymplecticSpectrum,
-    modes=None,
+    data: SpectralData, blocks: BipartitionBlocks, spectrum: SymplecticSpectrum
 ) -> list[ExcitationProfile]:
-    """Excitation profiles from one pass of the shared linear algebra.
+    """Every excitation profile, in ascending mode order, from one pass of the shared linear algebra.
 
-    ``modes`` lists 1-based mode indices (default: every mode, ascending).
-    The arrays are built once for all modes and the requested ones are
-    selected, so each profile is bit-identical to excitation_profile's;
-    the same identities are checked for every returned mode, and the weight
-    column sums as in excitation_weights when every mode is returned.
+    Checks the same identities of every mode as excitation_weights.
     """
-    ks = np.arange(data.size) if modes is None else np.asarray(modes, dtype=int) - 1
-    outside = ks[(ks < 0) | (ks >= data.size)]
-    if outside.size:
-        raise IndexError(f"mode must lie in 1..{data.size}, got {outside[0] + 1}")
-    v_region, v_complement, nu, complement_energy, weights = _profile_arrays(
-        data, blocks, spectrum
-    )
-    _check_excitation_identities(
-        data.frequencies[ks], blocks, nu[:, ks], complement_energy[ks], weights[ks]
-    )
-    if np.unique(ks).size == data.size:
-        _check_weight_columns(weights)
+    v_region, v_complement, nu, complement_energy, weights = _checked_arrays(data, blocks, spectrum)
     return [
         ExcitationProfile(
-            mode=int(k) + 1,
+            mode=k + 1,
             frequency=float(data.frequencies[k]),
             v_region=v_region[:, k].copy(),
             v_complement=v_complement[:, k].copy(),
@@ -273,7 +251,7 @@ def excitation_profiles(
             complement_energy=float(complement_energy[k]),
             weights=weights[k].copy(),
         )
-        for k in ks
+        for k in range(data.size)
     ]
 
 
@@ -363,33 +341,25 @@ def excited_diagonal_trace(
     return float(total)
 
 
-def excited_half_renyi_bounds(
-    profile: ExcitationProfile, spectrum: SymplecticSpectrum
-) -> tuple[float, float]:
-    """(computed, theorem) upper bounds on the 1/2-Renyi entropy of the excitation.
+def excited_half_renyi_bounds(weights, spectrum: SymplecticSpectrum):
+    """(computed, theorem) upper bounds on the 1/2-Renyi entropy of excitations.
 
-    The computed bound sums the square roots of the diagonal elements in
-    closed form; the theorem bound is 2 N(ground) + 4 log(region size) and
-    is reported as nan for single-site regions, where its derivation needs
-    region size > 1.
+    ``weights`` is one excitation's weight row, which gives a float computed
+    bound, or one row per excitation, which gives an array of them. The
+    computed bound sums the square roots of the diagonal elements in closed
+    form, 2 (log(1 + sqrt(Q_k) . f_{1/2}(mu)) + sum_j log f_{1/2}(mu_j)); the
+    theorem bound, the same for every excitation, is
+    2 N(ground) + 4 log(region size), and nan for single-site regions, where
+    its derivation needs region size > 1.
     """
-    f_half, log_product, theorem = _half_renyi_terms(spectrum)
-    return _computed_half_renyi_bound(profile.weights, f_half, log_product), theorem
-
-
-def _half_renyi_terms(spectrum: SymplecticSpectrum) -> tuple[np.ndarray, float, float]:
-    """What the 1/2-Renyi excitation bounds share across modes: f_{1/2}(mu), its log-sum and the theorem bound."""
     f_half = half_renyi_factor(spectrum.mu)
     log_product = float(np.sum(np.log(f_half)))
+    computed = 2.0 * (np.log1p(np.sqrt(weights) @ f_half) + log_product)
     if spectrum.size > 1:
         theorem = 2.0 * log_negativity(spectrum) + 4.0 * math.log(spectrum.size)
     else:
         theorem = math.nan
-    return f_half, log_product, theorem
-
-
-def _computed_half_renyi_bound(weights: np.ndarray, f_half: np.ndarray, log_product: float) -> float:
-    return 2.0 * (math.log1p(float(np.sqrt(weights) @ f_half)) + log_product)
+    return (computed if computed.ndim else float(computed)), theorem
 
 
 def single_excitation_ensemble_bound(
@@ -423,42 +393,36 @@ class EntropyReport:
     mu: list[float] = field(default_factory=list)
 
     def to_json(self) -> str:
-        payload = {
-            "eps": self.eps,
-            "ground_renyi": self.ground_renyi,
-            "von_neumann": self.von_neumann,
-            "log_negativity": self.log_negativity,
-            "excited_modes": self.excited_modes,
-            "excited_computed_bounds": self.excited_computed_bounds,
-            "excited_theorem_bounds": self.excited_theorem_bounds,
-            "ensemble_bound": self.ensemble_bound,
-            "mu": self.mu,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def entropy_report(
     spectrum: SymplecticSpectrum,
     eps_values,
-    profiles: list[ExcitationProfile] = (),
+    modes=(),
+    weights=None,
     lattice_size: int | None = None,
 ) -> EntropyReport:
-    """Assemble an EntropyReport; Renyi values are non-increasing in eps."""
+    """Assemble an EntropyReport; Renyi values are non-increasing in eps.
+
+    ``modes`` lists 1-based excitations and ``weights`` holds their weight
+    rows, a 2d array with one row per mode, for the excited bounds. Each
+    distinct E_eps is computed once.
+    """
     eps_values = [float(e) for e in eps_values]
+    renyi = {eps: ground_state_renyi(spectrum, eps) for eps in {*eps_values, 0.5, 1.0}}
     report = EntropyReport(
         eps=eps_values,
-        ground_renyi=[ground_state_renyi(spectrum, e) for e in eps_values],
-        von_neumann=ground_state_renyi(spectrum, 1.0),
-        log_negativity=log_negativity(spectrum),
-        mu=[float(m) for m in spectrum.mu],
+        ground_renyi=[renyi[e] for e in eps_values],
+        von_neumann=renyi[1.0],
+        log_negativity=renyi[0.5],
+        mu=spectrum.mu.tolist(),
     )
-    if profiles:
-        f_half, log_product, theorem = _half_renyi_terms(spectrum)
-        for profile in profiles:
-            computed = _computed_half_renyi_bound(profile.weights, f_half, log_product)
-            report.excited_modes.append(profile.mode)
-            report.excited_computed_bounds.append(computed)
-            report.excited_theorem_bounds.append(theorem)
+    if len(modes):
+        computed, theorem = excited_half_renyi_bounds(weights, spectrum)
+        report.excited_modes = [int(k) for k in modes]
+        report.excited_computed_bounds = computed.tolist()
+        report.excited_theorem_bounds = [theorem] * len(modes)
     if lattice_size is not None and spectrum.size**2 <= lattice_size:
         report.ensemble_bound = single_excitation_ensemble_bound(
             spectrum, lattice_size, spectrum.size

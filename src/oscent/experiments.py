@@ -23,15 +23,10 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .correlators import DecayFit, MomentSum, _fit_binned, area_law_constant, correlator_table, ground_state_correlator_bound
-from .entanglement import (
-    excitation_weights,
-    ground_state_renyi,
-    half_renyi_factor,
-    log_negativity,
-    single_excitation_ensemble_bound,
-)
+from .correlators import DecayFit, MomentSum, correlator_table, fit_decay_constant, ground_state_correlator_bound
+from .entanglement import EntropyReport, entropy_report, excitation_weights
 from .hamiltonian import (
+    AssumptionReport,
     CouplingMatrix,
     DisorderModel,
     anderson_norm_bound,
@@ -42,7 +37,7 @@ from .hamiltonian import (
 )
 from .lapack import single_blas_thread
 from .lattice import Lattice, Region, box_region, build_box, inner_boundary, make_region
-from .spectral import decompose, eigensystem, partition_blocks, spd_sqrt, symplectic_spectrum
+from .spectral import BipartitionBlocks, SpectralData, decompose, eigensystem, partition_blocks, spd_sqrt, symplectic_spectrum
 
 # The config schema: every key ``ExperimentConfig.from_dict`` reads, and
 # nothing else. ``disorder.kind`` is accepted because ``to_dict`` writes it.
@@ -60,6 +55,21 @@ def _check_keys(entry, allowed, where: str):
         raise ValueError(f"unknown {where} keys {unknown}; allowed: {sorted(allowed)}")
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _integer(value, name: str) -> int:
+    """A config value that must be a JSON integer (a bool is not one); raises ValueError otherwise."""
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _integers(values, name: str) -> tuple[int, ...]:
+    return tuple(_integer(value, name) for value in values)
+
+
 def parse_excitations(entry, modes: int) -> str | tuple[int, int]:
     """Read the ``excitations`` entry of a config: the one policy parser.
 
@@ -73,7 +83,7 @@ def parse_excitations(entry, modes: int) -> str | tuple[int, int]:
     if not (
         isinstance(bounds, (list, tuple))
         and len(bounds) == 2
-        and all(isinstance(b, numbers.Integral) and not isinstance(b, bool) for b in bounds)
+        and all(_is_integer(b) for b in bounds)
     ):
         raise ValueError(
             f"unknown excitation policy {entry!r}: use \"all\", \"none\" or "
@@ -164,26 +174,29 @@ class ExperimentConfig:
             raise ValueError(f"unknown disorder kind {disorder['kind']!r}")
         if "k_max" not in disorder and raw.get("matrix_csv") is None:
             raise ValueError("config needs disorder.k_max or matrix_csv")
-        excitations = parse_excitations(
-            raw.get("excitations", "all"), math.prod(int(n) for n in raw["lengths"])
-        )
+        lengths = _integers(raw["lengths"], "lengths")
+        excitations = parse_excitations(raw.get("excitations", "all"), math.prod(lengths))
+        seeds = [_integer(entry[key], key) for entry, key in ((raw, "seed"), (raw, "master_seed"), (disorder, "seed")) if key in entry]
+        fit_decay = raw.get("fit_decay", False)
+        if not isinstance(fit_decay, bool):
+            raise ValueError(f"fit_decay must be true or false, got {fit_decay!r}")
         return ExperimentConfig(
-            dimension=int(raw["dimension"]),
-            lengths=tuple(int(n) for n in raw["lengths"]),
-            region_corner=tuple(region["corner"]) if "corner" in region else None,
-            region_lengths=tuple(region["lengths"]) if "lengths" in region else None,
-            region_sites=tuple(tuple(s) for s in region["sites"]) if "sites" in region else None,
+            dimension=_integer(raw["dimension"], "dimension"),
+            lengths=lengths,
+            region_corner=_integers(region["corner"], "region.corner") if "corner" in region else None,
+            region_lengths=_integers(region["lengths"], "region.lengths") if "lengths" in region else None,
+            region_sites=tuple(_integers(site, "region.sites") for site in region["sites"]) if "sites" in region else None,
             k_max=float(disorder.get("k_max", 1.0)),
-            realizations=int(raw.get("realizations", 1)),
+            realizations=_integer(raw.get("realizations", 1), "realizations"),
             eps_values=tuple(float(e) for e in raw.get("eps", [0.5, 1.0])),
             excitations=excitations,
             p=float(raw.get("p", 1.0)),
             s=float(raw.get("s", 0.5)),
-            master_seed=int(raw.get("seed", raw.get("master_seed", disorder.get("seed", 0)))),
-            threads=int(raw["threads"]) if raw.get("threads") is not None else None,
-            fit_decay=bool(raw.get("fit_decay", False)),
+            master_seed=seeds[0] if seeds else 0,
+            threads=_integer(raw["threads"], "threads") if raw.get("threads") is not None else None,
+            fit_decay=fit_decay,
             coupling_kind=str(raw.get("coupling", "nearest")),
-            realization_index=int(raw.get("realization_index", 0)),
+            realization_index=_integer(raw.get("realization_index", 0), "realization_index"),
             matrix_csv=str(raw["matrix_csv"]) if raw.get("matrix_csv") is not None else None,
             bound=float(raw["bound"]) if raw.get("bound") is not None else None,
         )
@@ -229,6 +242,26 @@ class RealizationRecord:
     gs_correlator_bound: float = math.nan
     ensemble_bound: float = math.nan
     mu_max: float = math.nan
+
+    @staticmethod
+    def of(index: int, report: EntropyReport, gs_correlator_bound: float) -> "RealizationRecord":
+        """The record of a positive-definite realization: its region report, worst excitation first."""
+        record = RealizationRecord(
+            index=index,
+            pd_ok=True,
+            ground_renyi=dict(zip(report.eps, report.ground_renyi)),
+            log_negativity=report.log_negativity,
+            gs_correlator_bound=gs_correlator_bound,
+            mu_max=report.mu[-1],
+        )
+        if report.excited_modes:
+            worst = int(np.argmax(report.excited_computed_bounds))
+            record.excited_mode = report.excited_modes[worst]
+            record.excited_computed_bound = report.excited_computed_bounds[worst]
+            record.excited_theorem_bound = report.excited_theorem_bounds[worst]
+        if report.ensemble_bound is not None:
+            record.ensemble_bound = report.ensemble_bound
+        return record
 
 
 @dataclass
@@ -308,11 +341,28 @@ def coupling_matrix(config: ExperimentConfig, lattice: Lattice, index: int) -> C
     return CouplingMatrix(matrix=np.diag(springs), lattice=lattice)
 
 
-def checked_eigensystem(h: CouplingMatrix, bound: float):
-    """One decomposition of h: its validate_coupling report, and its eigensystem (None unless positive definite)."""
+def checked_realization(config: ExperimentConfig, lattice: Lattice, index: int) -> tuple[CouplingMatrix, AssumptionReport, SpectralData | None]:
+    """Realization ``index`` of a config from one decomposition of its h.
+
+    Returns h, its validate_coupling report against the config's norm bound,
+    and its eigensystem, which is None unless h is positive definite.
+    """
+    h = coupling_matrix(config, lattice, index)
     data = decompose(h)
-    report = validate_coupling(data, bound)
-    return report, eigensystem(data) if report.is_positive_definite else None
+    report = validate_coupling(data, config.norm_bound)
+    return h, report, eigensystem(data) if report.is_positive_definite else None
+
+
+def region_report(config: ExperimentConfig, data: SpectralData, blocks: BipartitionBlocks, modes) -> EntropyReport:
+    """The entropies and bounds of one region of a realization.
+
+    ``modes`` lists the 1-based excitations whose bounds the report holds;
+    their weight rows come from excitation_weights, which checks every
+    mode's identities whether selected or not.
+    """
+    spectrum = symplectic_spectrum(blocks)
+    weights = excitation_weights(data, blocks, spectrum)[np.asarray(modes, dtype=int) - 1] if modes else None
+    return entropy_report(spectrum, config.eps_values, modes, weights, lattice_size=data.size)
 
 
 def _without_region(config: ExperimentConfig) -> dict:
@@ -359,48 +409,21 @@ def run_scans(configs) -> list[ScanResult]:
     regions = [region_of(c, lattice) for c in configs]
     bound = config.norm_bound
     modes = selected_modes(config.excitations, lattice.size)
-    selected = np.array(modes, dtype=int) - 1
-
-    def region_record(index, data, hsqrt, table, region) -> RealizationRecord:
-        blocks = partition_blocks(hsqrt, region)
-        spectrum = symplectic_spectrum(blocks)
-        record = RealizationRecord(index=index, pd_ok=True)
-        record.ground_renyi = {
-            eps: ground_state_renyi(spectrum, eps) for eps in config.eps_values
-        }
-        record.log_negativity = log_negativity(spectrum)
-        record.mu_max = float(spectrum.mu[-1])
-        record.gs_correlator_bound = ground_state_correlator_bound(
-            table, region, config.p, bound
-        )
-        if modes:
-            weights = excitation_weights(data, blocks, spectrum)
-            f_half = half_renyi_factor(spectrum.mu)
-            log_product = float(np.sum(np.log(f_half)))
-            computed = 2.0 * (
-                np.log1p(np.sqrt(weights[selected]) @ f_half) + log_product
-            )
-            worst = int(np.argmax(computed))
-            record.excited_mode = modes[worst]
-            record.excited_computed_bound = float(computed[worst])
-            if region.size > 1:
-                record.excited_theorem_bound = (
-                    2.0 * record.log_negativity + 4.0 * math.log(region.size)
-                )
-        if region.size**2 <= lattice.size:
-            record.ensemble_bound = single_excitation_ensemble_bound(
-                spectrum, lattice.size, region.size
-            )
-        return record
 
     def worker(index: int):
-        h = coupling_matrix(config, lattice, index)
-        _, data = checked_eigensystem(h, bound)
+        h, _, data = checked_realization(config, lattice, index)
         if data is None:
             return [RealizationRecord(index=index, pd_ok=False) for _ in regions], None
         hsqrt = spd_sqrt(data)
         table = correlator_table(h, data)
-        records = [region_record(index, data, hsqrt, table, r) for r in regions]
+        records = [
+            RealizationRecord.of(
+                index,
+                region_report(config, data, partition_blocks(hsqrt, region), modes),
+                ground_state_correlator_bound(table, region, config.p, bound),
+            )
+            for region in regions
+        ]
         moment = table.values**config.s if config.fit_decay else None
         return records, moment
 
@@ -422,14 +445,9 @@ def run_scans(configs) -> list[ScanResult]:
     if failed == len(rows):
         raise ValueError("every realization failed the positive-definiteness check")
 
-    decay = None
-    constant = None
+    decay = constant = None
     if moments.count:
-        decay = _fit_binned(moments.mean(), lattice, config.s)
-        if decay.eta > 0:
-            constant = area_law_constant(
-                decay.prefactor, decay.eta, config.s, bound, config.dimension
-            )
+        decay, constant = fit_decay_constant(moments.mean(), lattice, config.s, bound)
 
     results = []
     for position, (scan_config, region) in enumerate(zip(configs, regions)):

@@ -10,8 +10,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import oscent.entanglement
+import oscent.experiments
 import oscent.spectral
 from oscent import ExperimentConfig, run_scan
+from oscent.lapack import single_blas_thread
+from oscent.spectral import SpectralData
 from oscent.cli import main, parse_args
 
 
@@ -307,10 +311,22 @@ COMMANDS = ["ground-entropy", "excited-entropy", "ensemble-bound", "correlators"
         {"disorder": {"k_max": 8.0, "kmax": 8.0}},
         {"region": {"corner": [4], "lengths": [3], "size": 3}},
         {"lengths": [12, 0]},
+        {"lengths": [12.7]},
+        {"realizations": 2.5},
+        {"threads": 1.9},
+        {"realization_index": 0.5},
+        {"seed": 1.5},
+        {"seed": "7"},
+        {"seed": True},
+        {"region": {"corner": [4.0], "lengths": [3.5]}},
+        {"fit_decay": "no"},
     ],
     ids=[
         "p-above-1", "s-above-1", "zero-k_max", "no-k_max", "negative-threads", "zero-bound",
         "region-outside", "top-level-typo", "disorder-typo", "region-typo", "bad-lengths",
+        "fractional-lengths", "fractional-realizations", "fractional-threads",
+        "fractional-realization-index", "fractional-seed", "string-seed", "bool-seed",
+        "float-region", "string-fit-decay",
     ],
 )
 def test_every_command_rejects_bad_configs_with_exit_2(command, change, scan_config, tmp_path, capsys):
@@ -487,3 +503,69 @@ def test_commands_factor_and_solve_through_oscent_lapack(command, scan_config, t
     argv = [command, "--config", str(scan_config), "--out", str(tmp_path / "o")]
     assert main(argv) == 0
     assert bool(factored) == (command != "correlators")  # correlators needs no region blocks
+
+
+@pytest.mark.parametrize(
+    "geometry",
+    [
+        {"dimension": 1, "lengths": [14], "region": {"corner": [5], "lengths": [4]}},
+        {"dimension": 2, "lengths": [6, 6], "region": {"corner": [2, 1], "lengths": [2, 3]}},
+        {"dimension": 3, "lengths": [4, 4, 4], "region": {"corner": [1, 1, 1], "lengths": [2, 2, 2]}},
+    ],
+    ids=["1d", "2d", "3d"],
+)
+@pytest.mark.parametrize("excitations", ["all", {"k_range": [2, 9]}], ids=["all", "range"])
+def test_excited_entropy_worst_bound_is_the_scan_record_bit_for_bit(geometry, excitations, tmp_path):
+    cfg = dict(
+        geometry, disorder={"k_max": 8.0}, seed=2024, realizations=3, realization_index=2,
+        excitations=excitations,
+    )
+    out = tmp_path / "o"
+    with single_blas_thread():  # as inside the scan pool, so both see the same BLAS bits
+        assert main(["excited-entropy", "--config", str(_write(tmp_path / "c.json", cfg)), "--out", str(out)]) == 0
+    payload = json.loads((out / "excited_bounds.json").read_text())
+    record = run_scan(ExperimentConfig.from_dict(cfg)).records[2]
+    worst = int(np.argmax(payload["excited_computed_bounds"]))
+    assert payload["excited_computed_bounds"][worst] == record.excited_computed_bound
+    assert payload["excited_modes"][worst] == record.excited_mode
+    assert payload["excited_theorem_bounds"][worst] == record.excited_theorem_bound
+    assert payload["log_negativity"] == record.log_negativity
+
+
+@pytest.mark.parametrize("part, message", [(3, "energy-split"), (4, "column sum")])
+def test_excited_entropy_checks_the_modes_it_does_not_select(part, message, scan_config, tmp_path, monkeypatch, capsys):
+    original = oscent.entanglement._profile_arrays
+
+    def broken(*args):  # mode 10 is outside the selected range
+        arrays = list(original(*args))
+        arrays[part] = arrays[part].copy()
+        if part == 3:
+            arrays[3][9] += 1e-6
+        else:
+            arrays[4][9, 0] -= 1e-6
+        return tuple(arrays)
+
+    cfg = dict(json.loads(scan_config.read_text()), excitations={"k_range": [1, 3]})
+    argv = ["excited-entropy", "--config", str(_write(scan_config, cfg)), "--out", str(tmp_path / "o")]
+    assert main(argv) == 0
+    monkeypatch.setattr(oscent.entanglement, "_profile_arrays", broken)
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(SINGLE_SHOT_OUTPUTS))
+def test_an_indefinite_realization_fails_every_single_shot_command_alike(command, scan_config, tmp_path, monkeypatch, capsys):
+    decompose = oscent.experiments.decompose
+
+    def indefinite(h):
+        data = decompose(h)
+        eigenvalues = data.eigenvalues.copy()
+        eigenvalues[0] = -0.5
+        with np.errstate(invalid="ignore"):
+            return SpectralData(eigenvalues, np.sqrt(eigenvalues), data.vectors)
+
+    monkeypatch.setattr(oscent.experiments, "decompose", indefinite)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(scan_config), "--out", str(out)]) == 1
+    assert "coupling matrix is not positive definite (smallest eigenvalue -5.000e-01)" in capsys.readouterr().err
+    assert not (out / SINGLE_SHOT_OUTPUTS[command]).exists()

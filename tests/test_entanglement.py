@@ -214,17 +214,19 @@ def _chain_system():
 
 def test_selected_profiles_are_bit_identical_to_single_profiles():
     data, blocks, spec = _chain_system()
-    selected = excitation_profiles(data, blocks, spec, [7, 2, 9])
-    assert [p.mode for p in selected] == [7, 2, 9]
-    for profile in selected:
+    profiles = excitation_profiles(data, blocks, spec)
+    assert [p.mode for p in profiles] == list(range(1, 11))
+    weights = excitation_weights(data, blocks, spec)
+    for profile in profiles:
         single = excitation_profile(data, blocks, spec, profile.mode)
         assert profile.frequency == single.frequency
         assert profile.complement_energy == single.complement_energy
         for name in ("v_region", "v_complement", "nu", "weights"):
             assert np.array_equal(getattr(profile, name), getattr(single, name))
-    assert [p.mode for p in excitation_profiles(data, blocks, spec)] == list(range(1, 11))
-    with pytest.raises(IndexError):
-        excitation_profiles(data, blocks, spec, [1, 11])
+        assert np.array_equal(profile.weights, weights[profile.mode - 1])
+    for mode in (0, 11):
+        with pytest.raises(IndexError):
+            excitation_profile(data, blocks, spec, mode)
 
 
 def _break_arrays(monkeypatch, part):
@@ -250,10 +252,10 @@ def test_every_batched_path_checks_the_identities(monkeypatch, part, message):
         excitation_weights(data, blocks, spec)
     with pytest.raises(ArithmeticError, match=message):
         excitation_profiles(data, blocks, spec)
-    with pytest.raises(ArithmeticError, match=message):
-        excitation_profile(data, blocks, spec, 4)
-    # modes that are not returned are not checked
-    assert excitation_profile(data, blocks, spec, 3).mode == 3
+    # every mode is checked, also by a call that returns another one
+    for mode in (3, 4):
+        with pytest.raises(ArithmeticError, match=message):
+            excitation_profile(data, blocks, spec, mode)
 
 
 def test_excited_diagonal_decoupled_limit():
@@ -306,11 +308,11 @@ def test_excited_trace_normalizes():
 def test_half_renyi_bounds_decoupled_values():
     lat, h, data, blocks, spec = decoupled_system()
     inside = excitation_profile(data, blocks, spec, 1)
-    computed, theorem = excited_half_renyi_bounds(inside, spec)
+    computed, theorem = excited_half_renyi_bounds(inside.weights, spec)
     assert computed == pytest.approx(2.0 * math.log(1.0 + math.sqrt(2.0)), abs=1e-12)
     assert math.isnan(theorem)  # single-site region: theorem route needs size > 1
     outside = excitation_profile(data, blocks, spec, 2)
-    computed, _ = excited_half_renyi_bounds(outside, spec)
+    computed, _ = excited_half_renyi_bounds(outside.weights, spec)
     assert computed == pytest.approx(0.0, abs=1e-12)
 
 
@@ -325,12 +327,11 @@ def test_half_renyi_bounds_ordering_on_realizations():
         spec = symplectic_spectrum(blocks)
         logneg = log_negativity(spec)
         intermediate = 2.0 * logneg + 2.0 * math.log(1.0 + math.sqrt(2.0) * region.size)
-        for k in range(1, 11):
-            profile = excitation_profile(data, blocks, spec, k)
-            computed, theorem = excited_half_renyi_bounds(profile, spec)
-            assert computed <= intermediate + 1e-12
-            assert computed <= theorem + 1e-12
-            assert theorem == pytest.approx(2.0 * logneg + 4.0 * math.log(region.size))
+        computed, theorem = excited_half_renyi_bounds(excitation_weights(data, blocks, spec), spec)
+        assert computed.shape == (10,)
+        assert np.all(computed <= intermediate + 1e-12)
+        assert np.all(computed <= theorem + 1e-12)
+        assert theorem == pytest.approx(2.0 * logneg + 4.0 * math.log(region.size))
 
 
 def test_theorem_bound_dominates_bruteforce_half_renyi():
@@ -353,7 +354,7 @@ def test_theorem_bound_dominates_bruteforce_half_renyi():
     eigenvalues = np.linalg.eigvalsh(matrix)
     positive = eigenvalues[eigenvalues > 1e-14]
     brute_half_renyi = 2.0 * math.log(np.sum(np.sqrt(positive)))
-    computed, theorem = excited_half_renyi_bounds(profile, spec)
+    computed, theorem = excited_half_renyi_bounds(profile.weights, spec)
     assert brute_half_renyi <= computed + 1e-9
     assert computed <= theorem + 1e-12
 
@@ -375,12 +376,13 @@ def test_ensemble_bound_values_and_hypothesis():
 
 def test_entropy_report_serialization():
     lat, h, data, blocks, spec = coupled_system(springs=(1.0, 2.0, 0.5), region_sites=((0,), (1,)))
-    profiles = [excitation_profile(data, blocks, spec, k) for k in (1, 2, 3)]
-    report = entropy_report(spec, [0.5, 0.75, 1.0], profiles, lattice_size=lat.size)
+    weights = excitation_weights(data, blocks, spec)
+    report = entropy_report(spec, [0.5, 0.75, 1.0], [1, 2, 3], weights, lattice_size=lat.size)
     payload = json.loads(report.to_json())
     assert payload["eps"] == [0.5, 0.75, 1.0]
     assert payload["ground_renyi"][0] == pytest.approx(report.log_negativity)
-    assert len(payload["excited_computed_bounds"]) == 3
+    assert payload["excited_modes"] == [1, 2, 3]
+    assert len(payload["excited_computed_bounds"]) == len(payload["excited_theorem_bounds"]) == 3
     assert payload["ensemble_bound"] is None  # 2^2 > 3
     values = report.ground_renyi
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
@@ -449,11 +451,9 @@ def test_weight_columns_must_sum_to_two(monkeypatch):
         excitation_weights(data, blocks, spec)
     with pytest.raises(ArithmeticError, match="column sum"):
         excitation_profiles(data, blocks, spec)
+    # every profile call checks every column, also one that returns a single mode
     with pytest.raises(ArithmeticError, match="column sum"):
-        excitation_profiles(data, blocks, spec, range(10, 0, -1))
-    # without every mode the columns are incomplete, and go unchecked
-    assert len(excitation_profiles(data, blocks, spec, range(1, 10))) == 9
-    assert excitation_profile(data, blocks, spec, 4).mode == 4
+        excitation_profile(data, blocks, spec, 9)
     shift["value"] = 1e-10  # inside the 1e-9 tolerance
     assert excitation_weights(data, blocks, spec).shape == (10, 3)
 
@@ -503,13 +503,24 @@ def test_renyi_does_not_increase_in_eps(seed):
 @pytest.mark.parametrize("name", sorted(_BOXES))
 def test_entropy_report_computes_the_shared_bound_terms_once(name, monkeypatch):
     data, blocks, spec = _box_system(name)
-    profiles = excitation_profiles(data, blocks, spec)
-    expected = [excited_half_renyi_bounds(profile, spec) for profile in profiles]
+    weights = excitation_weights(data, blocks, spec)[[4, 0, 2]]
+    computed, theorem = excited_half_renyi_bounds(weights, spec)
     calls = []
-    factor = oscent.entanglement.half_renyi_factor
-    monkeypatch.setattr(oscent.entanglement, "half_renyi_factor", lambda x: calls.append(x) or factor(x))
-    report = entropy_report(spec, [0.5], profiles)
-    assert len(calls) == 1
-    computed, theorem = zip(*expected)
-    assert report.excited_computed_bounds == list(computed)  # the same floats, bit for bit
-    assert report.excited_theorem_bounds == list(theorem)
+    for fn in ("half_renyi_factor", "ground_state_renyi"):
+        original = getattr(oscent.entanglement, fn)
+        monkeypatch.setattr(
+            oscent.entanglement, fn, lambda *a, f=original, fn=fn: calls.append(fn) or f(*a)
+        )
+    report = entropy_report(spec, [0.5, 0.75, 1.0, 0.5], [5, 1, 3], weights)
+    assert calls.count("half_renyi_factor") == 1
+    # one E_eps per distinct eps, one more inside the theorem bound's log-negativity
+    assert calls.count("ground_state_renyi") == 3 + 1
+    assert report.excited_modes == [5, 1, 3]
+    assert report.excited_computed_bounds == computed.tolist()  # the same floats, bit for bit
+    assert report.excited_theorem_bounds == [theorem] * 3
+    # one row alone gives its row of the batched call to the last bits (a
+    # dot product against a matrix-vector product)
+    for row, bound in zip(weights, computed):
+        single, single_theorem = excited_half_renyi_bounds(row, spec)
+        assert isinstance(single, float) and single_theorem == theorem
+        assert abs(single - bound) <= 2 * np.spacing(bound)

@@ -3,6 +3,7 @@ import json
 import math
 import statistics
 import tracemalloc
+from concurrent.futures import Future
 from types import SimpleNamespace
 
 import numpy as np
@@ -334,11 +335,13 @@ def _scan_peak_bytes(config) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("threads, slack", [(1, 1), (2, 4)])
+@pytest.mark.parametrize("threads, slack", [(1, 2), (2, 4)])
 def test_scan_memory_is_flat_in_the_number_of_realizations(threads, slack):
     # Holding every realization's moment matrix until the pool ends adds 24 of
-    # them here. With two workers, how their temporaries overlap moves the
-    # peak by up to about 3 moment matrices from run to run.
+    # them here. The read window allows 2 x threads realizations in flight, so
+    # the growth is bounded by that many moment matrices: a longer scan more
+    # often has a finished result waiting in the window while a worker runs
+    # the next realization, which adds about one on one thread.
     config = small_config(
         lengths=(160,), region_corner=(60,), region_lengths=(16,), excitations="none",
         fit_decay=True, threads=threads,
@@ -350,6 +353,35 @@ def test_scan_memory_is_flat_in_the_number_of_realizations(threads, slack):
         for n in (8, 32)
     )
     assert many < few + slack * moment_bytes
+
+
+class _InlinePool:
+    """A pool that runs each submitted call at once and records how many results are submitted and unread."""
+
+    def __init__(self):
+        self.submitted = 0
+        self.read = 0
+        self.most_unread = 0
+
+    def submit(self, fn, *args):
+        self.submitted += 1
+        self.most_unread = max(self.most_unread, self.submitted - self.read)
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("window", [1, 2, 4])
+@pytest.mark.parametrize("count", [1, 3, 10])
+def test_in_index_order_holds_at_most_window_unread_results(window, count):
+    pool = _InlinePool()
+    seen = []
+    for result in oscent.experiments._in_index_order(pool, lambda index: index, count, window):
+        pool.read += 1
+        assert pool.submitted - pool.read <= window - 1
+        seen.append(result)
+    assert seen == list(range(count))
+    assert pool.most_unread == min(window, count)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
