@@ -20,8 +20,8 @@ print("frequencies:", data.frequencies)
 
 region = oc.make_region(lattice, [(0,)])
 blocks = oc.partition_blocks(oc.spd_sqrt(data), region)
-print("square-root blocks: a=%.6f b=%.6f c=%.6f schur=%.6f"
-      % (blocks.a[0, 0], blocks.b[0, 0], blocks.c[0, 0], blocks.schur[0, 0]))
+print("square-root blocks: a=%.6f c=%.6f schur=%.6f"
+      % (blocks.a[0, 0], blocks.c[0, 0], blocks.schur[0, 0]))
 
 spectrum = oc.symplectic_spectrum(blocks)
 print("symplectic eigenvalue mu =", spectrum.mu[0])
@@ -30,9 +30,8 @@ for eps in (0.5, 0.75, 0.99, 1.0):
     print(f"  eps={eps:<5g} renyi entropy = {oc.ground_state_renyi(spectrum, eps):.12f}")
 print("log negativity        =", oc.log_negativity(spectrum))
 
-# the covariance matrix gives the same mu by an independent route
-cov = oc.covariance_matrix(blocks)
-print("mu via covariance     =", oc.covariance_symplectic_eigenvalues(cov)[0])
+# the oracle's own covariance matrix gives the same mu by an independent route
+print("mu via covariance     =", oc.oracle.symplectic_eigenvalues(h, region)[0])
 
 # quadrature oracle: reduced-state eigenvalues are (2/(1+mu)) ((mu-1)/(mu+1))^n
 print("\nreduced-state eigenvalues, formula vs direct quadrature:")

@@ -29,11 +29,8 @@ from .hamiltonian import (
 )
 from .spectral import (
     BipartitionBlocks,
-    CovarianceMatrix,
     SpectralData,
     SymplecticSpectrum,
-    covariance_matrix,
-    covariance_symplectic_eigenvalues,
     eigensystem,
     partition_blocks,
     spd_inv_sqrt,

@@ -134,8 +134,15 @@ def _configs(args) -> list[ExperimentConfig]:
     resolved = _load_config(args.config)
     flags = {"seed": args.seed, "p": args.p_value, "s": args.s_value, "threads": _resolve_threads(args)}
     resolved.update((key, value) for key, value in flags.items() if value is not None)
+    if args.seed is not None:  # the flag replaces every spelling of the seed in the file
+        resolved.pop("master_seed", None)
+        if isinstance(resolved.get("disorder"), dict):
+            resolved["disorder"] = {k: v for k, v in resolved["disorder"].items() if k != "seed"}
     if args.eps is not None:
-        resolved["eps"] = args.eps.split(",")
+        try:
+            resolved["eps"] = [float(e) for e in args.eps.split(",")]
+        except ValueError:
+            raise UsageError(f"--eps needs comma-separated numbers, got {args.eps!r}")
     regions = resolved.pop("regions", None)
     if regions is None:
         regions = [resolved.get("region")]

@@ -70,6 +70,13 @@ def _integers(values, name: str) -> tuple[int, ...]:
     return tuple(_integer(value, name) for value in values)
 
 
+def _number(value, name: str) -> float:
+    """A config value that must be a JSON number (a bool or a string is not one); raises ValueError otherwise."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def parse_excitations(entry, modes: int) -> str | tuple[int, int]:
     """Read the ``excitations`` entry of a config: the one policy parser.
 
@@ -155,6 +162,9 @@ class ExperimentConfig:
             for lo, hi in boxes
         ):
             raise ValueError(f"region is empty or leaves the lattice {list(self.lengths)}")
+        covered = len(set(self.region_sites)) if self.region_sites is not None else math.prod(self.region_lengths)
+        if covered == math.prod(self.lengths):
+            raise ValueError("region equals the whole lattice; the complement is empty")
         parse_excitations(_excitations_entry(self.excitations), math.prod(self.lengths))
 
     @property
@@ -176,7 +186,11 @@ class ExperimentConfig:
             raise ValueError("config needs disorder.k_max or matrix_csv")
         lengths = _integers(raw["lengths"], "lengths")
         excitations = parse_excitations(raw.get("excitations", "all"), math.prod(lengths))
-        seeds = [_integer(entry[key], key) for entry, key in ((raw, "seed"), (raw, "master_seed"), (disorder, "seed")) if key in entry]
+        seeds = {name: _integer(entry[key], name) for entry, key, name in (
+            (raw, "seed", "seed"), (raw, "master_seed", "master_seed"), (disorder, "seed", "disorder.seed")
+        ) if key in entry}
+        if len(set(seeds.values())) > 1:
+            raise ValueError(f"seed spellings disagree: {seeds}")
         fit_decay = raw.get("fit_decay", False)
         if not isinstance(fit_decay, bool):
             raise ValueError(f"fit_decay must be true or false, got {fit_decay!r}")
@@ -186,19 +200,19 @@ class ExperimentConfig:
             region_corner=_integers(region["corner"], "region.corner") if "corner" in region else None,
             region_lengths=_integers(region["lengths"], "region.lengths") if "lengths" in region else None,
             region_sites=tuple(_integers(site, "region.sites") for site in region["sites"]) if "sites" in region else None,
-            k_max=float(disorder.get("k_max", 1.0)),
+            k_max=_number(disorder.get("k_max", 1.0), "disorder.k_max"),
             realizations=_integer(raw.get("realizations", 1), "realizations"),
-            eps_values=tuple(float(e) for e in raw.get("eps", [0.5, 1.0])),
+            eps_values=tuple(_number(e, "eps") for e in raw.get("eps", [0.5, 1.0])),
             excitations=excitations,
-            p=float(raw.get("p", 1.0)),
-            s=float(raw.get("s", 0.5)),
-            master_seed=seeds[0] if seeds else 0,
+            p=_number(raw.get("p", 1.0), "p"),
+            s=_number(raw.get("s", 0.5), "s"),
+            master_seed=next(iter(seeds.values()), 0),
             threads=_integer(raw["threads"], "threads") if raw.get("threads") is not None else None,
             fit_decay=fit_decay,
             coupling_kind=str(raw.get("coupling", "nearest")),
             realization_index=_integer(raw.get("realization_index", 0), "realization_index"),
             matrix_csv=str(raw["matrix_csv"]) if raw.get("matrix_csv") is not None else None,
-            bound=float(raw["bound"]) if raw.get("bound") is not None else None,
+            bound=_number(raw["bound"], "bound") if raw.get("bound") is not None else None,
         )
 
     def to_dict(self) -> dict:

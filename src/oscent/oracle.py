@@ -2,8 +2,9 @@
 
 Everything here is deliberately independent of the closed-form entropy
 machinery: kernels are evaluated from their explicit formulas and integrated
-numerically, so agreement with the analytic route is evidence, not
-tautology. One-dimensional and two-dimensional checks use weight-stripped
+numerically, and the reduced ground state and its Williamson frame are
+rebuilt from scipy alone, so agreement with the analytic route is evidence,
+not tautology. One-dimensional and two-dimensional checks use weight-stripped
 Gauss-Hermite quadrature with adaptive order doubling; higher-dimensional
 integrals (up to five axes for the reduced-state brute force) diagonalize
 the joint Gaussian once and apply tensor Gauss-Hermite in whitened
@@ -15,13 +16,13 @@ from __future__ import annotations
 import functools
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh
+from scipy.linalg import block_diag, cho_factor, cho_solve, eigh
 
 from .lattice import Region
-from .spectral import eigensystem, partition_blocks, spd_sqrt, symplectic_spectrum
 
 DEFAULT_ORDER = 120
 MAX_ORDER = 480
@@ -354,6 +355,53 @@ def generalized_gaussian_integral(a, j_vec, k_vec, power: int, rule: QuadratureR
     return analytic, check
 
 
+# The ground state of h reduced to a region: the spectrum of h (scipy's signs),
+# the blocks a, b, c of h^{1/2}, schur^{-1} = (a - c b^{-1} c^T)^{-1}, and the
+# Williamson frame f = a^{-1/2} f2 diag(sqrt(2 mu^2/(1+mu^2))) with kappa = 2 mu/(1+mu^2).
+_ReducedGroundState = namedtuple("_ReducedGroundState", "frequencies vectors a b c schur_inv f kappa")
+
+
+def _spd_power(m: np.ndarray, power: float) -> np.ndarray:
+    values, vectors = eigh(m)
+    return (vectors * values**power) @ vectors.T
+
+
+def _reduced_ground_state(h, region: Region) -> _ReducedGroundState:
+    """Blocks of h^{1/2}, the Schur complement and the frame, from scipy's eigh and Cholesky alone."""
+    m = np.asarray(getattr(h, "matrix", h), dtype=float)
+    values, vectors = eigh(0.5 * (m + m.T))
+    if values[0] <= 0:
+        raise np.linalg.LinAlgError("coupling matrix must be positive definite")
+    if region.complement_size == 0:
+        raise ValueError("region equals the whole lattice; the complement block is empty")
+    frequencies = np.sqrt(values)
+    root = (vectors * frequencies) @ vectors.T
+    root = 0.5 * (root + root.T)
+    ri, ci = region.indices, region.complement_indices
+    a, b, c = root[np.ix_(ri, ri)], root[np.ix_(ci, ci)], root[np.ix_(ri, ci)]
+    schur = a - c @ cho_solve(cho_factor(b), c.T)
+    schur_inv = cho_solve(cho_factor(schur), np.eye(region.size))
+    a_sqrt = _spd_power(a, 0.5)
+    mu_sq, f2 = eigh(a_sqrt @ schur_inv @ a_sqrt)
+    f = _spd_power(a, -0.5) @ f2 * np.sqrt(2.0 * mu_sq / (1.0 + mu_sq))
+    kappa = 2.0 * np.sqrt(mu_sq) / (1.0 + mu_sq)
+    return _ReducedGroundState(frequencies, vectors, a, b, c, schur_inv, f, kappa)
+
+
+def symplectic_eigenvalues(h, region: Region) -> np.ndarray:
+    """Symplectic eigenvalues mu_j of the reduced ground state, ascending.
+
+    The positive spectrum of i J Gamma, through the Hermitian i Gamma^{1/2} J Gamma^{1/2},
+    for the 2n x 2n covariance matrix Gamma = diag(schur^{-1}, a) of the oracle's own
+    reduced state: a route to mu independent of the Williamson frame.
+    """
+    state = _reduced_ground_state(h, region)
+    root = _spd_power(block_diag(state.schur_inv, state.a), 0.5)
+    j = np.kron([[0.0, -1.0], [1.0, 0.0]], np.eye(region.size))
+    spectrum = eigh(1j * (root @ j @ root), eigvals_only=True)
+    return np.sort(spectrum[spectrum > 0])
+
+
 def bruteforce_reduced_diagonal(h, region: Region, alpha, occupations, rule: QuadratureRule | None = None) -> float:
     """Diagonal element of the reduced eigenstate by direct tensor quadrature.
 
@@ -386,34 +434,22 @@ def bruteforce_reduced_matrix_element(
     if alpha.sum() > 1:
         raise ValueError("at most one excitation in total is supported")
     n0 = region.size
-    nc = region.complement_size
     bra = np.asarray(bra, dtype=int)
     ket = np.asarray(ket, dtype=int)
     if bra.shape != (n0,) or ket.shape != (n0,) or np.any(bra < 0) or np.any(ket < 0):
         raise ValueError("occupations must be nonnegative vectors, one entry per region site")
 
-    data = eigensystem(h)
-    hsqrt = spd_sqrt(data)
-    blocks = partition_blocks(hsqrt, region)
-    spectrum = symplectic_spectrum(blocks)
-    f_mat = spectrum.f
-    kappa = spectrum.kappa
+    state = _reduced_ground_state(h, region)
+    f_mat, kappa = state.f, state.kappa
 
     # Joint Gaussian of kernel(x, u; y, u) * basis(x) * basis(y) in z = (x, y, u).
-    d = 2 * n0 + nc
-    quad_form = np.zeros((d, d))
-    faf = f_mat.T @ blocks.a @ f_mat + np.diag(kappa)
-    fc = f_mat.T @ blocks.c
-    quad_form[:n0, :n0] = faf
-    quad_form[n0 : 2 * n0, n0 : 2 * n0] = faf
-    quad_form[2 * n0 :, 2 * n0 :] = 2.0 * blocks.b
-    quad_form[:n0, 2 * n0 :] = fc
-    quad_form[2 * n0 :, :n0] = fc.T
-    quad_form[n0 : 2 * n0, 2 * n0 :] = fc
-    quad_form[2 * n0 :, n0 : 2 * n0] = fc.T
+    faf = f_mat.T @ state.a @ f_mat + np.diag(kappa)
+    fc = f_mat.T @ state.c
+    zero = np.zeros((n0, n0))
+    quad_form = np.block([[faf, zero, fc], [zero, faf, fc], [fc.T, fc.T, 2.0 * state.b]])
 
     perm = np.concatenate([region.indices, region.complement_indices])
-    vectors = data.vectors[perm, :]
+    vectors = state.vectors[perm, :]
     excited = [k for k in range(lattice.size) if alpha[k] >= 1]
 
     norms = [
@@ -422,7 +458,7 @@ def bruteforce_reduced_matrix_element(
         for j in range(n0)
     ]
     constant = (
-        math.sqrt(np.prod(data.frequencies) / math.pi**lattice.size)
+        math.sqrt(np.prod(state.frequencies) / math.pi**lattice.size)
         * abs(np.linalg.det(f_mat))
         * float(np.prod(norms))
     )
@@ -439,7 +475,7 @@ def bruteforce_reduced_matrix_element(
             v = vectors[:, k]
             w1 = v[:n0] @ x + v[n0:] @ u
             w2 = v[:n0] @ y + v[n0:] @ u
-            value *= 2.0 * data.frequencies[k] * w1 * w2
+            value *= 2.0 * state.frequencies[k] * w1 * w2
         return value
 
     degree = int(bra.sum()) + int(ket.sum()) + 2 * int(alpha.sum())

@@ -41,21 +41,16 @@ class SpectralData:
 class BipartitionBlocks:
     """Blocks of the SPD square root in the region-first ordering.
 
-    ``a`` is the region block, ``b`` the complement block, ``c`` the off-diagonal
-    coupling, ``b_inv_ct`` = b^{-1} c^T, and ``schur`` = a - c b^{-1} c^T.
+    ``a`` is the region block, ``c`` the off-diagonal coupling, ``b_inv_ct``
+    = b^{-1} c^T for the complement block b, and ``schur`` = a - c b^{-1} c^T.
     """
 
     a: np.ndarray
-    b: np.ndarray
     c: np.ndarray
     b_inv_ct: np.ndarray
     schur: np.ndarray
     region: Region
-    _b_factor: np.ndarray = field(repr=False)  # upper Cholesky factors, from ``potrf``
-    _schur_factor: np.ndarray = field(repr=False)
-
-    def solve_b(self, rhs: np.ndarray) -> np.ndarray:
-        return potrs(self._b_factor, rhs)
+    _schur_factor: np.ndarray = field(repr=False)  # upper Cholesky factor, from ``potrf``
 
     def solve_schur(self, rhs: np.ndarray) -> np.ndarray:
         return potrs(self._schur_factor, rhs)
@@ -65,35 +60,19 @@ class BipartitionBlocks:
 class SymplecticSpectrum:
     """Symplectic eigenvalues of the reduced ground state and the mode frame.
 
-    ``mu`` is ascending with every entry >= 1; ``sigma`` and ``kappa`` are
-    the per-mode kernel parameters sigma_j = (1-mu_j^2)/(1+mu_j^2) in (-1, 0]
-    and kappa_j = 2 mu_j/(1+mu_j^2) in (0, 1]. ``f2`` is the orthogonal
-    diagonalizer, ``f`` the full change-of-variables matrix, and
-    ``a_inv_sqrt`` the inverse square root of the region block (kept because
-    excitation profiles need it).
+    ``mu`` is ascending with every entry >= 1, ``f2`` the orthogonal
+    diagonalizer of a^{1/2} schur^{-1} a^{1/2}, and ``a_inv_sqrt`` the
+    inverse square root of the region block (kept because excitation
+    profiles need it).
     """
 
     mu: np.ndarray
-    sigma: np.ndarray
-    kappa: np.ndarray
     f2: np.ndarray
-    f: np.ndarray
     a_inv_sqrt: np.ndarray
 
     @property
     def size(self) -> int:
         return self.mu.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class CovarianceMatrix:
-    """Block-diagonal covariance matrix diag(schur^{-1}, a) of the reduced state."""
-
-    matrix: np.ndarray
-
-    @property
-    def modes(self) -> int:
-        return self.matrix.shape[0] // 2
 
 
 def _fix_eigenvector_signs(vectors: np.ndarray) -> np.ndarray:
@@ -181,8 +160,7 @@ def partition_blocks(hsqrt: np.ndarray, region: Region) -> BipartitionBlocks:
     except np.linalg.LinAlgError as err:
         raise np.linalg.LinAlgError(f"Schur complement is not positive definite: {err}")
     return BipartitionBlocks(
-        a=a, b=b, c=c, b_inv_ct=b_inv_ct, schur=schur, region=region,
-        _b_factor=b_factor, _schur_factor=schur_factor,
+        a=a, c=c, b_inv_ct=b_inv_ct, schur=schur, region=region, _schur_factor=schur_factor
     )
 
 
@@ -204,40 +182,7 @@ def symplectic_spectrum(blocks: BipartitionBlocks) -> SymplecticSpectrum:
             f"symplectic eigenvalue below 1: mu^2 = {mu_sq[0]:.15f}"
         )
     mu_sq = np.maximum(mu_sq, 1.0)
-    f2 = _fix_eigenvector_signs(f2)
-    mu = np.sqrt(mu_sq)
-    sigma = (1.0 - mu_sq) / (1.0 + mu_sq)
-    kappa = 2.0 * mu / (1.0 + mu_sq)
-    f = a_inv_sqrt @ f2 @ np.diag(np.sqrt(2.0 * mu_sq / (1.0 + mu_sq)))
     return SymplecticSpectrum(
-        mu=mu, sigma=sigma, kappa=kappa, f2=f2, f=f, a_inv_sqrt=a_inv_sqrt
+        mu=np.sqrt(mu_sq), f2=_fix_eigenvector_signs(f2), a_inv_sqrt=a_inv_sqrt
     )
 
-
-def covariance_matrix(blocks: BipartitionBlocks) -> CovarianceMatrix:
-    """Covariance matrix of the reduced ground state: diag(schur^{-1}, a)."""
-    n0 = blocks.a.shape[0]
-    schur_inv = blocks.solve_schur(np.eye(n0))
-    schur_inv = 0.5 * (schur_inv + schur_inv.T)
-    gamma = np.zeros((2 * n0, 2 * n0))
-    gamma[:n0, :n0] = schur_inv
-    gamma[n0:, n0:] = blocks.a
-    return CovarianceMatrix(matrix=gamma)
-
-
-def covariance_symplectic_eigenvalues(cov: CovarianceMatrix) -> np.ndarray:
-    """Symplectic eigenvalues straight from the covariance matrix, ascending.
-
-    Works on the full 2n x 2n matrix (positive spectrum of i J Gamma through
-    the Hermitian i Gamma^{1/2} J Gamma^{1/2}), so it is an independent
-    cross-check of the Schur-complement route.
-    """
-    gamma = cov.matrix
-    n0 = cov.modes
-    j = np.zeros((2 * n0, 2 * n0))
-    j[:n0, n0:] = -np.eye(n0)
-    j[n0:, :n0] = np.eye(n0)
-    root = spd_sqrt(gamma)
-    hermitian = 1j * (root @ j @ root)
-    spectrum = np.linalg.eigvalsh(hermitian)
-    return np.sort(spectrum[spectrum > 0])

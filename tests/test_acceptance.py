@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import oscent as oc
 from oscent.experiments import ExperimentConfig, area_law_fit, run_scan, write_records_csv
@@ -128,8 +129,9 @@ def test_criterion_3_structural_identities():
     for h, region in _random_realizations():
         data, blocks, spec = decompose(h, region)
         worst["mu"] = max(worst["mu"], 1.0 - float(spec.mu.min()))
-        worst["sigma_high"] = max(worst["sigma_high"], float(spec.sigma.max()))
-        worst["sigma_low"] = max(worst["sigma_low"], float(-1.0 - spec.sigma.min()))
+        sigma = (1.0 - spec.mu**2) / (1.0 + spec.mu**2)
+        worst["sigma_high"] = max(worst["sigma_high"], float(sigma.max()))
+        worst["sigma_low"] = max(worst["sigma_low"], float(-1.0 - sigma.min()))
         weights = oc.excitation_weights(data, blocks, spec)
         worst["row"] = max(worst["row"], float(weights.sum(axis=1).max()) - 2.0)
         worst["col"] = max(worst["col"], float(np.abs(weights.sum(axis=0) - 2.0).max()))
@@ -137,17 +139,19 @@ def test_criterion_3_structural_identities():
         ci = region.complement_indices
         v_r = data.vectors[ri, :]
         v_c = data.vectors[ci, :]
-        nu = v_r - blocks.c @ blocks.solve_b(v_c)
+        b_factor = scipy.linalg.cho_factor(oc.spd_sqrt(data)[np.ix_(ci, ci)])
+        b_inv_v = scipy.linalg.cho_solve(b_factor, v_c)
+        nu = v_r - blocks.c @ b_inv_v
         split = data.frequencies * (
             np.einsum("ik,ik->k", nu, blocks.solve_schur(nu))
-            + np.einsum("ik,ik->k", v_c, blocks.solve_b(v_c))
+            + np.einsum("ik,ik->k", v_c, b_inv_v)
         )
         worst["split"] = max(worst["split"], float(np.abs(split - 1.0).max()))
         profiles = oc.excitation_profiles(data, blocks, spec)
         for profile in profiles:
             trace = oc.excited_diagonal_trace(profile, spec)
             worst["trace"] = max(worst["trace"], abs(trace - 1.0))
-        cov_mu = oc.covariance_symplectic_eigenvalues(oc.covariance_matrix(blocks))
+        cov_mu = oc.oracle.symplectic_eigenvalues(h, region)
         worst["sympl"] = max(worst["sympl"], float(np.abs(cov_mu - spec.mu).max()))
     elapsed = time.time() - start
     ok = (

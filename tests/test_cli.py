@@ -85,6 +85,13 @@ def test_bad_eps_exits_2(two_site_config, tmp_path, capsys):
     assert "eps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["0.5,x", "", "0.5,,1"])
+def test_an_eps_flag_that_is_not_a_number_exits_2(flag, two_site_config, tmp_path, capsys):
+    code = main(["ground-entropy", "--config", str(two_site_config), "--eps", flag, "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "--eps needs comma-separated numbers" in capsys.readouterr().err
+
+
 def test_ground_entropy_two_site(two_site_config, tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["ground-entropy", "--config", str(two_site_config), "--out", str(out)])
@@ -226,14 +233,14 @@ def _scan_seed(config_path, out, extra=()):
 
 def test_scan_seed_precedence(scan_config, tmp_path):
     cfg = json.loads(scan_config.read_text())
-    cfg["disorder"]["seed"] = 5
+    cfg["disorder"]["seed"] = cfg["master_seed"] = 11
     scan_config.write_text(json.dumps(cfg))
-    # flag, then top-level seed, then disorder.seed, then 0
+    # the flag, then any spelling in the file (they agree), then 0
     assert _scan_seed(scan_config, tmp_path / "flag", ["--seed", "3"]) == 3
-    assert _scan_seed(scan_config, tmp_path / "top") == 11
-    del cfg["seed"]
+    assert _scan_seed(scan_config, tmp_path / "all") == 11
+    del cfg["seed"], cfg["master_seed"]
     scan_config.write_text(json.dumps(cfg))
-    assert _scan_seed(scan_config, tmp_path / "disorder") == 5
+    assert _scan_seed(scan_config, tmp_path / "disorder") == 11
     del cfg["disorder"]["seed"]
     scan_config.write_text(json.dumps(cfg))
     assert _scan_seed(scan_config, tmp_path / "default") == 0
@@ -320,13 +327,27 @@ COMMANDS = ["ground-entropy", "excited-entropy", "ensemble-bound", "correlators"
         {"seed": True},
         {"region": {"corner": [4.0], "lengths": [3.5]}},
         {"fit_decay": "no"},
+        {"disorder": {"k_max": True}},
+        {"disorder": {"k_max": "8"}},
+        {"p": "1"},
+        {"s": False},
+        {"bound": "9"},
+        {"eps": [True]},
+        {"eps": ["0.5"]},
+        {"eps": 0.5},
+        {"disorder": {"k_max": 8.0, "seed": 5}},
+        {"master_seed": 12},
+        {"region": {"corner": [0], "lengths": [12]}},
+        {"region": {"sites": [[i] for i in range(12)]}},
     ],
     ids=[
         "p-above-1", "s-above-1", "zero-k_max", "no-k_max", "negative-threads", "zero-bound",
         "region-outside", "top-level-typo", "disorder-typo", "region-typo", "bad-lengths",
         "fractional-lengths", "fractional-realizations", "fractional-threads",
         "fractional-realization-index", "fractional-seed", "string-seed", "bool-seed",
-        "float-region", "string-fit-decay",
+        "float-region", "string-fit-decay", "bool-k_max", "string-k_max", "string-p", "bool-s",
+        "string-bound", "bool-eps", "string-eps", "bare-eps", "conflicting-disorder-seed",
+        "conflicting-master-seed", "whole-lattice-box", "whole-lattice-sites",
     ],
 )
 def test_every_command_rejects_bad_configs_with_exit_2(command, change, scan_config, tmp_path, capsys):
@@ -383,15 +404,32 @@ def test_ground_entropy_reads_coupling_none(scan_config, tmp_path):
     assert payload["log_negativity"] == 0.0 and payload["von_neumann"] == 0.0
 
 
-def test_ground_entropy_takes_the_top_level_seed_first(scan_config, tmp_path):
+@pytest.mark.parametrize("command", COMMANDS)
+def test_conflicting_seed_spellings_exit_2_unless_the_flag_replaces_them(command, scan_config, tmp_path, capsys):
     cfg = json.loads(scan_config.read_text())
     cfg["disorder"]["seed"] = 5
+    cfg["master_seed"] = 7
+    _write(scan_config, cfg)
+    assert main([command, "--config", str(scan_config), "--out", str(tmp_path / "file")]) == 2
+    assert "seed spellings disagree" in capsys.readouterr().err
+    out = tmp_path / "flag"
+    assert main([command, "--config", str(scan_config), "--out", str(out), "--seed", "5"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["seed"] == 5
+
+
+def test_ground_entropy_reads_every_seed_spelling_alike(scan_config, tmp_path):
+    cfg = json.loads(scan_config.read_text())
+    cfg["disorder"]["seed"] = 11
     both = _ground_entropy(_write(tmp_path / "both.json", cfg), tmp_path / "both")
     del cfg["seed"]
     nested = _ground_entropy(_write(tmp_path / "nested.json", cfg), tmp_path / "nested")
-    cfg["disorder"]["seed"] = 11
-    top = _ground_entropy(_write(tmp_path / "top.json", cfg), tmp_path / "top")
-    assert both == top != nested
+    cfg["master_seed"] = 11
+    del cfg["disorder"]["seed"]
+    master = _ground_entropy(_write(tmp_path / "master.json", cfg), tmp_path / "master")
+    cfg["master_seed"] = 5
+    other = _ground_entropy(_write(tmp_path / "other.json", cfg), tmp_path / "other")
+    assert both == nested == master != other
     assert json.loads((tmp_path / "both" / "manifest.json").read_text())["seed"] == 11
 
 

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import oscent.entanglement
 from oscent import (
@@ -411,7 +412,9 @@ def test_profile_arrays_match_the_complement_block_solve(name):
         data, blocks, spec
     )
     # reference: solve the complement block against every eigenvector
-    b_inv_v = blocks.solve_b(v_complement)
+    ci = blocks.region.complement_indices
+    b_factor = scipy.linalg.cho_factor(spd_sqrt(data)[np.ix_(ci, ci)])
+    b_inv_v = scipy.linalg.cho_solve(b_factor, v_complement)
     np.testing.assert_allclose(nu, v_region - blocks.c @ b_inv_v, rtol=0, atol=1e-12)
     np.testing.assert_allclose(
         complement_energy,

@@ -1,8 +1,11 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import oscent.lapack
+import oscent.spectral
 from oscent import (
     GaussKernel,
     QuadratureRule,
@@ -23,6 +26,7 @@ from oscent import (
     make_region,
     verify_report,
 )
+from oscent.oracle import _reduced_ground_state, symplectic_eigenvalues
 
 
 def test_hermite_low_orders():
@@ -241,6 +245,8 @@ def test_bruteforce_guards():
         bruteforce_reduced_diagonal(h2, region2, [1, 1], [0])
     with pytest.raises(ValueError):
         bruteforce_reduced_diagonal(h2, region2, [0, 0], [0, 0])
+    with pytest.raises(ValueError, match="whole lattice"):
+        bruteforce_reduced_diagonal(h2, make_region(lat2, lat2.sites), [0, 0], [0, 0])
 
 
 def test_bruteforce_offdiagonal_parity_selection():
@@ -251,6 +257,67 @@ def test_bruteforce_offdiagonal_parity_selection():
     assert odd == pytest.approx(0.0, abs=1e-12)
     even = bruteforce_reduced_matrix_element(h, region, [1, 0], [0], [2])
     assert abs(even) > 1e-6  # same parity couples
+
+
+def test_covariance_examples():
+    # decoupled scalar: schur^{-1} = 1/a on the diagonal of Gamma, symplectic value 1
+    lat = build_box(1, [2])
+    region = make_region(lat, [(0,)])
+    h = assemble_custom(lat, np.diag([4.0, 25.0]))
+    state = _reduced_ground_state(h, region)
+    np.testing.assert_allclose(state.schur_inv, [[0.5]])
+    np.testing.assert_allclose(state.a, [[2.0]])
+    np.testing.assert_allclose(symplectic_eigenvalues(h, region), [1.0], atol=1e-12)
+    # identity blocks
+    state_id = _reduced_ground_state(assemble_custom(lat, np.eye(2)), region)
+    np.testing.assert_allclose(state_id.schur_inv, [[1.0]])
+    np.testing.assert_allclose(state_id.a, [[1.0]])
+
+
+def test_covariance_route_matches_schur_route():
+    from oscent import DisorderModel, eigensystem, partition_blocks, sample_springs, spd_sqrt
+    from oscent import symplectic_spectrum
+
+    def production_mu(h, region):
+        return symplectic_spectrum(partition_blocks(spd_sqrt(eigensystem(h)), region)).mu
+
+    lat = build_box(1, [2])
+    h = assemble_custom(lat, [[2.0, -1.0], [-1.0, 2.0]])
+    region = make_region(lat, [(0,)])
+    np.testing.assert_allclose(symplectic_eigenvalues(h, region), production_mu(h, region), atol=1e-8)
+    lat = build_box(1, [10])
+    region = make_region(lat, [(2,), (3,), (4,), (5,)])
+    for index in range(5):
+        h = assemble_anderson(lat, sample_springs(DisorderModel(k_max=8.0, seed=53), lat, index))
+        np.testing.assert_allclose(
+            symplectic_eigenvalues(h, region), production_mu(h, region), atol=1e-8
+        )
+
+
+def test_the_oracle_calls_no_production_solver(monkeypatch):
+    lat = build_box(1, [3])
+    h = assemble_anderson(lat, [1.5, 0.4, 2.0])
+    region = make_region(lat, [(0,), (1,)])
+    diagonal = bruteforce_reduced_diagonal(h, region, [0, 1, 0], [1, 0])
+    mu = symplectic_eigenvalues(h, region)
+
+    guarded = [getattr(oscent.spectral, name) for name in
+               ("eigensystem", "spd_sqrt", "partition_blocks", "symplectic_spectrum")]
+    guarded += [getattr(oscent.lapack, name) for name in ("syevr", "stemr", "potrf", "potrs")]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle reached a production solver")
+
+    # every binding of a guarded function in the package, wherever it was imported
+    for name, module in list(sys.modules.items()):
+        if name == "oscent" or name.startswith("oscent."):
+            for attr, value in list(vars(module).items()):
+                if any(value is g for g in guarded):
+                    monkeypatch.setattr(module, attr, refuse)
+    with pytest.raises(AssertionError, match="production solver"):
+        oscent.spectral.eigensystem(h)
+    assert bruteforce_reduced_diagonal(h, region, [0, 1, 0], [1, 0]) == diagonal
+    np.testing.assert_array_equal(symplectic_eigenvalues(h, region), mu)
 
 
 def test_verify_report_all_pass():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import oscent.oracle
 import oscent.spectral
 from oscent import (
     DisorderModel,
@@ -9,8 +10,6 @@ from oscent import (
     assemble_anderson,
     assemble_custom,
     build_box,
-    covariance_matrix,
-    covariance_symplectic_eigenvalues,
     eigensystem,
     load_matrix_csv,
     make_region,
@@ -98,8 +97,8 @@ def test_partition_two_site_scalars():
     a = (SQ3 + 1.0) / 2.0
     b = (1.0 - SQ3) / 2.0
     assert blocks.a[0, 0] == pytest.approx(a, abs=1e-14)
-    assert blocks.b[0, 0] == pytest.approx(a, abs=1e-14)
     assert blocks.c[0, 0] == pytest.approx(b, abs=1e-14)
+    assert blocks.b_inv_ct[0, 0] == pytest.approx(b / a, abs=1e-14)  # complement block is a too
     assert blocks.schur[0, 0] == pytest.approx(a - b * b / a, abs=1e-14)
 
 
@@ -124,8 +123,6 @@ def test_symplectic_decoupled_modes_are_exactly_one():
     blocks = partition_blocks(np.diag([1.0, 2.0, 3.0]), region)
     spec = symplectic_spectrum(blocks)
     np.testing.assert_array_equal(spec.mu, [1.0, 1.0])
-    np.testing.assert_array_equal(spec.sigma, [0.0, 0.0])
-    np.testing.assert_array_equal(spec.kappa, [1.0, 1.0])
 
 
 def test_symplectic_two_site_value():
@@ -156,19 +153,28 @@ def test_mu_at_least_one_across_realizations():
         region = make_region(lat, [(1,), (2,), (3,)])
         spec = symplectic_spectrum(partition_blocks(spd_sqrt(h), region))
         assert np.all(spec.mu >= 1.0 - 1e-12)
-        assert np.all(spec.sigma <= 0.0) and np.all(spec.sigma > -1.0)
-        assert np.all(spec.kappa > 0.0) and np.all(spec.kappa <= 1.0)
+        sigma = (1.0 - spec.mu**2) / (1.0 + spec.mu**2)
+        kappa = 2.0 * spec.mu / (1.0 + spec.mu**2)
+        assert np.all(sigma <= 0.0) and np.all(sigma > -1.0)
+        assert np.all(kappa > 0.0) and np.all(kappa <= 1.0)
 
 
 def test_change_of_variables_diagonalizes_reduced_form():
-    # F^T (a - c b^{-1} c^T /2 ... ) checks via the lemma identities below;
-    # here: F columns scale A^{-1/2} f2 by sqrt(2 mu^2/(1+mu^2)).
+    # The oracle's frame F is A^{-1/2} f2 diag(sqrt(2 mu^2/(1+mu^2))) up to column
+    # signs, so F F^T is fixed, and F takes a and schur^{-1} to diagonal forms.
     lat, h = random_chain(6, seed=13)
     region = make_region(lat, [(0,), (1,)])
     blocks = partition_blocks(spd_sqrt(h), region)
     spec = symplectic_spectrum(blocks)
-    scale = np.sqrt(2.0 * spec.mu**2 / (1.0 + spec.mu**2))
-    np.testing.assert_allclose(spec.f, spec.a_inv_sqrt @ spec.f2 @ np.diag(scale), atol=1e-12)
+    f = oscent.oracle._reduced_ground_state(h, region).f
+    mu_sq = spec.mu**2
+    expected = spec.a_inv_sqrt @ spec.f2 @ np.diag(2.0 * mu_sq / (1.0 + mu_sq))
+    np.testing.assert_allclose(f @ f.T, expected @ spec.f2.T @ spec.a_inv_sqrt, atol=1e-12)
+    np.testing.assert_allclose(f.T @ blocks.a @ f, np.diag(2.0 * mu_sq / (1.0 + mu_sq)), atol=1e-12)
+    f_inv = np.linalg.inv(f)
+    np.testing.assert_allclose(
+        f_inv @ np.linalg.inv(blocks.schur) @ f_inv.T, np.diag((1.0 + mu_sq) / 2.0), atol=1e-10
+    )
 
 
 def test_sigma_theta_lemma_identities():
@@ -176,52 +182,26 @@ def test_sigma_theta_lemma_identities():
     region = make_region(lat, [(3,), (4,), (5,)])
     blocks = partition_blocks(spd_sqrt(h), region)
     spec = symplectic_spectrum(blocks)
+    sigma = (1.0 - spec.mu**2) / (1.0 + spec.mu**2)
+    ci = region.complement_indices
+    b_factor = scipy.linalg.cho_factor(spd_sqrt(h)[np.ix_(ci, ci)])
     a_inv_sqrt = spec.a_inv_sqrt
-    theta = a_inv_sqrt @ blocks.c @ blocks.solve_b(blocks.c.T) @ a_inv_sqrt
+    theta = a_inv_sqrt @ blocks.c @ scipy.linalg.cho_solve(b_factor, blocks.c.T) @ a_inv_sqrt
     theta = 0.5 * (theta + theta.T)
     eye = np.eye(region.size)
     lhs_b = np.linalg.inv(eye - 0.5 * theta)
     np.testing.assert_allclose(
-        spec.f2 @ np.diag(1.0 - spec.sigma) @ spec.f2.T, lhs_b, atol=1e-8
+        spec.f2 @ np.diag(1.0 - sigma) @ spec.f2.T, lhs_b, atol=1e-8
     )
     lhs_c = eye - theta
     np.testing.assert_allclose(
-        spec.f2 @ np.diag((1.0 + spec.sigma) / (1.0 - spec.sigma)) @ spec.f2.T,
+        spec.f2 @ np.diag((1.0 + sigma) / (1.0 - sigma)) @ spec.f2.T,
         lhs_c,
         atol=1e-8,
     )
     # coupling strength strictly between 0 and 1 when the complement dominates
     theta_eigs = np.linalg.eigvalsh(theta)
     assert np.all(theta_eigs > 0.0) and np.all(theta_eigs < 1.0)
-
-
-def test_covariance_examples():
-    # decoupled scalar: gamma and its inverse on the diagonal, symplectic value 1
-    lat = build_box(1, [2])
-    region = make_region(lat, [(0,)])
-    blocks = partition_blocks(np.diag([2.0, 5.0]), region)
-    cov = covariance_matrix(blocks)
-    np.testing.assert_allclose(cov.matrix, np.diag([0.5, 2.0]))
-    np.testing.assert_allclose(covariance_symplectic_eigenvalues(cov), [1.0], atol=1e-12)
-    # identity blocks
-    blocks_id = partition_blocks(np.eye(2), region)
-    cov_id = covariance_matrix(blocks_id)
-    np.testing.assert_allclose(cov_id.matrix, np.eye(2))
-
-
-def test_covariance_route_matches_schur_route():
-    region = make_region(build_box(1, [2]), [(0,)])
-    blocks = partition_blocks(spd_sqrt(two_site()), region)
-    spec = symplectic_spectrum(blocks)
-    cov_mu = covariance_symplectic_eigenvalues(covariance_matrix(blocks))
-    np.testing.assert_allclose(cov_mu, spec.mu, atol=1e-8)
-    for index in range(5):
-        lat, h = random_chain(10, seed=53, index=index)
-        region = make_region(lat, [(2,), (3,), (4,), (5,)])
-        blocks = partition_blocks(spd_sqrt(h), region)
-        spec = symplectic_spectrum(blocks)
-        cov_mu = covariance_symplectic_eigenvalues(covariance_matrix(blocks))
-        np.testing.assert_allclose(cov_mu, spec.mu, atol=1e-8)
 
 
 def test_eigenvector_signs_are_deterministic():
@@ -250,9 +230,12 @@ def test_decompose_never_raises_and_eigensystem_checks_it():
 
 def test_partition_blocks_keeps_the_complement_solve():
     lat, h = random_chain(10, seed=5)
-    blocks = partition_blocks(spd_sqrt(h), make_region(lat, [(3,), (4,), (5,)]))
+    region = make_region(lat, [(3,), (4,), (5,)])
+    hsqrt = spd_sqrt(h)
+    blocks = partition_blocks(hsqrt, region)
     assert blocks.b_inv_ct.shape == (7, 3)
-    np.testing.assert_allclose(blocks.b @ blocks.b_inv_ct, blocks.c.T, atol=1e-13)
+    ci = region.complement_indices
+    np.testing.assert_allclose(hsqrt[np.ix_(ci, ci)] @ blocks.b_inv_ct, blocks.c.T, atol=1e-13)
 
 
 def _spy(monkeypatch, name, fail=False):
