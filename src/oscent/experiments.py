@@ -48,6 +48,11 @@ _CONFIG_KEYS = frozenset(
 _DISORDER_KEYS = frozenset({"k_max", "seed", "kind"})
 _REGION_KEYS = frozenset({"corner", "lengths", "sites"})
 
+# The smallest eps a config accepts: the smallest normal double. Below it
+# eps * log((mu-1)/(mu+1)) is subnormal and the Renyi factor, its reciprocal
+# up to O(1), overflows to inf.
+EPS_MIN = float(np.finfo(float).tiny)
+
 
 def _check_keys(entry, allowed, where: str):
     unknown = sorted(set(entry) - allowed)
@@ -139,8 +144,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown coupling kind {self.coupling_kind!r}")
         if self.realizations < 1 or self.realization_index < 0:
             raise ValueError("need realizations >= 1 and realization_index >= 0")
-        if not all(0.0 < e <= 1.0 for e in self.eps_values):
-            raise ValueError(f"every eps must lie in (0, 1], got {self.eps_values}")
+        if not all(EPS_MIN <= e <= 1.0 for e in self.eps_values):
+            raise ValueError(f"every eps must lie in [{EPS_MIN!r}, 1], got {self.eps_values}")
         for name in ("p", "s"):
             if not 0.0 < getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1], got {getattr(self, name)}")

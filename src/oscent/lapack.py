@@ -6,10 +6,15 @@ scipy's f2py wrappers of ``dsyevr`` (``scipy.linalg.eigh``), ``dstemr``
 different matrices queue on it. ``syevr``, ``stemr``, ``potrf`` and
 ``potrs`` call the same LAPACK routines with the same arguments and
 workspace sizes, reached through the function pointers
-``scipy.linalg.cython_lapack`` exports. They are called through ``ctypes``,
-which releases the GIL for the length of a foreign call, and return the
-bits of ``eigh(a)``, ``eigh_tridiagonal(d, e, lapack_driver="stemr")``,
-``cho_factor(a)[0]`` and ``cho_solve((c, False), b)``.
+``scipy.linalg.cython_lapack`` exports. That extension module is loaded
+from its file in scipy's ``linalg`` directory and registered under its own
+name, so ``scipy/linalg/__init__.py`` (and the array-API, f2py and testing
+machinery it imports) never runs; a later import of
+``scipy.linalg.cython_lapack`` gets the same module object. The routines
+are called through ``ctypes``, which releases the GIL for the length of a
+foreign call, and return the bits of ``eigh(a)``,
+``eigh_tridiagonal(d, e, lapack_driver="stemr")``, ``cho_factor(a)[0]`` and
+``cho_solve((c, False), b)``.
 
 ``single_blas_thread`` pins every loaded OpenBLAS to one thread while a
 thread pool runs, so the pool's threads are the only compute threads.
@@ -20,12 +25,38 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import importlib.machinery
+import importlib.util
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cython_lapack
+
+
+def _load_cython_lapack():
+    """``scipy.linalg.cython_lapack``, loaded from its file without running ``scipy.linalg``'s package init."""
+    name = "scipy.linalg.cython_lapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    directories = importlib.util.find_spec("scipy.linalg").submodule_search_locations
+    files = [Path(d, "cython_lapack" + suffix) for d in directories for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((file for file in files if file.is_file()), None)
+    if path is None:
+        raise ImportError(f"no {name} extension module in {list(directories)}")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    return module
+
+
+cython_lapack = _load_cython_lapack()
 
 _capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
 _capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
@@ -241,8 +272,9 @@ def loaded_openblas() -> tuple[OpenBLAS, ...]:
     """Every OpenBLAS mapped into this process (by ``/proc/self/maps``), sorted by file name.
 
     numpy and scipy each bring their own copy, and both are loaded once
-    ``oscent`` is imported, so the answer is computed once. Empty where the
-    process map cannot be read or no OpenBLAS is loaded.
+    ``oscent`` is imported (scipy's because this module loads
+    ``cython_lapack``, which links it), so the answer is computed once.
+    Empty where the process map cannot be read or no OpenBLAS is loaded.
     """
     try:
         with open("/proc/self/maps") as maps:

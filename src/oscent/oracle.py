@@ -20,9 +20,11 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag, cho_factor, cho_solve, eigh
 
 from .lattice import Region
+
+# scipy.linalg and scipy.special are imported inside the functions that use
+# them: the oracle serves ``verify``, and the compute commands load neither.
 
 DEFAULT_ORDER = 120
 MAX_ORDER = 480
@@ -127,7 +129,6 @@ class QuadratureRule:
 @functools.lru_cache(maxsize=64)
 def _gh_raw(order: int):
     """Plain Gauss-Hermite nodes and weights (weight function exp(-x^2))."""
-    # Imported here so that the compute commands never load scipy.special.
     from scipy.special import roots_hermite
 
     return roots_hermite(order)
@@ -281,6 +282,8 @@ def gaussian_poly_integral(quad_form, linear, poly, order: int, degree_hint: int
     of per-axis degree at most 2*order - 1. ``poly`` maps an array of shape
     (d, npoints) to (npoints,).
     """
+    from scipy.linalg import eigh
+
     m = np.asarray(quad_form, dtype=float)
     m = 0.5 * (m + m.T)
     d = m.shape[0]
@@ -327,6 +330,8 @@ def generalized_gaussian_integral(a, j_vec, k_vec, power: int, rule: QuadratureR
         raise ValueError("dimension capped at 4")
     if not 0 <= power <= 8:
         raise ValueError("power must lie in 0..8")
+    from scipy.linalg import cho_factor, cho_solve
+
     try:
         factor = cho_factor(0.5 * (a + a.T))
     except np.linalg.LinAlgError as err:
@@ -362,12 +367,16 @@ _ReducedGroundState = namedtuple("_ReducedGroundState", "frequencies vectors a b
 
 
 def _spd_power(m: np.ndarray, power: float) -> np.ndarray:
+    from scipy.linalg import eigh
+
     values, vectors = eigh(m)
     return (vectors * values**power) @ vectors.T
 
 
 def _reduced_ground_state(h, region: Region) -> _ReducedGroundState:
     """Blocks of h^{1/2}, the Schur complement and the frame, from scipy's eigh and Cholesky alone."""
+    from scipy.linalg import cho_factor, cho_solve, eigh
+
     m = np.asarray(getattr(h, "matrix", h), dtype=float)
     values, vectors = eigh(0.5 * (m + m.T))
     if values[0] <= 0:
@@ -395,6 +404,8 @@ def symplectic_eigenvalues(h, region: Region) -> np.ndarray:
     for the 2n x 2n covariance matrix Gamma = diag(schur^{-1}, a) of the oracle's own
     reduced state: a route to mu independent of the Williamson frame.
     """
+    from scipy.linalg import block_diag, eigh
+
     state = _reduced_ground_state(h, region)
     root = _spd_power(block_diag(state.schur_inv, state.a), 0.5)
     j = np.kron([[0.0, -1.0], [1.0, 0.0]], np.eye(region.size))

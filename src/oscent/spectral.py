@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import bandwidth
 
 from .hamiltonian import CouplingMatrix, is_positive_definite
 from .lapack import potrf, potrs, stemr, syevr
@@ -90,9 +89,12 @@ def _symmetric_eigh(m: np.ndarray):
     solver dstemr and back-transforms. On a tridiagonal m every Householder
     tau is 0, so the reduction and the back-transform change nothing and
     dstemr on the two diagonals returns the same bits. If dstemr fails, the
-    dense call runs dsyevr's own fallback.
+    dense call runs dsyevr's own fallback. ``m`` is tridiagonal when its
+    nonzeros (NaN counts as one) are all on the diagonal and the two
+    off-diagonals, which symmetry makes equal.
     """
-    if m.shape[0] > 1 and max(bandwidth(m)) <= 1:
+    diagonals = np.count_nonzero(np.diag(m)) + 2 * np.count_nonzero(np.diag(m, -1))
+    if m.shape[0] > 1 and np.count_nonzero(m) == diagonals:
         try:
             return stemr(np.diag(m), np.diag(m, -1))
         except np.linalg.LinAlgError:

@@ -85,6 +85,20 @@ def test_bad_eps_exits_2(two_site_config, tmp_path, capsys):
     assert "eps" in capsys.readouterr().err
 
 
+def test_a_subnormal_eps_exits_2(two_site_config, tmp_path, capsys):
+    code = main(["ground-entropy", "--config", str(two_site_config), "--eps", "1e-320", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert repr(float(np.finfo(float).tiny)) in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_tiny_normal_eps_gives_a_finite_entropy(two_site_config, tmp_path):
+    out = tmp_path / "o"
+    assert main(["ground-entropy", "--config", str(two_site_config), "--eps", "1e-300", "--out", str(out)]) == 0
+    (value,) = json.loads((out / "ground_entropy.json").read_text(), parse_constant=float)["ground_renyi"]
+    assert math.isfinite(value) and value == pytest.approx(689.39, abs=0.01)
+
+
 @pytest.mark.parametrize("flag", ["0.5,x", "", "0.5,,1"])
 def test_an_eps_flag_that_is_not_a_number_exits_2(flag, two_site_config, tmp_path, capsys):
     code = main(["ground-entropy", "--config", str(two_site_config), "--eps", flag, "--out", str(tmp_path / "o")])
@@ -364,16 +378,34 @@ def test_compute_commands_reject_the_tolerance_flag(command, scan_config, tmp_pa
     assert info.value.code == 2
 
 
-def test_compute_commands_do_not_import_scipy_special(scan_config, tmp_path):
+def _run_python(script: str) -> subprocess.CompletedProcess:
+    """``script`` in a fresh interpreter that imports this checkout's ``oscent``."""
     src = Path(oscent.spectral.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_compute_commands_load_neither_scipy_linalg_nor_scipy_special(command, scan_config, tmp_path):
     script = (
         "import sys, oscent.cli\n"
-        f"assert oscent.cli.main(['scan', '--config', {str(scan_config)!r}, '--out', {str(tmp_path / 'o')!r}]) == 0\n"
-        "print('scipy.special' in sys.modules)\n"
+        f"assert oscent.cli.main([{command!r}, '--config', {str(scan_config)!r}, '--out', {str(tmp_path / 'o')!r}]) == 0\n"
+        "print(sorted({'scipy.linalg', 'scipy.special'} & set(sys.modules)))\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.splitlines()[-1] == "False"
+    assert _run_python(script).stdout.splitlines()[-1] == "[]"
+
+
+def test_verify_after_import_reuses_the_loaded_cython_lapack():
+    script = (
+        "import sys, oscent, oscent.cli, oscent.lapack\n"
+        "loaded = sys.modules['scipy.linalg.cython_lapack']\n"
+        "assert 'scipy.linalg' not in sys.modules\n"
+        "code = oscent.cli.main(['verify'])\n"
+        "from scipy.linalg import cython_lapack\n"
+        "assert cython_lapack is loaded is oscent.lapack.cython_lapack is sys.modules['scipy.linalg.cython_lapack']\n"
+        "print(code)\n"
+    )
+    assert _run_python(script).stdout.splitlines()[-1] == "0"
 
 
 @pytest.mark.parametrize("command", ["scan", "correlators"])

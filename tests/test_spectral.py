@@ -299,6 +299,23 @@ def test_a_tridiagonal_matrix_csv_takes_the_route_bit_for_bit(n, tmp_path, monke
     assert tridiagonal == [(n,)]
 
 
+def _tridiagonal_with_gaps(n):
+    """A random chain with three of its bonds set to exactly zero: still tridiagonal."""
+    _, h = random_chain(n, seed=13)
+    matrix = h.matrix.copy()
+    for i in (0, n // 2, n - 2):
+        matrix[i, i + 1] = matrix[i + 1, i] = 0.0
+    return matrix
+
+
+def _one_entry_off_the_band(n):
+    """A random chain plus one symmetric pair of entries at |i - j| = 2."""
+    _, h = random_chain(n, seed=17)
+    matrix = h.matrix.copy()
+    matrix[3, 5] = matrix[5, 3] = -0.25
+    return matrix
+
+
 def _ring(n):
     _, h = random_chain(n, seed=3)
     matrix = h.matrix.copy()
@@ -311,6 +328,7 @@ def _ring(n):
     [
         pytest.param(lambda: random_box([6, 6], seed=2024).matrix, id="2d-box"),
         pytest.param(lambda: _ring(12), id="ring"),
+        pytest.param(lambda: _one_entry_off_the_band(12), id="one-entry-at-distance-2"),
         pytest.param(lambda: np.array([[2.5]]), id="one-site"),
     ],
 )
@@ -330,3 +348,31 @@ def test_a_failed_dstemr_falls_back_to_dense_eigh(monkeypatch):
     _assert_dense_bits(decompose(h), h.matrix)
     assert tridiagonal == [(40,)]
     assert dense == [(40, 40)]
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        pytest.param(lambda: _tridiagonal_with_gaps(12), id="tridiagonal-with-zero-bonds"),
+        pytest.param(lambda: np.array([[2.0, -0.5], [-0.5, 3.0]]), id="two-site"),
+        pytest.param(lambda: np.diag([3.0, 1.0, 2.0]), id="diagonal"),
+    ],
+)
+def test_tridiagonal_matrices_take_the_tridiagonal_route(matrix, monkeypatch):
+    matrix = matrix()
+    tridiagonal = _spy(monkeypatch, "stemr")
+    dense = _spy(monkeypatch, "syevr")
+    _assert_dense_bits(decompose(matrix), matrix)
+    assert tridiagonal == [(matrix.shape[0],)]
+    assert dense == []
+
+
+def test_nan_off_the_band_counts_as_an_entry(monkeypatch):
+    tridiagonal = _spy(monkeypatch, "stemr")
+    dense = _spy(monkeypatch, "syevr")
+    matrix = _tridiagonal_with_gaps(8)
+    matrix[0, 2] = matrix[2, 0] = np.nan
+    with pytest.raises(ValueError):
+        decompose(matrix)
+    assert tridiagonal == []
+    assert dense == [(8, 8)]
