@@ -35,23 +35,22 @@ print("  weight concentration (max/total per excitation), median:",
 print("\nper-excitation bounds on the 1/2-Renyi entanglement entropy:")
 theorem = None
 print("  mode   freq      computed   theorem")
-profiles = oc.excitation_profiles(data, blocks, spectrum)
-for profile in profiles[:8]:
-    computed, theorem = oc.excited_half_renyi_bounds(profile.weights, spectrum)
-    print(f"  {profile.mode:>4} {profile.frequency:8.4f} {computed:10.5f} {theorem:9.5f}")
+for k, row in enumerate(weights[:8]):
+    computed, theorem = oc.excited_half_renyi_bounds(row, spectrum)
+    print(f"  {k + 1:>4} {data.frequencies[k]:8.4f} {computed:10.5f} {theorem:9.5f}")
 print("  ... theorem bound is mode-independent:",
       round(2 * oc.log_negativity(spectrum) + 4 * np.log(region.size), 5))
 
 # diagonal elements sum to one over occupations (factorized truncated sum)
-trace = oc.excited_diagonal_trace(profiles[0], spectrum)
+trace = oc.excited_diagonal_trace(weights[0], spectrum)
 print("\ntrace of the reduced excited state over the occupation box:", trace)
 
 # a few diagonal elements of the first excitation
 n_zero = np.zeros(region.size, dtype=int)
-print("diagonal at n=0:", oc.excited_diagonal_element(profiles[0], spectrum, n_zero))
+print("diagonal at n=0:", oc.excited_diagonal_element(weights[0], spectrum, n_zero))
 one = n_zero.copy()
 one[0] = 1
-print("diagonal at n=e_1:", oc.excited_diagonal_element(profiles[0], spectrum, one))
+print("diagonal at n=e_1:", oc.excited_diagonal_element(weights[0], spectrum, one))
 
 # the uniform one-excitation ensemble obeys log(3) + 2 E_1/2(ground)
 if region.size**2 <= chain.size:

@@ -40,7 +40,7 @@ region = oc.make_region(lattice, [(0,), (1,)])
 data = oc.eigensystem(h)
 blocks = oc.partition_blocks(oc.spd_sqrt(data), region)
 spectrum = oc.symplectic_spectrum(blocks)
-profile = oc.excitation_profile(data, blocks, spectrum, 2)
+weights = oc.excitation_profile(data, blocks, spectrum, 2)  # excitation 2's weight row
 
 box = [(i, j) for i in range(5) for j in range(5)]
 matrix = np.zeros((len(box), len(box)))
@@ -51,7 +51,7 @@ for a, bra in enumerate(box):
 eigenvalues = np.linalg.eigvalsh(matrix)
 positive = eigenvalues[eigenvalues > 1e-14]
 half_renyi = 2.0 * math.log(np.sum(np.sqrt(positive)))
-computed, theorem = oc.excited_half_renyi_bounds(profile.weights, spectrum)
+computed, theorem = oc.excited_half_renyi_bounds(weights, spectrum)
 
 print("trace of reconstruction:", round(matrix.trace(), 10))
 print("largest eigenvalues:", np.round(np.sort(eigenvalues)[::-1][:4], 6))

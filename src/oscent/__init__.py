@@ -39,10 +39,8 @@ from .spectral import (
 )
 from .entanglement import (
     EntropyReport,
-    ExcitationProfile,
     entropy_report,
     excitation_profile,
-    excitation_profiles,
     excitation_weights,
     excited_diagonal_element,
     excited_diagonal_trace,

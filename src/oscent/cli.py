@@ -118,12 +118,16 @@ def _write_run(args, entries: dict, files=None) -> Path:
 
 
 def _write_outputs(args, configs: list[ExperimentConfig], files=None, execution=None) -> Path:
-    """``_write_run`` with the resolved config, the seed and a scan's ``execution`` in the manifest."""
+    """``_write_run`` with the resolved config, the seed and a scan's ``execution`` in the manifest.
+
+    A scan's configs differ only in the region: its config is their shared keys plus ``regions``.
+    """
     config = configs[0]
-    entries = {
-        "config": {"scans": [c.to_dict() for c in configs]} if args.command == "scan" else config.to_dict(),
-        "seed": None if config.matrix_csv is not None else config.master_seed,
-    }
+    resolved = config.to_dict()
+    if args.command == "scan":
+        del resolved["region"]
+        resolved["regions"] = [c.to_dict()["region"] for c in configs]
+    entries = {"config": resolved, "seed": None if config.matrix_csv is not None else config.master_seed}
     if execution is not None:
         entries["execution"] = execution
     return _write_run(args, entries, files)

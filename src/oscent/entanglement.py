@@ -40,11 +40,16 @@ SERIES_DELTA = 1e-4
 # most 2, a column (one symplectic mode, over all excitations) to exactly 2.
 WEIGHT_SUM_TOLERANCE = 1e-9
 
+# The smallest eps the Renyi factor accepts: the smallest normal double.
+# Below it eps * log((mu-1)/(mu+1)) is subnormal and f_eps, its reciprocal
+# up to O(1), overflows to inf.
+EPS_MIN = float(np.finfo(float).tiny)
+
 
 def renyi_factor(x, eps: float):
     """Per-mode factor f_eps(x) of the ground-state Renyi formula.
 
-    Defined for x >= 1 and 0 < eps < 1; f_eps(1) = 1 for every eps.
+    Defined for x >= 1 and EPS_MIN <= eps < 1; f_eps(1) = 1 for every eps.
     With a = (x+1)/2 the difference of powers is evaluated as
     -a^eps * expm1(eps * log((x-1)/(x+1))), which does not cancel at large
     x. The logarithm is log1p(-2/(x+1)) from x = 3 on, where the ratio is
@@ -53,8 +58,8 @@ def renyi_factor(x, eps: float):
     x = np.asarray(x, dtype=float)
     if np.any(x < 1.0):
         raise ValueError("renyi_factor requires x >= 1")
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    if not EPS_MIN <= eps < 1.0:
+        raise ValueError(f"eps must lie in [{EPS_MIN!r}, 1), got {eps}")
     a = (x + 1.0) / 2.0
     # At x = 1 the logarithm is -inf and expm1(-inf) = -1, so f_eps(1) = 1.
     value = -1.0 / (a**eps * np.expm1(eps * _log_ratio(x)))
@@ -87,7 +92,7 @@ def _mu_of(spectrum) -> np.ndarray:
 
 
 def ground_state_renyi(spectrum, eps: float) -> float:
-    """eps-Renyi entanglement entropy of the ground state, eps in (0, 1].
+    """eps-Renyi entanglement entropy of the ground state, eps in [EPS_MIN, 1].
 
     eps = 1 takes the separate von Neumann branch rather than a numerical
     limit; both closed forms come straight from the symplectic eigenvalues.
@@ -137,30 +142,14 @@ def log_negativity(spectrum) -> float:
     return ground_state_renyi(spectrum, 0.5)
 
 
-@dataclass(frozen=True, eq=False)
-class ExcitationProfile:
-    """Per-excitation quantities entering the excited-state formulas.
-
-    ``mode`` is the 1-based excitation index (ascending frequency order),
-    ``nu`` the region part of the eigenvector pushed through the Schur
-    complement, ``complement_energy`` the complement quadratic form
-    gamma_k (v_k)_c^T b^{-1} (v_k)_c, and ``weights`` the couplings Q_{k,j}
-    to the symplectic modes (nonnegative, summing to at most 2).
-    """
-
-    mode: int
-    frequency: float
-    v_region: np.ndarray
-    v_complement: np.ndarray
-    nu: np.ndarray
-    complement_energy: float
-    weights: np.ndarray
-
-
 def _profile_arrays(data: SpectralData, blocks: BipartitionBlocks, spectrum: SymplecticSpectrum):
     """Vectorized nu vectors, complement energies and weights for all modes.
 
-    No complement-block solve: the complement rows of h^{1/2} v = gamma v give
+    Column k of ``nu`` is the region part of eigenvector k pushed through the
+    Schur complement, entry k of ``complement_energy`` the complement
+    quadratic form gamma_k (v_k)_c^T b^{-1} (v_k)_c, and row k of ``weights``
+    the couplings Q_{k,j} of excitation k to the symplectic modes. No
+    complement-block solve: the complement rows of h^{1/2} v = gamma v give
     gamma b^{-1} v_C = v_C + b^{-1} c^T v_R.
     """
     v_region = data.vectors[blocks.region.indices, :]
@@ -174,19 +163,22 @@ def _profile_arrays(data: SpectralData, blocks: BipartitionBlocks, spectrum: Sym
     weights = data.frequencies[None, :] * (
         spectrum.mu[:, None] ** 2 * x**2 + y**2
     )
-    return v_region, v_complement, nu, complement_energy, weights.T
+    return nu, complement_energy, weights.T
 
 
-def _checked_arrays(data: SpectralData, blocks: BipartitionBlocks, spectrum: SymplecticSpectrum):
-    """``_profile_arrays``, raising ArithmeticError unless every mode satisfies the defining identities.
+def excitation_weights(
+    data: SpectralData, blocks: BipartitionBlocks, spectrum: SymplecticSpectrum
+) -> np.ndarray:
+    """Weights Q_{k,j} for every excitation at once, shape (modes, region size).
 
-    Each weight row (one excitation) must sum to at most 2, each weight
-    column (one symplectic mode) to 2 within WEIGHT_SUM_TOLERANCE, and the
+    Row k - 1 is the weight row of 1-based excitation k. Raises
+    ArithmeticError unless every mode satisfies the defining identities:
+    each row (one excitation) sums to at most 2, each column (one
+    symplectic mode) to 2 within WEIGHT_SUM_TOLERANCE, and the
     frequency-weighted energy split
-    gamma_k (nu^T schur^{-1} nu + (v)_c^T b^{-1} (v)_c) must equal 1.
+    gamma_k (nu^T schur^{-1} nu + (v)_c^T b^{-1} (v)_c) equals 1.
     """
-    arrays = _profile_arrays(data, blocks, spectrum)
-    _, _, nu, complement_energy, weights = arrays
+    nu, complement_energy, weights = _profile_arrays(data, blocks, spectrum)
     sums = weights.sum(axis=1)
     over = np.flatnonzero(sums > 2.0 + WEIGHT_SUM_TOLERANCE)
     if over.size:
@@ -201,7 +193,7 @@ def _checked_arrays(data: SpectralData, blocks: BipartitionBlocks, spectrum: Sym
     worst = np.argmax(np.abs(residual))
     if not abs(residual[worst]) <= WEIGHT_SUM_TOLERANCE:  # a nan fails too
         raise ArithmeticError(f"weight column sum is off 2 by {residual[worst]:.3e}")
-    return arrays
+    return weights
 
 
 def excitation_profile(
@@ -209,67 +201,38 @@ def excitation_profile(
     blocks: BipartitionBlocks,
     spectrum: SymplecticSpectrum,
     mode: int,
-) -> ExcitationProfile:
-    """The excitation profile of 1-based mode index ``mode``.
+) -> np.ndarray:
+    """The weight row Q_{mode,.} of 1-based excitation ``mode``.
 
-    Checks the defining identities of every mode, as excitation_profiles
+    Checks the defining identities of every mode, as excitation_weights
     does, and raises IndexError for a mode outside 1..data.size.
     """
     if not 1 <= mode <= data.size:
         raise IndexError(f"mode must lie in 1..{data.size}, got {mode}")
-    return excitation_profiles(data, blocks, spectrum)[mode - 1]
+    return excitation_weights(data, blocks, spectrum)[mode - 1]
 
 
-def excitation_weights(
-    data: SpectralData, blocks: BipartitionBlocks, spectrum: SymplecticSpectrum
-) -> np.ndarray:
-    """Weights Q_{k,j} for every excitation at once, shape (modes, region size).
-
-    Row sums are <= 2 and every column sums to exactly 2. Raises
-    ArithmeticError if any mode violates the defining identities: a row sum
-    above 2, a column sum off 2 by more than WEIGHT_SUM_TOLERANCE, or an
-    energy split off 1.
-    """
-    return _checked_arrays(data, blocks, spectrum)[4]
+def _weight_row(weights, spectrum: SymplecticSpectrum) -> np.ndarray:
+    """``weights`` as one excitation's weight row; ValueError unless it has one entry per mode."""
+    q = np.asarray(weights, dtype=float)
+    if q.shape != (spectrum.size,):
+        raise ValueError(f"weights must be one row of {spectrum.size} entries, got shape {q.shape}")
+    return q
 
 
-def excitation_profiles(
-    data: SpectralData, blocks: BipartitionBlocks, spectrum: SymplecticSpectrum
-) -> list[ExcitationProfile]:
-    """Every excitation profile, in ascending mode order, from one pass of the shared linear algebra.
-
-    Checks the same identities of every mode as excitation_weights.
-    """
-    v_region, v_complement, nu, complement_energy, weights = _checked_arrays(data, blocks, spectrum)
-    return [
-        ExcitationProfile(
-            mode=k + 1,
-            frequency=float(data.frequencies[k]),
-            v_region=v_region[:, k].copy(),
-            v_complement=v_complement[:, k].copy(),
-            nu=nu[:, k].copy(),
-            complement_energy=float(complement_energy[k]),
-            weights=weights[k].copy(),
-        )
-        for k in range(data.size)
-    ]
-
-
-def excited_diagonal_element(
-    profile: ExcitationProfile, spectrum: SymplecticSpectrum, occupations
-) -> float:
+def excited_diagonal_element(weights, spectrum: SymplecticSpectrum, occupations) -> float:
     """Diagonal matrix element of the reduced single-excitation state.
 
-    ``occupations`` is the vector of mode occupation numbers in the
-    symplectic mode basis. Modes at mu = 1 are handled by the analytic
-    limit: occupied decoupled modes kill every term except their own
-    weight/2 contribution at occupation 1.
+    ``weights`` is the excitation's weight row and ``occupations`` the
+    vector of mode occupation numbers in the symplectic mode basis. Modes at
+    mu = 1 are handled by the analytic limit: occupied decoupled modes kill
+    every term except their own weight/2 contribution at occupation 1.
     """
     n = np.asarray(occupations, dtype=int)
     if n.shape != (spectrum.size,) or np.any(n < 0):
         raise ValueError("occupations must be a nonnegative vector, one entry per mode")
     mu = spectrum.mu
-    q = profile.weights
+    q = _weight_row(weights, spectrum)
     at_one = mu < MU_ONE_THRESHOLD
     singular = at_one & (n > 0)
     ratio = np.where(at_one, 0.0, (mu - 1.0) / (mu + 1.0))
@@ -305,10 +268,8 @@ def occupation_cutoffs(spectrum: SymplecticSpectrum, tail: float = 1e-12) -> np.
     return np.maximum(cutoffs, 1)
 
 
-def excited_diagonal_trace(
-    profile: ExcitationProfile, spectrum: SymplecticSpectrum, cutoffs=None
-) -> float:
-    """Sum of diagonal elements over the truncated occupation box.
+def excited_diagonal_trace(weights, spectrum: SymplecticSpectrum, cutoffs=None) -> float:
+    """Sum of the diagonal elements of excitation weight row ``weights`` over the truncated occupation box.
 
     Factorizes the box sum over modes exactly (the summand is a ground-state
     product times an affine function of the occupations), so the cost is
@@ -316,7 +277,7 @@ def excited_diagonal_trace(
     the cutoffs grow.
     """
     mu = spectrum.mu
-    q = profile.weights
+    q = _weight_row(weights, spectrum)
     if cutoffs is None:
         cutoffs = occupation_cutoffs(spectrum)
     cutoffs = np.asarray(cutoffs, dtype=int)

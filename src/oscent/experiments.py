@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .correlators import DecayFit, MomentSum, correlator_table, fit_decay_constant, ground_state_correlator_bound
-from .entanglement import EntropyReport, entropy_report, excitation_weights
+from .entanglement import EPS_MIN, EntropyReport, entropy_report, excitation_weights
 from .hamiltonian import (
     AssumptionReport,
     CouplingMatrix,
@@ -47,11 +47,6 @@ _CONFIG_KEYS = frozenset(
 )
 _DISORDER_KEYS = frozenset({"k_max", "seed", "kind"})
 _REGION_KEYS = frozenset({"corner", "lengths", "sites"})
-
-# The smallest eps a config accepts: the smallest normal double. Below it
-# eps * log((mu-1)/(mu+1)) is subnormal and the Renyi factor, its reciprocal
-# up to O(1), overflows to inf.
-EPS_MIN = float(np.finfo(float).tiny)
 
 
 def _check_keys(entry, allowed, where: str):

@@ -7,10 +7,11 @@ different matrices queue on it. ``syevr``, ``stemr``, ``potrf`` and
 ``potrs`` call the same LAPACK routines with the same arguments and
 workspace sizes, reached through the function pointers
 ``scipy.linalg.cython_lapack`` exports. That extension module is loaded
-from its file in scipy's ``linalg`` directory and registered under its own
-name, so ``scipy/linalg/__init__.py`` (and the array-API, f2py and testing
-machinery it imports) never runs; a later import of
-``scipy.linalg.cython_lapack`` gets the same module object. The routines
+from its file in scipy's ``linalg`` directory, registered under its own
+name only while it initializes, so ``scipy/linalg/__init__.py`` (and the
+array-API, f2py and testing machinery it imports) never runs; a later
+import of ``scipy.linalg.cython_lapack`` gets the same module object and
+binds it on ``scipy.linalg``. The routines
 are called through ``ctypes``, which releases the GIL for the length of a
 foreign call, and return the bits of ``eigh(a)``,
 ``eigh_tridiagonal(d, e, lapack_driver="stemr")``, ``cho_factor(a)[0]`` and
@@ -50,9 +51,8 @@ def _load_cython_lapack():
     sys.modules[name] = module
     try:
         spec.loader.exec_module(module)
-    except BaseException:
-        del sys.modules[name]
-        raise
+    finally:
+        del sys.modules[name]  # so a later import reuses this module and binds it on scipy.linalg
     return module
 
 

@@ -73,12 +73,12 @@ def test_criterion_2_formula_vs_bruteforce():
                         h, region, [0] * sites, list(n)
                     )
                     worst_ground = max(worst_ground, abs(exact - brute))
-                profiles = oc.excitation_profiles(data, blocks, spec)
+                weights = oc.excitation_weights(data, blocks, spec)
                 for k in range(1, sites + 1):
                     alpha = [0] * sites
                     alpha[k - 1] = 1
                     for n in boxes:
-                        formula = oc.excited_diagonal_element(profiles[k - 1], spec, list(n))
+                        formula = oc.excited_diagonal_element(weights[k - 1], spec, list(n))
                         brute = oc.bruteforce_reduced_diagonal(h, region, alpha, list(n))
                         worst_excited = max(worst_excited, abs(formula - brute))
     elapsed = time.time() - start
@@ -147,9 +147,8 @@ def test_criterion_3_structural_identities():
             + np.einsum("ik,ik->k", v_c, b_inv_v)
         )
         worst["split"] = max(worst["split"], float(np.abs(split - 1.0).max()))
-        profiles = oc.excitation_profiles(data, blocks, spec)
-        for profile in profiles:
-            trace = oc.excited_diagonal_trace(profile, spec)
+        for row in weights:
+            trace = oc.excited_diagonal_trace(row, spec)
             worst["trace"] = max(worst["trace"], abs(trace - 1.0))
         cov_mu = oc.oracle.symplectic_eigenvalues(h, region)
         worst["sympl"] = max(worst["sympl"], float(np.abs(cov_mu - spec.mu).max()))

@@ -398,7 +398,7 @@ def test_compute_commands_load_neither_scipy_linalg_nor_scipy_special(command, s
 def test_verify_after_import_reuses_the_loaded_cython_lapack():
     script = (
         "import sys, oscent, oscent.cli, oscent.lapack\n"
-        "loaded = sys.modules['scipy.linalg.cython_lapack']\n"
+        "loaded = oscent.lapack.cython_lapack\n"
         "assert 'scipy.linalg' not in sys.modules\n"
         "code = oscent.cli.main(['verify'])\n"
         "from scipy.linalg import cython_lapack\n"
@@ -406,6 +406,17 @@ def test_verify_after_import_reuses_the_loaded_cython_lapack():
         "print(code)\n"
     )
     assert _run_python(script).stdout.splitlines()[-1] == "0"
+
+
+def test_importing_cython_lapack_after_oscent_binds_it_on_scipy_linalg():
+    script = (
+        "import sys, oscent, oscent.lapack\n"
+        "assert 'scipy.linalg.cython_lapack' not in sys.modules\n"
+        "import scipy.linalg.cython_lapack\n"
+        "import scipy.linalg\n"
+        "print(scipy.linalg.cython_lapack is oscent.lapack.cython_lapack is sys.modules['scipy.linalg.cython_lapack'])\n"
+    )
+    assert _run_python(script).stdout.splitlines()[-1] == "True"
 
 
 @pytest.mark.parametrize("command", ["scan", "correlators"])
@@ -473,11 +484,19 @@ def test_scan_bound_below_the_norm_exits_1(scan_config, tmp_path, capsys):
 
 def test_correlators_decay_matches_the_scan_fit(scan_config, tmp_path):
     out = tmp_path / "o"
-    assert main(["correlators", "--config", str(scan_config), "--out", str(out)]) == 0
+    with single_blas_thread():  # as inside the scan pool, so both see the same BLAS bits
+        assert main(["correlators", "--config", str(scan_config), "--out", str(out)]) == 0
     payload = json.loads((out / "decay.json").read_text())
     cfg = dict(json.loads(scan_config.read_text()), fit_decay=True)
     decay = run_scan(ExperimentConfig.from_dict(cfg)).decay
     assert (payload["eta"], payload["prefactor"]) == (decay.eta, decay.prefactor)
+    # the serial ensemble of correlators and the scan's pool write the same fit, bit for bit
+    scan = tmp_path / "scan"
+    assert main(["scan", "--config", str(_write(tmp_path / "fit.json", cfg)), "--out", str(scan), "--threads", "2"]) == 0
+    (fit,) = [entry["empirical_area_bound"] for entry in json.loads((scan / "aggregates.json").read_text())]
+    assert [payload[key] for key in ("eta", "prefactor", "residual", "area_law_constant")] == [
+        fit[key] for key in ("eta", "prefactor", "residual", "constant")
+    ]
 
 
 def test_correlators_bound_below_the_norm_exits_1(scan_config, tmp_path, capsys):
@@ -496,19 +515,33 @@ SINGLE_SHOT_OUTPUTS = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(SINGLE_SHOT_OUTPUTS))
-def test_single_shot_manifest_reproduces_the_run(command, scan_config, tmp_path):
+def _rerun_from_manifest(command, config, tmp_path, names) -> dict:
+    """Run ``command`` with flags, rerun it on its manifest config, check ``names`` and the manifest match; the manifest."""
     flags = ["--eps", "0.75", "--seed", "5", "--s", "0.25"]
     first = tmp_path / "first"
-    assert main([command, "--config", str(scan_config), "--out", str(first), *flags]) == 0
+    assert main([command, "--config", str(config), "--out", str(first), *flags]) == 0
     manifest = json.loads((first / "manifest.json").read_text())
     assert manifest["config"]["eps"] == [0.75]
     assert (manifest["config"]["seed"], manifest["config"]["s"], manifest["seed"]) == (5, 0.25, 5)
     again = tmp_path / "again"
     rerun = _write(tmp_path / "manifest-config.json", manifest["config"])
     assert main([command, "--config", str(rerun), "--out", str(again)]) == 0
-    for name in ("manifest.json", SINGLE_SHOT_OUTPUTS[command]):
+    for name in ("manifest.json", *names):
         assert (again / name).read_bytes() == (first / name).read_bytes()
+    return manifest
+
+
+@pytest.mark.parametrize("command", sorted(SINGLE_SHOT_OUTPUTS))
+def test_single_shot_manifest_reproduces_the_run(command, scan_config, tmp_path):
+    _rerun_from_manifest(command, scan_config, tmp_path, [SINGLE_SHOT_OUTPUTS[command]])
+
+
+def test_scan_manifest_reproduces_the_run(scan_config, tmp_path):
+    cfg = json.loads(scan_config.read_text())
+    regions = [cfg.pop("region"), {"corner": [2], "lengths": [5]}]
+    config = _write(scan_config, dict(cfg, regions=regions, fit_decay=True))
+    manifest = _rerun_from_manifest("scan", config, tmp_path, ["records.csv", "aggregates.json", "scaling.dat"])
+    assert manifest["config"]["regions"] == regions and "region" not in manifest["config"]
 
 
 def _count_full_eigensolves(monkeypatch, n, fail=False):
@@ -602,17 +635,17 @@ def test_excited_entropy_worst_bound_is_the_scan_record_bit_for_bit(geometry, ex
     assert payload["log_negativity"] == record.log_negativity
 
 
-@pytest.mark.parametrize("part, message", [(3, "energy-split"), (4, "column sum")])
+@pytest.mark.parametrize("part, message", [(1, "energy-split"), (2, "column sum")])
 def test_excited_entropy_checks_the_modes_it_does_not_select(part, message, scan_config, tmp_path, monkeypatch, capsys):
     original = oscent.entanglement._profile_arrays
 
     def broken(*args):  # mode 10 is outside the selected range
         arrays = list(original(*args))
         arrays[part] = arrays[part].copy()
-        if part == 3:
-            arrays[3][9] += 1e-6
+        if part == 1:
+            arrays[1][9] += 1e-6
         else:
-            arrays[4][9, 0] -= 1e-6
+            arrays[2][9, 0] -= 1e-6
         return tuple(arrays)
 
     cfg = dict(json.loads(scan_config.read_text()), excitations={"k_range": [1, 3]})

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from oscent import (
     eigensystem,
     entropy_report,
     excitation_profile,
-    excitation_profiles,
     excitation_weights,
     excited_diagonal_element,
     excited_diagonal_trace,
@@ -33,6 +33,7 @@ from oscent import (
     spd_sqrt,
     symplectic_spectrum,
 )
+from oscent.entanglement import EPS_MIN
 from oscent.spectral import SpectralData
 
 
@@ -79,6 +80,17 @@ def test_renyi_factor_domain_errors():
         renyi_factor(2.0, 1.0)
     with pytest.raises(ValueError):
         renyi_factor(2.0, 0.0)
+
+
+def test_subnormal_eps_is_rejected_by_both_entry_points():
+    mu = np.array([1.5, 3.0])
+    assert np.all(np.isfinite(renyi_factor(mu, EPS_MIN)))
+    assert math.isfinite(ground_state_renyi(mu, EPS_MIN))
+    for eps in (1e-320, EPS_MIN / 2):
+        with pytest.raises(ValueError, match=re.escape(repr(EPS_MIN))):
+            renyi_factor(mu, eps)  # the factor itself would overflow to inf
+        with pytest.raises(ValueError, match=re.escape(repr(EPS_MIN))):
+            ground_state_renyi(mu, eps)
 
 
 @pytest.mark.parametrize("x", [1.1, 2.0, 10.0])
@@ -168,12 +180,14 @@ def test_log_negativity_equals_half_renyi():
 
 def test_profile_decoupled_examples():
     lat, h, data, blocks, spec = decoupled_system()
+    nu, _, _ = oscent.entanglement._profile_arrays(data, blocks, spec)
     inside = excitation_profile(data, blocks, spec, 1)
-    assert inside.nu == pytest.approx(1.0)
-    assert inside.weights[0] == pytest.approx(2.0, abs=1e-12)  # saturates the row-sum cap
+    assert nu[0, 0] == pytest.approx(1.0)
+    assert inside[0] == pytest.approx(2.0, abs=1e-12)  # saturates the row-sum cap
     outside = excitation_profile(data, blocks, spec, 2)
-    assert outside.weights[0] == pytest.approx(0.0, abs=1e-14)
-    np.testing.assert_allclose(outside.v_region, 0.0, atol=1e-14)
+    assert outside[0] == pytest.approx(0.0, abs=1e-14)
+    np.testing.assert_allclose(data.vectors[blocks.region.indices, 1], 0.0, atol=1e-14)
+    np.testing.assert_allclose(nu[:, 1], 0.0, atol=1e-14)
     with pytest.raises(IndexError):
         excitation_profile(data, blocks, spec, 3)
 
@@ -194,15 +208,14 @@ def test_weight_column_sums_equal_two():
 
 def test_energy_split_identity_per_mode():
     lat, h, data, blocks, spec = coupled_system(springs=(0.7, 1.9, 0.2), region_sites=((0,),))
-    for k in (1, 2, 3):
-        profile = excitation_profile(data, blocks, spec, k)
-        split = profile.frequency * float(
-            profile.nu @ blocks.solve_schur(profile.nu)
-        ) + profile.complement_energy
+    nu, complement_energy, _ = oscent.entanglement._profile_arrays(data, blocks, spec)
+    for k in range(3):
+        frequency = data.frequencies[k]
+        split = frequency * float(nu[:, k] @ blocks.solve_schur(nu[:, k])) + complement_energy[k]
         assert split == pytest.approx(1.0, abs=1e-8)
         # definition route agrees with the Schur route
-        direct = profile.frequency ** -1.0 * blocks.schur @ profile.v_region
-        np.testing.assert_allclose(profile.nu, direct.ravel(), atol=1e-10)
+        direct = frequency ** -1.0 * blocks.schur @ data.vectors[blocks.region.indices, k]
+        np.testing.assert_allclose(nu[:, k], direct.ravel(), atol=1e-10)
 
 
 def _chain_system():
@@ -215,16 +228,9 @@ def _chain_system():
 
 def test_selected_profiles_are_bit_identical_to_single_profiles():
     data, blocks, spec = _chain_system()
-    profiles = excitation_profiles(data, blocks, spec)
-    assert [p.mode for p in profiles] == list(range(1, 11))
     weights = excitation_weights(data, blocks, spec)
-    for profile in profiles:
-        single = excitation_profile(data, blocks, spec, profile.mode)
-        assert profile.frequency == single.frequency
-        assert profile.complement_energy == single.complement_energy
-        for name in ("v_region", "v_complement", "nu", "weights"):
-            assert np.array_equal(getattr(profile, name), getattr(single, name))
-        assert np.array_equal(profile.weights, weights[profile.mode - 1])
+    for mode in range(1, 11):
+        assert np.array_equal(excitation_profile(data, blocks, spec, mode), weights[mode - 1])
     for mode in (0, 11):
         with pytest.raises(IndexError):
             excitation_profile(data, blocks, spec, mode)
@@ -236,23 +242,21 @@ def _break_arrays(monkeypatch, part):
     def broken(*args):
         arrays = list(original(*args))
         arrays[part] = arrays[part].copy()
-        if part == 3:  # complement energy of mode 4
-            arrays[3][3] += 1e-6
+        if part == 1:  # complement energy of mode 4
+            arrays[1][3] += 1e-6
         else:  # weight row of mode 4
-            arrays[4][3, 0] += 2.1 - arrays[4][3].sum()
+            arrays[2][3, 0] += 2.1 - arrays[2][3].sum()
         return tuple(arrays)
 
     monkeypatch.setattr(oscent.entanglement, "_profile_arrays", broken)
 
 
-@pytest.mark.parametrize("part, message", [(3, "energy-split"), (4, "exceeds 2")])
+@pytest.mark.parametrize("part, message", [(1, "energy-split"), (2, "exceeds 2")])
 def test_every_batched_path_checks_the_identities(monkeypatch, part, message):
     data, blocks, spec = _chain_system()
     _break_arrays(monkeypatch, part)
     with pytest.raises(ArithmeticError, match=message):
         excitation_weights(data, blocks, spec)
-    with pytest.raises(ArithmeticError, match=message):
-        excitation_profiles(data, blocks, spec)
     # every mode is checked, also by a call that returns another one
     for mode in (3, 4):
         with pytest.raises(ArithmeticError, match=message):
@@ -261,21 +265,32 @@ def test_every_batched_path_checks_the_identities(monkeypatch, part, message):
 
 def test_excited_diagonal_decoupled_limit():
     lat, h, data, blocks, spec = decoupled_system()
-    profile = excitation_profile(data, blocks, spec, 1)
-    assert excited_diagonal_element(profile, spec, [0]) == 0.0
-    assert excited_diagonal_element(profile, spec, [1]) == pytest.approx(1.0, abs=1e-12)
-    assert excited_diagonal_element(profile, spec, [2]) == 0.0
+    weights = excitation_profile(data, blocks, spec, 1)
+    assert excited_diagonal_element(weights, spec, [0]) == 0.0
+    assert excited_diagonal_element(weights, spec, [1]) == pytest.approx(1.0, abs=1e-12)
+    assert excited_diagonal_element(weights, spec, [2]) == 0.0
+
+
+def test_excited_diagonals_take_one_weight_row_per_mode():
+    lat, h, data, blocks, spec = coupled_system(springs=(0.5, 3.0, 1.2), region_sites=((0,), (1,)))
+    weights = excitation_weights(data, blocks, spec)
+    assert excited_diagonal_trace(list(weights[0]), spec) == excited_diagonal_trace(weights[0], spec)
+    for bad in (weights, weights[0, :1], np.append(weights[0], 0.0), weights[0, 0]):
+        with pytest.raises(ValueError, match="one row of 2 entries"):
+            excited_diagonal_element(bad, spec, [0, 0])
+        with pytest.raises(ValueError, match="one row of 2 entries"):
+            excited_diagonal_trace(bad, spec)
 
 
 def test_excited_diagonal_matches_bruteforce():
     lat, h, data, blocks, spec = coupled_system()
     region = blocks.region
     for k in (1, 2):
-        profile = excitation_profile(data, blocks, spec, k)
+        weights = excitation_profile(data, blocks, spec, k)
         alpha = [0, 0]
         alpha[k - 1] = 1
         for n in range(4):
-            formula = excited_diagonal_element(profile, spec, [n])
+            formula = excited_diagonal_element(weights, spec, [n])
             brute = bruteforce_reduced_diagonal(h, region, alpha, [n])
             assert formula == pytest.approx(brute, abs=1e-6)
 
@@ -290,17 +305,16 @@ def test_excited_diagonals_are_nonnegative():
         blocks = partition_blocks(spd_sqrt(data), make_region(lat, [(2,), (3,), (4,)]))
         spec = symplectic_spectrum(blocks)
         for k in (1, 4, 8):
-            profile = excitation_profile(data, blocks, spec, k)
+            weights = excitation_profile(data, blocks, spec, k)
             for _ in range(10):
                 n = rng.integers(0, 4, size=3)
-                assert excited_diagonal_element(profile, spec, n) >= 0.0
+                assert excited_diagonal_element(weights, spec, n) >= 0.0
 
 
 def test_excited_trace_normalizes():
     lat, h, data, blocks, spec = coupled_system(springs=(0.5, 3.0, 1.2), region_sites=((0,), (1,)))
     for k in (1, 2, 3):
-        profile = excitation_profile(data, blocks, spec, k)
-        trace = excited_diagonal_trace(profile, spec)
+        trace = excited_diagonal_trace(excitation_profile(data, blocks, spec, k), spec)
         assert trace == pytest.approx(1.0, abs=1e-6)
     cutoffs = occupation_cutoffs(spec)
     assert np.all(cutoffs >= 1)
@@ -309,11 +323,11 @@ def test_excited_trace_normalizes():
 def test_half_renyi_bounds_decoupled_values():
     lat, h, data, blocks, spec = decoupled_system()
     inside = excitation_profile(data, blocks, spec, 1)
-    computed, theorem = excited_half_renyi_bounds(inside.weights, spec)
+    computed, theorem = excited_half_renyi_bounds(inside, spec)
     assert computed == pytest.approx(2.0 * math.log(1.0 + math.sqrt(2.0)), abs=1e-12)
     assert math.isnan(theorem)  # single-site region: theorem route needs size > 1
     outside = excitation_profile(data, blocks, spec, 2)
-    computed, _ = excited_half_renyi_bounds(outside.weights, spec)
+    computed, _ = excited_half_renyi_bounds(outside, spec)
     assert computed == pytest.approx(0.0, abs=1e-12)
 
 
@@ -344,7 +358,7 @@ def test_theorem_bound_dominates_bruteforce_half_renyi():
     lat, h, data, blocks, spec = coupled_system(
         springs=(1.5, 0.4, 2.0), region_sites=((0,), (1,))
     )
-    profile = excitation_profile(data, blocks, spec, 2)
+    weights = excitation_profile(data, blocks, spec, 2)
     box = [(i, j) for i in range(5) for j in range(5)]
     matrix = np.zeros((len(box), len(box)))
     for a, bra in enumerate(box):
@@ -355,7 +369,7 @@ def test_theorem_bound_dominates_bruteforce_half_renyi():
     eigenvalues = np.linalg.eigvalsh(matrix)
     positive = eigenvalues[eigenvalues > 1e-14]
     brute_half_renyi = 2.0 * math.log(np.sum(np.sqrt(positive)))
-    computed, theorem = excited_half_renyi_bounds(profile.weights, spec)
+    computed, theorem = excited_half_renyi_bounds(weights, spec)
     assert brute_half_renyi <= computed + 1e-9
     assert computed <= theorem + 1e-12
 
@@ -408,9 +422,9 @@ def _box_system(name, seed=2024):
 @pytest.mark.parametrize("name", sorted(_BOXES))
 def test_profile_arrays_match_the_complement_block_solve(name):
     data, blocks, spec = _box_system(name)
-    v_region, v_complement, nu, complement_energy, _ = oscent.entanglement._profile_arrays(
-        data, blocks, spec
-    )
+    nu, complement_energy, _ = oscent.entanglement._profile_arrays(data, blocks, spec)
+    v_region = data.vectors[blocks.region.indices, :]
+    v_complement = data.vectors[blocks.region.complement_indices, :]
     # reference: solve the complement block against every eigenvector
     ci = blocks.region.complement_indices
     b_factor = scipy.linalg.cho_factor(spd_sqrt(data)[np.ix_(ci, ci)])
@@ -452,8 +466,6 @@ def test_weight_columns_must_sum_to_two(monkeypatch):
     monkeypatch.setattr(oscent.entanglement, "_profile_arrays", corrupted)
     with pytest.raises(ArithmeticError, match="column sum"):
         excitation_weights(data, blocks, spec)
-    with pytest.raises(ArithmeticError, match="column sum"):
-        excitation_profiles(data, blocks, spec)
     # every profile call checks every column, also one that returns a single mode
     with pytest.raises(ArithmeticError, match="column sum"):
         excitation_profile(data, blocks, spec, 9)
