@@ -48,6 +48,7 @@ from .entanglement import (
     ground_state_renyi,
     half_renyi_factor,
     log_negativity,
+    log_renyi_factor,
     occupation_cutoffs,
     renyi_factor,
     single_excitation_ensemble_bound,
@@ -82,6 +83,7 @@ from .experiments import (
     RealizationRecord,
     ScanResult,
     area_law_fit,
+    correlator_ensemble,
     run_scan,
     run_scans,
     write_aggregates_json,

@@ -21,11 +21,12 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .correlators import correlator_csv, correlator_table, ensemble_mean, fit_decay_constant, require_norm_bound
+from .correlators import correlator_csv, fit_decay_constant
 from .entanglement import single_excitation_ensemble_bound
 from .experiments import (
     ExperimentConfig,
-    checked_realization,
+    correlator_ensemble,
+    definite_realization,
     region_of,
     region_report,
     run_scans,
@@ -118,7 +119,7 @@ def _write_run(args, entries: dict, files=None) -> Path:
 
 
 def _write_outputs(args, configs: list[ExperimentConfig], files=None, execution=None) -> Path:
-    """``_write_run`` with the resolved config, the seed and a scan's ``execution`` in the manifest.
+    """``_write_run`` with the resolved config, the seed and a pool's ``execution`` in the manifest.
 
     A scan's configs differ only in the region: its config is their shared keys plus ``regions``.
     """
@@ -168,20 +169,12 @@ def _single(args):
     return config, lattice, region_of(config, lattice)
 
 
-def _realization(config: ExperimentConfig, lattice, index: int):
-    """h and eigensystem of realization ``index``; raises ValueError unless h is positive definite."""
-    try:
-        h, report, data = checked_realization(config, lattice, index)
-    except OSError as err:
-        raise UsageError(f"cannot read matrix_csv: {err}")
-    if data is None:
-        raise ValueError(f"coupling matrix is not positive definite (smallest eigenvalue {report.smallest_eigenvalue:.3e})")
-    return h, data
-
-
 def _region_report(config: ExperimentConfig, lattice, region, modes=()):
     """The region report of the configured realization, holding the bounds of excitations ``modes``."""
-    data = _realization(config, lattice, config.realization_index)[1]  # h is dropped before the weights
+    try:
+        data = definite_realization(config, lattice, config.realization_index)[1]  # h is dropped before the weights
+    except OSError as err:
+        raise UsageError(f"cannot read matrix_csv: {err}")
     return region_report(config, data, partition_blocks(spd_sqrt(data), region), modes)
 
 
@@ -218,13 +211,8 @@ def _cmd_ensemble_bound(args) -> int:
 
 
 def _cmd_correlators(args) -> int:
-    # Serial on purpose: the mean consumes one n x n moment matrix at a
-    # time, where a pool would hold one per thread. Single-shot commands keep
-    # the environment's BLAS threads, which parallelize each LAPACK call
-    # instead of running several at once as the scan pool does.
     config, lattice, _ = _single(args)
-    tables = (correlator_table(*_realization(config, lattice, i)) for i in range(config.realizations))
-    mean_moment = ensemble_mean(require_norm_bound(t, config.norm_bound).values ** config.s for t in tables)
+    mean_moment, execution = correlator_ensemble(config, lattice)
     fit, constant = fit_decay_constant(mean_moment, lattice, config.s, config.norm_bound)
     payload = {
         "eta": fit.eta,
@@ -234,10 +222,10 @@ def _cmd_correlators(args) -> int:
         "distances": list(fit.distances),
         "area_law_constant": constant,
     }
-    _write_outputs(args, [config], {
-        "correlators.csv": correlator_csv(mean_moment, lattice),
-        "decay.json": json.dumps(payload, indent=2, sort_keys=True) + "\n",
-    })
+    decay = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    out = _write_outputs(args, [config], {"decay.json": decay}, execution=execution)
+    with open(out / "correlators.csv", "w", newline="\n") as handle:
+        correlator_csv(mean_moment, lattice, handle)
     print(f"eta={fit.eta:.15g} prefactor={fit.prefactor:.15g} residual={fit.residual:.3e}")
     return 0
 

@@ -176,14 +176,16 @@ def _fit_binned(mean_moment: np.ndarray, lattice: Lattice, s: float) -> DecayFit
     )
 
 
-def correlator_csv(values: np.ndarray, lattice: Lattice) -> str:
-    """Render a real correlator (or moment) matrix as CSV rows j,k,distance,value.
+def correlator_csv(values: np.ndarray, lattice: Lattice, handle) -> None:
+    """Write a real correlator (or moment) matrix to the text ``handle`` as CSV rows j,k,distance,value.
 
-    Values are written with ``%.15g``. Each entry on or above the diagonal is
-    formatted once; its mirror (k, j) reuses that string when their float64
-    bits agree (an int64 view keeps -0.0 and NaN payloads apart) and is
-    formatted on its own otherwise. A symmetric matrix costs about half the
-    conversions, and every matrix gives the bytes of formatting each entry.
+    One write per matrix row, so the whole table is never held as one
+    string. Values are written with ``%.15g``. Each entry on or above the
+    diagonal is formatted once; its mirror (k, j) reuses that string when
+    their float64 bits agree (an int64 view keeps -0.0 and NaN payloads
+    apart) and is formatted on its own otherwise. A symmetric matrix costs
+    about half the conversions, and every matrix gives the bytes of
+    formatting each entry.
     """
     values = np.asarray(values).astype(np.float64, casting="same_kind", copy=False)
     bits = values.view(np.int64)
@@ -195,7 +197,7 @@ def correlator_csv(values: np.ndarray, lattice: Lattice) -> str:
     # Row i stores its strings for columns > i; column i is cleared once row i
     # has taken them, so at most about n^2/4 strings are alive at a time.
     pending = np.empty((n, n), dtype=object)
-    chunks = ["j,k,distance,value\n"]
+    handle.write("j,k,distance,value\n")
     parts = [None] * (4 * n)
     parts[1::4] = decimals[:n].tolist()
     for i in range(n):
@@ -210,8 +212,7 @@ def correlator_csv(values: np.ndarray, lattice: Lattice) -> str:
         parts[0::4] = [f"{i},"] * n
         parts[2::4] = decimals[distances[i]].tolist()
         parts[3::4] = lower + upper
-        chunks.append("".join(parts))
-    return "".join(chunks)
+        handle.write("".join(parts))
 
 
 def lattice_exponential_sum(eta: float, dimension: int) -> float:

@@ -50,9 +50,21 @@ def renyi_factor(x, eps: float):
     """Per-mode factor f_eps(x) of the ground-state Renyi formula.
 
     Defined for x >= 1 and EPS_MIN <= eps < 1; f_eps(1) = 1 for every eps.
-    With a = (x+1)/2 the difference of powers is evaluated as
+    The exponential of log_renyi_factor, so it overflows to inf where f_eps
+    exceeds the largest double (small eps at large x); ground_state_renyi
+    sums the logarithm, which stays finite there.
+    """
+    value = np.exp(log_renyi_factor(x, eps))
+    return value if value.ndim else float(value)
+
+
+def log_renyi_factor(x, eps: float):
+    """log f_eps(x), for x >= 1 and EPS_MIN <= eps < 1; 0 at x = 1.
+
+    With a = (x+1)/2 the difference of powers a^eps - ((x-1)/2)^eps is
     -a^eps * expm1(eps * log((x-1)/(x+1))), which does not cancel at large
-    x. The logarithm is log1p(-2/(x+1)) from x = 3 on, where the ratio is
+    x, so log f_eps = -eps log a - log(-expm1(eps log((x-1)/(x+1)))). The
+    ratio's logarithm is log1p(-2/(x+1)) from x = 3 on, where the ratio is
     near 1, and a plain log below, where log1p would cancel instead.
     """
     x = np.asarray(x, dtype=float)
@@ -60,9 +72,8 @@ def renyi_factor(x, eps: float):
         raise ValueError("renyi_factor requires x >= 1")
     if not EPS_MIN <= eps < 1.0:
         raise ValueError(f"eps must lie in [{EPS_MIN!r}, 1), got {eps}")
-    a = (x + 1.0) / 2.0
-    # At x = 1 the logarithm is -inf and expm1(-inf) = -1, so f_eps(1) = 1.
-    value = -1.0 / (a**eps * np.expm1(eps * _log_ratio(x)))
+    # At x = 1 the ratio's logarithm is -inf and expm1(-inf) = -1, so log f_eps(1) = 0.
+    value = -eps * np.log((x + 1.0) / 2.0) - np.log(-np.expm1(eps * _log_ratio(x)))
     return value if value.ndim else float(value)
 
 
@@ -110,7 +121,7 @@ def ground_state_renyi(spectrum, eps: float) -> float:
     delta = 1.0 - eps
     if delta < SERIES_DELTA:
         return _near_von_neumann(mu, delta)
-    return float(np.sum(np.log(renyi_factor(mu, eps))) / delta)
+    return float(np.sum(log_renyi_factor(mu, eps)) / delta)
 
 
 def _von_neumann(mu: np.ndarray) -> float:

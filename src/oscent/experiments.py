@@ -6,9 +6,10 @@
 A scan draws independent spring realizations, computes entropies and bounds
 for each, and aggregates with deterministic (Welford, index-ordered)
 accumulation, so the output is byte-identical no matter how many worker
-threads ran the realizations. The worker threads are the only compute
-threads: the eigensolves release the GIL, and every loaded OpenBLAS is
-pinned to one thread while the pool runs.
+threads ran the realizations. The correlator ensemble runs its realizations
+on the same pool. The worker threads are the only compute threads: the
+eigensolves release the GIL, and every loaded OpenBLAS is pinned to one
+thread while the pool runs.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .correlators import DecayFit, MomentSum, correlator_table, fit_decay_constant, ground_state_correlator_bound
+from .correlators import DecayFit, MomentSum, correlator_table, fit_decay_constant, ground_state_correlator_bound, require_norm_bound
 from .entanglement import EPS_MIN, EntropyReport, entropy_report, excitation_weights
 from .hamiltonian import (
     AssumptionReport,
@@ -367,6 +368,14 @@ def checked_realization(config: ExperimentConfig, lattice: Lattice, index: int) 
     return h, report, eigensystem(data) if report.is_positive_definite else None
 
 
+def definite_realization(config: ExperimentConfig, lattice: Lattice, index: int) -> tuple[CouplingMatrix, SpectralData]:
+    """h and eigensystem of realization ``index``; raises ValueError unless h is positive definite."""
+    h, report, data = checked_realization(config, lattice, index)
+    if data is None:
+        raise ValueError(f"coupling matrix is not positive definite (smallest eigenvalue {report.smallest_eigenvalue:.3e})")
+    return h, data
+
+
 def region_report(config: ExperimentConfig, data: SpectralData, blocks: BipartitionBlocks, modes) -> EntropyReport:
     """The entropies and bounds of one region of a realization.
 
@@ -441,17 +450,16 @@ def run_scans(configs) -> list[ScanResult]:
         moment = table.values**config.s if config.fit_decay else None
         return records, moment
 
-    threads = config.threads or os.cpu_count() or 1
     rows = []  # rows[index][position]: the record of realization ``index`` for region ``position``
     moments = MomentSum()
-    # Pinned for every pool size, so no output depends on the BLAS threads
-    # of the environment; the pool exits (all workers done) before the pin.
-    with single_blas_thread() as blas, ThreadPoolExecutor(max_workers=threads) as pool:
-        for records, moment in _in_index_order(pool, worker, config.realizations, 2 * threads):
-            rows.append(records)
-            if moment is not None:
-                moments.add(moment)
-    execution = {"pool_threads": threads, "blas_libraries": blas, "blas_threads": 1 if blas else None}
+
+    def reduce(result):
+        records, moment = result
+        rows.append(records)
+        if moment is not None:
+            moments.add(moment)
+
+    execution = _run_pooled(worker, config.realizations, config.threads, reduce)
 
     if not rows[0][0].pd_ok:
         raise ValueError("first realization failed the positive-definiteness check")
@@ -493,6 +501,41 @@ def run_scans(configs) -> list[ScanResult]:
             )
         )
     return results
+
+
+def correlator_ensemble(config: ExperimentConfig, lattice: Lattice) -> tuple[np.ndarray, dict]:
+    """The mean moment matrix E|<delta_j, h^{-1/2} delta_k>|^s over a config's realizations, and the pool's ``execution``.
+
+    Realizations run on the scan's pool and are summed in index order, so
+    the mean is byte-identical for every pool size and BLAS thread count.
+    Raises ValueError at the first realization, in index order, whose h is
+    not positive definite or whose ||h^{1/2}|| exceeds the norm bound.
+    """
+
+    def worker(index: int) -> np.ndarray:
+        table = correlator_table(*definite_realization(config, lattice, index))
+        return require_norm_bound(table, config.norm_bound).values ** config.s
+
+    moments = MomentSum()
+    execution = _run_pooled(worker, config.realizations, config.threads, moments.add)
+    return moments.mean(), execution
+
+
+def _run_pooled(worker, count: int, threads: int | None, reduce) -> dict:
+    """``reduce(worker(index))`` for index 0, ..., ``count - 1``, the workers on a pool, the reduction in index order.
+
+    The pool has ``threads`` workers (default: all cores), with at most two
+    realizations per thread in flight. Every loaded OpenBLAS is pinned to
+    one thread for every pool size, so no result depends on the BLAS
+    threads of the environment; the pool exits (all workers done) before
+    the pin. Returns the ``execution`` record: pool threads, pinned BLAS
+    libraries and the BLAS threads inside the pool.
+    """
+    threads = threads or os.cpu_count() or 1
+    with single_blas_thread() as blas, ThreadPoolExecutor(max_workers=threads) as pool:
+        for result in _in_index_order(pool, worker, count, 2 * threads):
+            reduce(result)
+    return {"pool_threads": threads, "blas_libraries": blas, "blas_threads": 1 if blas else None}
 
 
 def _in_index_order(pool, worker, count: int, window: int):

@@ -13,7 +13,7 @@ import scipy.linalg
 import oscent.entanglement
 import oscent.experiments
 import oscent.spectral
-from oscent import ExperimentConfig, run_scan
+from oscent import CouplingMatrix, ExperimentConfig, run_scan
 from oscent.lapack import single_blas_thread
 from oscent.spectral import SpectralData
 from oscent.cli import main, parse_args
@@ -378,10 +378,10 @@ def test_compute_commands_reject_the_tolerance_flag(command, scan_config, tmp_pa
     assert info.value.code == 2
 
 
-def _run_python(script: str) -> subprocess.CompletedProcess:
-    """``script`` in a fresh interpreter that imports this checkout's ``oscent``."""
+def _run_python(script: str, environ=os.environ) -> subprocess.CompletedProcess:
+    """``script`` in a fresh interpreter, with the variables ``environ``, that imports this checkout's ``oscent``."""
     src = Path(oscent.spectral.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    env = dict(environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
 
 
@@ -484,13 +484,11 @@ def test_scan_bound_below_the_norm_exits_1(scan_config, tmp_path, capsys):
 
 def test_correlators_decay_matches_the_scan_fit(scan_config, tmp_path):
     out = tmp_path / "o"
-    with single_blas_thread():  # as inside the scan pool, so both see the same BLAS bits
-        assert main(["correlators", "--config", str(scan_config), "--out", str(out)]) == 0
+    assert main(["correlators", "--config", str(scan_config), "--out", str(out)]) == 0
     payload = json.loads((out / "decay.json").read_text())
     cfg = dict(json.loads(scan_config.read_text()), fit_decay=True)
     decay = run_scan(ExperimentConfig.from_dict(cfg)).decay
     assert (payload["eta"], payload["prefactor"]) == (decay.eta, decay.prefactor)
-    # the serial ensemble of correlators and the scan's pool write the same fit, bit for bit
     scan = tmp_path / "scan"
     assert main(["scan", "--config", str(_write(tmp_path / "fit.json", cfg)), "--out", str(scan), "--threads", "2"]) == 0
     (fit,) = [entry["empirical_area_bound"] for entry in json.loads((scan / "aggregates.json").read_text())]
@@ -505,6 +503,47 @@ def test_correlators_bound_below_the_norm_exits_1(scan_config, tmp_path, capsys)
     assert main(["correlators", "--config", str(_write(scan_config, cfg)), "--out", str(out)]) == 1
     assert "below the actual square-root norm" in capsys.readouterr().err
     assert not (out / "decay.json").exists()
+
+
+def test_correlators_output_does_not_depend_on_pool_or_blas_threads(tmp_path):
+    # A 3d box: dense BLAS calls at n = 216, whose bits move with unpinned BLAS threads (a chain's do not)
+    cfg = {
+        "dimension": 3, "lengths": [6, 6, 6], "region": {"corner": [1, 1, 1], "lengths": [2, 2, 2]},
+        "disorder": {"k_max": 8.0}, "seed": 2024, "realizations": 4, "s": 0.5,
+    }
+    config = _write(tmp_path / "box.json", cfg)
+    unpinned = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    runs = [(1, unpinned), (2, unpinned), (3, unpinned), (1, dict(unpinned, OPENBLAS_NUM_THREADS="1"))]
+    outputs = []
+    for position, (threads, environ) in enumerate(runs):
+        out = tmp_path / f"run{position}"
+        argv = ["correlators", "--config", str(config), "--out", str(out), "--threads", str(threads)]
+        _run_python(f"import oscent.cli\nassert oscent.cli.main({argv!r}) == 0\n", environ)
+        assert json.loads((out / "manifest.json").read_text())["execution"]["pool_threads"] == threads
+        outputs.append([(out / name).read_bytes() for name in ("correlators.csv", "decay.json")])
+    assert all(output == outputs[0] for output in outputs[1:])
+
+
+def test_an_indefinite_realization_inside_the_ensemble_fails_correlators_at_every_pool_size(scan_config, tmp_path, monkeypatch, capsys):
+    coupling_matrix = oscent.experiments.coupling_matrix
+
+    def indefinite_at_two(config, lattice, index):
+        h = coupling_matrix(config, lattice, index)
+        if index == 2:
+            return CouplingMatrix(matrix=np.diag(np.r_[-0.5, np.ones(h.size - 1)]), lattice=lattice)
+        return h
+
+    monkeypatch.setattr(oscent.experiments, "coupling_matrix", indefinite_at_two)
+    cfg = dict(json.loads(scan_config.read_text()), realizations=5)
+    errors = []
+    for threads in (1, 3):
+        out = tmp_path / f"threads{threads}"
+        argv = ["correlators", "--config", str(_write(scan_config, cfg)), "--out", str(out), "--threads", str(threads)]
+        assert main(argv) == 1
+        errors.append(capsys.readouterr().err)
+        assert not (out / "decay.json").exists() and not (out / "correlators.csv").exists()
+    assert errors[0] == errors[1]
+    assert "coupling matrix is not positive definite (smallest eigenvalue -5.000e-01)" in errors[0]
 
 
 SINGLE_SHOT_OUTPUTS = {

@@ -24,6 +24,7 @@ from oscent import (
     ground_state_renyi,
     half_renyi_factor,
     log_negativity,
+    log_renyi_factor,
     make_region,
     occupation_cutoffs,
     partition_blocks,
@@ -482,6 +483,41 @@ def _mp_renyi(mu, eps):
     with mpmath.workdps(50):
         total = sum(mpmath.log(_mp_renyi_factor(float(m), eps)) for m in mu)
         return total / (1 - mpmath.mpf(eps))
+
+
+def _mp_renyi_deep(mu, eps):
+    """E_eps from the definition at 400 digits, enough to resolve a^eps - b^eps down to eps = EPS_MIN."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(400):
+        eps = mpmath.mpf(eps)
+        total = sum(-mpmath.log(((mpmath.mpf(m) + 1) / 2) ** eps - ((mpmath.mpf(m) - 1) / 2) ** eps) for m in mu)
+        return total / (1 - eps)
+
+
+@pytest.mark.parametrize("eps", [EPS_MIN, 1e-300, 1e-8, 0.25, 0.5, 0.9])
+def test_renyi_matches_mpmath_from_eps_min_to_the_series(eps):
+    mu = np.array([1.0, 1.0 + 1e-7, 1.3, 4.0, 30.0, 1e3])
+    expected = _mp_renyi_deep(mu, eps)
+    assert abs(ground_state_renyi(mu, eps) - expected) <= 1e-13 * abs(expected)
+
+
+@pytest.mark.parametrize(
+    "eps, tolerance",
+    [
+        (1e-300, 1e-13),
+        # eps * log((mu-1)/(mu+1)) = -4.4e-318 is subnormal: rounding it to
+        # the 4.9e-324 grid costs up to 5.6e-7 relative, which its log turns
+        # into up to 5.6e-7 absolute out of 731
+        (EPS_MIN, 1e-9),
+    ],
+)
+def test_renyi_is_finite_where_the_factor_overflows(eps, tolerance):
+    mu = np.array([1e10])
+    with np.errstate(over="ignore"):
+        assert np.isinf(renyi_factor(mu, eps)).all()  # f_eps itself exceeds the largest double
+    expected = _mp_renyi_deep(mu, eps)
+    assert abs(log_renyi_factor(mu, eps)[0] - expected) <= tolerance * abs(expected)
+    assert abs(ground_state_renyi(mu, eps) - expected) <= tolerance * abs(expected)
 
 
 @pytest.mark.parametrize("delta", [1e-5, 1e-6, 1e-8, 1e-10, 1e-13, 1e-15])

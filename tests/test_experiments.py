@@ -15,6 +15,8 @@ from oscent import (
     AreaLawFit,
     ExperimentConfig,
     area_law_fit,
+    build_box,
+    correlator_ensemble,
     run_scan,
     run_scans,
     write_aggregates_json,
@@ -326,10 +328,10 @@ def test_scan_enforces_the_weight_column_sums(monkeypatch):
         run_scan(small_config(realizations=2))
 
 
-def _scan_peak_bytes(config) -> int:
+def _peak_bytes(run, *args) -> int:
     tracemalloc.start()
     try:
-        run_scans([config])
+        run(*args)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -349,7 +351,21 @@ def test_scan_memory_is_flat_in_the_number_of_realizations(threads, slack):
     moment_bytes = 160 * 160 * 8
     run_scans([config])  # warm caches
     few, many = (
-        statistics.median(_scan_peak_bytes(dataclasses.replace(config, realizations=n)) for _ in range(3))
+        statistics.median(_peak_bytes(run_scans, [dataclasses.replace(config, realizations=n)]) for _ in range(3))
+        for n in (8, 32)
+    )
+    assert many < few + slack * moment_bytes
+
+
+@pytest.mark.parametrize("threads, slack", [(1, 2), (2, 4)])
+def test_correlator_ensemble_memory_is_flat_in_the_number_of_realizations(threads, slack):
+    # The ensemble reads its pool through the scan's window, so the same bound holds
+    config = small_config(lengths=(160,), region_corner=(60,), region_lengths=(16,), threads=threads)
+    lattice = build_box(1, config.lengths)
+    moment_bytes = 160 * 160 * 8
+    correlator_ensemble(config, lattice)  # warm caches
+    few, many = (
+        statistics.median(_peak_bytes(correlator_ensemble, dataclasses.replace(config, realizations=n), lattice) for _ in range(3))
         for n in (8, 32)
     )
     assert many < few + slack * moment_bytes
