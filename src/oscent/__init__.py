@@ -7,6 +7,8 @@ decay diagnostics, and disorder Monte Carlo scans, with an independent
 quadrature oracle validating every closed form on small systems.
 """
 
+import importlib
+
 from .lattice import (
     Lattice,
     Region,
@@ -61,22 +63,6 @@ from .correlators import (
     decay_fit,
     ground_state_correlator_bound,
 )
-from .oracle import (
-    GaussKernel,
-    QuadratureRule,
-    bruteforce_reduced_diagonal,
-    bruteforce_reduced_matrix_element,
-    double_factorial,
-    gaussian_poly_integral,
-    generalized_gaussian_integral,
-    hermite,
-    hermite_gaussian,
-    kernel_eigenpair_residual,
-    kernel_moment_formulas,
-    kernel_moments,
-    kernel_trace,
-    verify_report,
-)
 from .experiments import (
     AreaLawFit,
     ExperimentConfig,
@@ -92,3 +78,33 @@ from .experiments import (
 )
 
 __version__ = "0.1.0"
+
+# The quadrature oracle serves ``verify`` and the tests; it is imported on
+# first use, so the compute commands start without it.
+_ORACLE_NAMES = frozenset({
+    "GaussKernel",
+    "QuadratureRule",
+    "bruteforce_reduced_diagonal",
+    "bruteforce_reduced_matrix_element",
+    "double_factorial",
+    "gaussian_poly_integral",
+    "generalized_gaussian_integral",
+    "hermite",
+    "hermite_gaussian",
+    "kernel_eigenpair_residual",
+    "kernel_moment_formulas",
+    "kernel_moments",
+    "kernel_trace",
+    "verify_report",
+})
+
+
+def __getattr__(name: str):
+    if name == "oracle" or name in _ORACLE_NAMES:
+        oracle = importlib.import_module(".oracle", __name__)
+        return oracle if name == "oracle" else getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), "oracle", *_ORACLE_NAMES})

@@ -18,7 +18,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .correlators import correlator_csv, fit_decay_constant
@@ -35,8 +34,8 @@ from .experiments import (
     write_records_csv,
     write_scaling_data,
 )
+from .lapack import lapack_versions
 from .lattice import build_box
-from .oracle import verify_report
 from .spectral import partition_blocks, spd_sqrt
 
 USAGE_ERROR = 2
@@ -98,16 +97,20 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_run(args, entries: dict, files=None) -> Path:
-    """Write manifest.json (the command, ``entries`` and package versions) and ``files`` to the output directory."""
+def _write_run(args, entries: dict, versions: dict, files=None) -> Path:
+    """Write manifest.json and ``files`` to the output directory.
+
+    The manifest holds the command, ``entries`` and the versions of oscent,
+    numpy, python and ``versions``: what else computed the outputs.
+    """
     manifest = {
         "command": args.command,
         **entries,
         "versions": {
             "oscent": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": platform.python_version(),
+            **versions,
         },
     }
     out = _out_dir(args)
@@ -131,7 +134,7 @@ def _write_outputs(args, configs: list[ExperimentConfig], files=None, execution=
     entries = {"config": resolved, "seed": None if config.matrix_csv is not None else config.master_seed}
     if execution is not None:
         entries["execution"] = execution
-    return _write_run(args, entries, files)
+    return _write_run(args, entries, lapack_versions(), files)
 
 
 def _configs(args) -> list[ExperimentConfig]:
@@ -248,6 +251,10 @@ def _cmd_scan(args) -> int:
 def _cmd_verify(args) -> int:
     if not (math.isfinite(args.tolerance) and args.tolerance > 0):
         raise UsageError(f"tolerance must be positive and finite, got {args.tolerance}")
+    import scipy
+
+    from .oracle import verify_report  # the oracle and scipy serve verify alone
+
     rows = verify_report(tolerance=args.tolerance)
     width = max(len(r.name) for r in rows)
     failures = 0
@@ -262,7 +269,7 @@ def _cmd_verify(args) -> int:
             for r in rows
         ]
         _write_run(
-            args, {"tolerance": args.tolerance},
+            args, {"tolerance": args.tolerance}, {"scipy": scipy.__version__},
             {"verify.json": json.dumps(payload, indent=2, sort_keys=True) + "\n"},
         )
     return 0 if failures == 0 else 1

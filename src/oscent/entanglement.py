@@ -125,10 +125,15 @@ def ground_state_renyi(spectrum, eps: float) -> float:
 
 
 def _von_neumann(mu: np.ndarray) -> float:
-    plus = (mu + 1.0) / 2.0
+    """Sum over modes of (m+1) log(m+1) - m log m, m = (mu-1)/2; a mode at mu = 1 adds 0.
+
+    Evaluated as log1p(m) - m log(m/(m+1)), with m/(m+1) = (mu-1)/(mu+1):
+    two terms of one sign, so nothing cancels at large mu, where the two
+    products of the plain form each grow like mu log mu.
+    """
     minus = (mu - 1.0) / 2.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = plus * np.log(plus) - np.where(minus > 0, minus * np.log(minus), 0.0)
+    with np.errstate(invalid="ignore"):  # 0 * -inf at mu = 1, replaced by 0
+        terms = np.where(minus > 0, np.log1p(minus) - minus * _log_ratio(mu), 0.0)
     return float(np.sum(terms))
 
 

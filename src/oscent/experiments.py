@@ -19,7 +19,6 @@ import math
 import numbers
 import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -524,18 +523,32 @@ def correlator_ensemble(config: ExperimentConfig, lattice: Lattice) -> tuple[np.
 def _run_pooled(worker, count: int, threads: int | None, reduce) -> dict:
     """``reduce(worker(index))`` for index 0, ..., ``count - 1``, the workers on a pool, the reduction in index order.
 
-    The pool has ``threads`` workers (default: all cores), with at most two
-    realizations per thread in flight. Every loaded OpenBLAS is pinned to
-    one thread for every pool size, so no result depends on the BLAS
-    threads of the environment; the pool exits (all workers done) before
-    the pin. Returns the ``execution`` record: pool threads, pinned BLAS
-    libraries and the BLAS threads inside the pool.
+    The pool has ``threads`` workers (default: the CPUs this process may
+    run on), with at most two realizations per thread in flight. Every
+    OpenBLAS loaded when the pool opens is pinned to one thread for every
+    pool size, so no result depends on the BLAS threads of the
+    environment; the pool exits (all workers done) before the pin. Returns
+    the ``execution`` record: pool threads, pinned BLAS libraries and the
+    BLAS threads inside the pool.
     """
-    threads = threads or os.cpu_count() or 1
+    from concurrent.futures import ThreadPoolExecutor  # not at import: most commands run no pool
+
+    threads = threads or _usable_cpus()
     with single_blas_thread() as blas, ThreadPoolExecutor(max_workers=threads) as pool:
         for result in _in_index_order(pool, worker, count, 2 * threads):
             reduce(result)
     return {"pool_threads": threads, "blas_libraries": blas, "blas_threads": 1 if blas else None}
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform has one, else every CPU.
+
+    A cpuset (taskset, a batch scheduler's allocation) narrows the mask
+    below ``os.cpu_count()``, which counts the host's CPUs.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _in_index_order(pool, worker, count: int, window: int):

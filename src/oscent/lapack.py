@@ -1,22 +1,33 @@
 """LAPACK solvers that release the GIL, and the OpenBLAS thread pin.
 
-scipy's f2py wrappers of ``dsyevr`` (``scipy.linalg.eigh``), ``dstemr``
-(``eigh_tridiagonal``) and ``dpotrf``/``dpotrs`` (``cho_factor`` and
-``cho_solve``) hold the GIL for much of each call, so threads that work on
-different matrices queue on it. ``syevr``, ``stemr``, ``potrf`` and
-``potrs`` call the same LAPACK routines with the same arguments and
-workspace sizes, reached through the function pointers
-``scipy.linalg.cython_lapack`` exports. That extension module is loaded
-from its file in scipy's ``linalg`` directory, registered under its own
-name only while it initializes, so ``scipy/linalg/__init__.py`` (and the
-array-API, f2py and testing machinery it imports) never runs; a later
-import of ``scipy.linalg.cython_lapack`` gets the same module object and
-binds it on ``scipy.linalg``. The routines
-are called through ``ctypes``, which releases the GIL for the length of a
-foreign call, and return the bits of ``eigh(a)``,
+``syevr``, ``stemr``, ``potrf`` and ``potrs`` call LAPACK's ``dsyevr``,
+``dstemr``, ``dpotrf`` and ``dpotrs`` through ``ctypes``, which releases
+the GIL for the length of a foreign call, so threads that work on different
+matrices do not queue on it (scipy's f2py wrappers hold it for much of each
+call). They pass the arguments and workspace sizes scipy's wrappers pass,
+and return the bits of ``scipy.linalg.eigh(a)``,
 ``eigh_tridiagonal(d, e, lapack_driver="stemr")``, ``cho_factor(a)[0]`` and
-``cho_solve((c, False), b)``.
+``cho_solve((c, False), b)`` computed by the same LAPACK.
 
+The routines come from the OpenBLAS numpy has already loaded. numpy's
+wheels bundle scipy-openblas64, which exports them with 64-bit integers as
+``scipy_dsyevr_64_``, ``scipy_dstemr_64_``, ``scipy_dpotrf_64_`` and
+``scipy_dpotrs_64_``. The library is found in ``/proc/self/maps`` by those
+symbols, so the choice does not depend on what else the process has
+imported: scipy's own OpenBLAS (32-bit integers, ``scipy_dsyevr_``) may be
+mapped too. On the builds tested (numpy's OpenBLAS 0.3.31, scipy's 0.3.30)
+the two give the same bits.
+
+Where no mapped library exports those names (numpy on MKL, Accelerate or a
+distribution's BLAS, or a platform without ``/proc``), the routines are the
+function pointers ``scipy.linalg.cython_lapack`` exports. That extension
+module is loaded from its file in scipy's ``linalg`` directory, registered
+under its own name only while it initializes, so
+``scipy/linalg/__init__.py`` (and the array-API, f2py and testing machinery
+it imports) never runs; a later import of ``scipy.linalg.cython_lapack``
+gets the same module object and binds it on ``scipy.linalg``.
+
+``lapack_versions`` names the bound library for a run's manifest.
 ``single_blas_thread`` pins every loaded OpenBLAS to one thread while a
 thread pool runs, so the pool's threads are the only compute threads.
 """
@@ -35,7 +46,70 @@ from pathlib import Path
 
 import numpy as np
 
+# Arguments of each routine, every one passed by address:
+_ARITY = {
+    # jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol, m, w, z, ldz,
+    # isuppz, work, lwork, iwork, liwork, info
+    "dsyevr": 21,
+    # jobz, range, n, d, e, vl, vu, il, iu, m, w, z, ldz, nzc, isuppz,
+    # tryrac, work, lwork, iwork, liwork, info
+    "dstemr": 21,
+    # uplo, n, a, lda, info
+    "dpotrf": 5,
+    # uplo, n, nrhs, a, lda, b, ldb, info
+    "dpotrs": 8,
+}
 
+
+@dataclass(frozen=True)
+class _Binding:
+    """The four LAPACK routines as ctypes functions, and the library they come from."""
+
+    library: str  # what computes: a shared library's file name, or scipy's cython_lapack
+    integer: type  # ctypes type of LAPACK's INTEGER, for scalars and integer arrays alike
+    routines: dict[str, Callable]  # name -> ctypes function, by _ARITY's names
+    scipy: str | None = None  # scipy's version where the routines are scipy's
+
+
+def _function(address: int, name: str) -> Callable:
+    """The routine ``name`` at ``address`` as a ctypes function (which drops the GIL when called).
+
+    Every argument is a raw address, scalars included (LAPACK takes them by
+    reference): converting a plain int is the cheapest foreign argument.
+    """
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * _ARITY[name])(address)
+
+
+def _openblas_paths() -> tuple[str, ...]:
+    """Every OpenBLAS file mapped into this process now (by ``/proc/self/maps``), sorted by file name.
+
+    Empty where the process map cannot be read.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {Path(line.split(maxsplit=5)[-1].strip()) for line in maps if "openblas" in line.lower()}
+    except OSError:
+        return ()
+    libraries = sorted((path for path in paths if "openblas" in path.name.lower()), key=lambda path: path.name)
+    return tuple(str(path) for path in libraries)
+
+
+def _numpy_binding(paths) -> _Binding | None:
+    """The routines of the first library among ``paths`` that exports them as ``scipy_<name>_64_``, or None."""
+    for path in paths:
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:  # e.g. a mapped file deleted since
+            continue
+        symbols = {name: getattr(library, f"scipy_{name}_64_", None) for name in _ARITY}
+        if all(symbols.values()):
+            addresses = {name: ctypes.cast(symbol, ctypes.c_void_p).value for name, symbol in symbols.items()}
+            routines = {name: _function(address, name) for name, address in addresses.items()}
+            return _Binding(Path(path).name, ctypes.c_int64, routines)
+    return None
+
+
+@functools.cache
 def _load_cython_lapack():
     """``scipy.linalg.cython_lapack``, loaded from its file without running ``scipy.linalg``'s package init."""
     name = "scipy.linalg.cython_lapack"
@@ -56,35 +130,36 @@ def _load_cython_lapack():
     return module
 
 
-cython_lapack = _load_cython_lapack()
-
 _capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
 _capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
     ("PyCapsule_GetPointer", ctypes.pythonapi)
 )
 
 
-def _routine(name: str, arity: int):
-    """The cython_lapack routine ``name`` as a ctypes function (which drops the GIL when called).
+def _cython_binding() -> _Binding:
+    """The routines ``scipy.linalg.cython_lapack`` exports, with 32-bit integers."""
+    import scipy
 
-    Every argument is a raw address, scalars included (LAPACK takes them by
-    reference): converting a plain int is the cheapest foreign argument.
+    capsules = _load_cython_lapack().__pyx_capi__
+    routines = {
+        name: _function(_capsule_pointer(capsules[name], _capsule_name(capsules[name])), name) for name in _ARITY
+    }
+    return _Binding("scipy.linalg.cython_lapack", ctypes.c_int, routines, scipy.__version__)
+
+
+_lapack = _numpy_binding(_openblas_paths()) or _cython_binding()
+
+
+def lapack_versions() -> dict[str, str]:
+    """What computes the solvers' outputs, for a run manifest.
+
+    ``lapack`` is the bound library's file name; ``scipy`` is scipy's
+    version, present only where the routines are scipy's ``cython_lapack``.
     """
-    capsule = cython_lapack.__pyx_capi__[name]
-    function = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * arity)
-    return function(_capsule_pointer(capsule, _capsule_name(capsule)))
-
-
-# jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol, m, w, z, ldz, isuppz,
-# work, lwork, iwork, liwork, info
-_dsyevr = _routine("dsyevr", 21)
-# jobz, range, n, d, e, vl, vu, il, iu, m, w, z, ldz, nzc, isuppz, tryrac,
-# work, lwork, iwork, liwork, info
-_dstemr = _routine("dstemr", 21)
-# uplo, n, a, lda, info
-_dpotrf = _routine("dpotrf", 5)
-# uplo, n, nrhs, a, lda, b, ldb, info
-_dpotrs = _routine("dpotrs", 8)
+    versions = {"lapack": _lapack.library}
+    if _lapack.scipy is not None:
+        versions["scipy"] = _lapack.scipy
+    return versions
 
 
 def _scalars(ctype, *values):
@@ -109,13 +184,13 @@ def _check_info(info, routine: str):
         raise np.linalg.LinAlgError(f"{routine} failed (info = {info})")
 
 
-# (routine, n) -> (lwork, liwork), as LAPACK's workspace query answered them.
-# Threads may race to fill an entry; they store the same sizes.
+# (routine, n) -> (lwork, liwork), as the bound LAPACK's workspace query
+# answered them. Threads may race to fill an entry; they store the same sizes.
 _workspace_sizes: dict[tuple[str, int], tuple[int, int]] = {}
 
 
-def _workspace(routine: str, n: int, query) -> tuple[np.ndarray, np.ndarray]:
-    """Fresh ``work`` and ``iwork`` arrays of the sizes ``routine`` asks for at order ``n``.
+def _workspace(routine: str, n: int, integer, query) -> tuple[np.ndarray, np.ndarray]:
+    """Fresh ``work`` and ``iwork`` (of ctypes type ``integer``) arrays of the sizes ``routine`` asks for at order ``n``.
 
     ``query(work, iwork)`` runs the routine as a workspace query, the same
     one scipy makes, once per (routine, n): the sizes depend on nothing
@@ -124,10 +199,10 @@ def _workspace(routine: str, n: int, query) -> tuple[np.ndarray, np.ndarray]:
     """
     sizes = _workspace_sizes.get((routine, n))
     if sizes is None:
-        work, iwork = np.empty(1), np.empty(1, dtype=np.intc)
+        work, iwork = np.empty(1), np.empty(1, dtype=integer)
         query(work, iwork)
         sizes = _workspace_sizes[routine, n] = (int(work[0]), int(iwork[0]))
-    return np.empty(sizes[0]), np.empty(sizes[1], dtype=np.intc)
+    return np.empty(sizes[0]), np.empty(sizes[1], dtype=integer)
 
 
 def _square(a: np.ndarray, routine: str):
@@ -144,23 +219,24 @@ def syevr(a) -> tuple[np.ndarray, np.ndarray]:
     a = np.array(np.asarray_chkfinite(a, dtype=np.float64), order="F")  # dsyevr overwrites it
     _square(a, "syevr")
     n = a.shape[0]
+    lapack = _lapack
     w = np.empty(n)
     z = np.empty((n, n), order="F")
-    isuppz = np.empty(2 * n, dtype=np.intc)
+    isuppz = np.empty(2 * n, dtype=lapack.integer)
     ints, (n_, ld, first, last, found, lwork, liwork, info) = _scalars(
-        ctypes.c_int, n, max(n, 1), 1, n, 0, -1, -1, 0
+        lapack.integer, n, max(n, 1), 1, n, 0, -1, -1, 0
     )
     arrays = a.ctypes.data, w.ctypes.data, z.ctypes.data, isuppz.ctypes.data
 
     def call(work, iwork):
-        _dsyevr(
+        lapack.routines["dsyevr"](
             b"V", b"A", b"L", n_, arrays[0], ld, _ZERO_AT, _ZERO_AT, first, last, _ZERO_AT,
             found, arrays[1], arrays[2], ld, arrays[3],
             work.ctypes.data, lwork, iwork.ctypes.data, liwork, info,
         )
         _check_info(ints[-1], "dsyevr")
 
-    work, iwork = _workspace("dsyevr", n, call)
+    work, iwork = _workspace("dsyevr", n, lapack.integer, call)
     ints[5:7] = work.size, iwork.size
     call(work, iwork)
     return w, z
@@ -180,23 +256,24 @@ def stemr(d, e) -> tuple[np.ndarray, np.ndarray]:
     n = d.size
     e = np.zeros(n)  # dstemr wants n entries; the last is workspace
     e[:-1] = e_in
+    lapack = _lapack
     w = np.empty(n)
     z = np.empty((n, n), order="F")
-    isuppz = np.empty(2 * n, dtype=np.intc)
+    isuppz = np.empty(2 * n, dtype=lapack.integer)
     ints, (n_, first, last, found, ldz, nzc, tryrac, lwork, liwork, info) = _scalars(
-        ctypes.c_int, n, 1, n, 0, n, n, 1, -1, -1, 0
+        lapack.integer, n, 1, n, 0, n, n, 1, -1, -1, 0
     )
     arrays = d.ctypes.data, e.ctypes.data, w.ctypes.data, z.ctypes.data, isuppz.ctypes.data
 
     def call(work, iwork):
-        _dstemr(
+        lapack.routines["dstemr"](
             b"V", b"A", n_, arrays[0], arrays[1], _ZERO_AT, _ZERO_AT, first, last, found,
             arrays[2], arrays[3], ldz, nzc, arrays[4], tryrac,
             work.ctypes.data, lwork, iwork.ctypes.data, liwork, info,
         )
         _check_info(ints[-1], "dstemr")
 
-    work, iwork = _workspace("dstemr", n, call)
+    work, iwork = _workspace("dstemr", n, lapack.integer, call)
     ints[7:9] = work.size, iwork.size
     call(work, iwork)
     m = int(ints[3])
@@ -214,8 +291,9 @@ def potrf(a) -> np.ndarray:
     c = np.array(np.asarray_chkfinite(a, dtype=np.float64), order="F")  # dpotrf overwrites it
     _square(c, "potrf")
     n = c.shape[0]
-    ints, (n_, ld, info) = _scalars(ctypes.c_int, n, max(n, 1), 0)
-    _dpotrf(b"U", n_, c.ctypes.data, ld, info)
+    lapack = _lapack
+    ints, (n_, ld, info) = _scalars(lapack.integer, n, max(n, 1), 0)
+    lapack.routines["dpotrf"](b"U", n_, c.ctypes.data, ld, info)
     if ints[-1] > 0:  # scipy's wording
         raise np.linalg.LinAlgError(f"{ints[-1]}-th leading minor of the array is not positive definite")
     _check_info(ints[-1], "dpotrf")
@@ -234,8 +312,9 @@ def potrs(c, b) -> np.ndarray:
     if x.ndim not in (1, 2) or x.shape[0] != c.shape[0]:
         raise ValueError(f"right-hand side of shape {x.shape} does not fit a factor of shape {c.shape}")
     n = c.shape[0]
-    ints, (n_, nrhs, ld, info) = _scalars(ctypes.c_int, n, 1 if x.ndim == 1 else x.shape[1], max(n, 1), 0)
-    _dpotrs(b"U", n_, nrhs, c.ctypes.data, ld, x.ctypes.data, ld, info)
+    lapack = _lapack
+    ints, (n_, nrhs, ld, info) = _scalars(lapack.integer, n, 1 if x.ndim == 1 else x.shape[1], max(n, 1), 0)
+    lapack.routines["dpotrs"](b"U", n_, nrhs, c.ctypes.data, ld, x.ctypes.data, ld, info)
     _check_info(ints[-1], "dpotrs")
     return x
 
@@ -267,23 +346,21 @@ def _thread_controls(path: str) -> OpenBLAS | None:
     return None
 
 
-@functools.cache
 def loaded_openblas() -> tuple[OpenBLAS, ...]:
-    """Every OpenBLAS mapped into this process (by ``/proc/self/maps``), sorted by file name.
+    """Every OpenBLAS mapped into this process now (by ``/proc/self/maps``), sorted by file name.
 
-    numpy and scipy each bring their own copy, and both are loaded once
-    ``oscent`` is imported (scipy's because this module loads
-    ``cython_lapack``, which links it), so the answer is computed once.
-    Empty where the process map cannot be read or no OpenBLAS is loaded.
+    numpy brings its own copy and scipy another, mapped only once something
+    loads it (``verify``, the ``cython_lapack`` binding or the caller's own
+    code), so the map is read on every call; the thread controls are
+    resolved once per set of mapped files. Empty where the process map
+    cannot be read or no OpenBLAS is loaded.
     """
-    try:
-        with open("/proc/self/maps") as maps:
-            fields = [line.split(maxsplit=5) for line in maps]
-    except OSError:
-        return ()
-    paths = {Path(entry[5].strip()) for entry in fields if len(entry) == 6}
-    libraries = sorted((path for path in paths if "openblas" in path.name.lower()), key=lambda path: path.name)
-    found = (_thread_controls(str(path)) for path in libraries)
+    return _controls_of(_openblas_paths())
+
+
+@functools.cache
+def _controls_of(paths: tuple[str, ...]) -> tuple[OpenBLAS, ...]:
+    found = (_thread_controls(path) for path in paths)
     return tuple(lib for lib in found if lib is not None)
 
 

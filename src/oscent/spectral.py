@@ -83,7 +83,7 @@ def _fix_eigenvector_signs(vectors: np.ndarray) -> np.ndarray:
 
 
 def _symmetric_eigh(m: np.ndarray):
-    """``scipy.linalg.eigh(m)`` of a symmetric matrix, bit for bit, without holding the GIL.
+    """The bits of ``scipy.linalg.eigh(m)`` on the bound LAPACK, for symmetric ``m``, without holding the GIL.
 
     For n > 1, LAPACK's dsyevr reduces m to tridiagonal form, runs the MRRR
     solver dstemr and back-transforms. On a tridiagonal m every Householder

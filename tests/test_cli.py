@@ -390,19 +390,24 @@ def test_compute_commands_load_neither_scipy_linalg_nor_scipy_special(command, s
     script = (
         "import sys, oscent.cli\n"
         f"assert oscent.cli.main([{command!r}, '--config', {str(scan_config)!r}, '--out', {str(tmp_path / 'o')!r}]) == 0\n"
-        "print(sorted({'scipy.linalg', 'scipy.special'} & set(sys.modules)))\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy' or name == 'oscent.oracle'))\n"
     )
     assert _run_python(script).stdout.splitlines()[-1] == "[]"
+
+
+# Forces the cython_lapack binding, which numpy builds without scipy-openblas64 get.
+_FALLBACK = "oscent.lapack._lapack = oscent.lapack._cython_binding()\n"
 
 
 def test_verify_after_import_reuses_the_loaded_cython_lapack():
     script = (
         "import sys, oscent, oscent.cli, oscent.lapack\n"
-        "loaded = oscent.lapack.cython_lapack\n"
+        + _FALLBACK
+        + "loaded = oscent.lapack._load_cython_lapack()\n"
         "assert 'scipy.linalg' not in sys.modules\n"
         "code = oscent.cli.main(['verify'])\n"
         "from scipy.linalg import cython_lapack\n"
-        "assert cython_lapack is loaded is oscent.lapack.cython_lapack is sys.modules['scipy.linalg.cython_lapack']\n"
+        "assert cython_lapack is loaded is oscent.lapack._load_cython_lapack() is sys.modules['scipy.linalg.cython_lapack']\n"
         "print(code)\n"
     )
     assert _run_python(script).stdout.splitlines()[-1] == "0"
@@ -411,12 +416,54 @@ def test_verify_after_import_reuses_the_loaded_cython_lapack():
 def test_importing_cython_lapack_after_oscent_binds_it_on_scipy_linalg():
     script = (
         "import sys, oscent, oscent.lapack\n"
-        "assert 'scipy.linalg.cython_lapack' not in sys.modules\n"
+        + _FALLBACK
+        + "assert 'scipy.linalg.cython_lapack' not in sys.modules\n"
         "import scipy.linalg.cython_lapack\n"
         "import scipy.linalg\n"
-        "print(scipy.linalg.cython_lapack is oscent.lapack.cython_lapack is sys.modules['scipy.linalg.cython_lapack'])\n"
+        "print(scipy.linalg.cython_lapack is oscent.lapack._load_cython_lapack() is sys.modules['scipy.linalg.cython_lapack'])\n"
     )
     assert _run_python(script).stdout.splitlines()[-1] == "True"
+
+
+def test_import_loads_no_scipy_oracle_or_thread_pool():
+    script = (
+        "import sys, oscent.cli\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] in ('scipy', 'concurrent', 'logging') or name == 'oscent.oracle'))\n"
+    )
+    assert _run_python(script).stdout.splitlines()[-1] == "[]"
+
+
+def test_the_oracle_resolves_from_the_package_on_first_use():
+    script = (
+        "import sys, oscent\n"
+        "assert 'oscent.oracle' not in sys.modules\n"
+        "from oscent import verify_report\n"
+        "import oscent.oracle\n"
+        "assert verify_report is oscent.oracle.verify_report and oscent.hermite is oscent.oracle.hermite\n"
+        "assert {'oracle', 'verify_report', 'GaussKernel'} <= set(dir(oscent))\n"
+        "print(oscent.oracle is sys.modules['oscent.oracle'])\n"
+    )
+    assert _run_python(script).stdout.splitlines()[-1] == "True"
+    with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
+        oscent.not_a_name
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["numpy-openblas", "cython-lapack"])
+def test_compute_manifests_name_the_bound_lapack(fallback, scan_config, tmp_path):
+    out = tmp_path / "o"
+    script = (
+        "import json, sys, oscent.cli, oscent.lapack\n"
+        + (_FALLBACK if fallback else "")
+        + f"assert oscent.cli.main(['ground-entropy', '--config', {str(scan_config)!r}, '--out', {str(out)!r}]) == 0\n"
+        "print(json.dumps(oscent.lapack.lapack_versions()))\n"
+    )
+    bound = json.loads(_run_python(script).stdout.splitlines()[-1])
+    versions = json.loads((out / "manifest.json").read_text())["versions"]
+    assert sorted(versions) == sorted(["oscent", "numpy", "python", *bound])
+    assert {key: versions[key] for key in bound} == bound
+    assert ("scipy" in bound) == (bound["lapack"] == "scipy.linalg.cython_lapack")
+    if fallback:
+        assert bound["scipy"] == scipy.__version__
 
 
 @pytest.mark.parametrize("command", ["scan", "correlators"])

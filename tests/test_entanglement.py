@@ -540,6 +540,26 @@ def test_renyi_near_von_neumann_skips_pure_modes():
         assert ground_state_renyi(np.ones(4), eps) == 0.0
 
 
+def _mp_von_neumann(mu):
+    """E_1 of one mode at 400 digits, from the definition (m+1) log(m+1) - m log m with m = (mu-1)/2."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(400):
+        m = (mpmath.mpf(mu) - 1) / 2
+        return (m + 1) * mpmath.log(m + 1) - (m * mpmath.log(m) if m else 0)
+
+
+@pytest.mark.parametrize("mu", [1.0, 1.0 + 1e-15, 1.0 + 1e-7, 1.3, 3.0, 30.0, 1e3, 1e10, 1e15])
+@pytest.mark.parametrize("eps", [1.0, 0.9999])
+def test_entropy_at_and_near_eps_1_matches_mpmath_over_every_mu(mu, eps):
+    if eps == 1.0:
+        expected, tolerance = _mp_von_neumann(mu), 3e-16
+    else:
+        # the series branch drops delta^3 k4/24, relatively largest near mu = 1,
+        # where the cumulants carry powers of log((mu-1)/(mu+1))
+        expected, tolerance = _mp_renyi_deep([mu], eps), (2e-9 if mu - 1.0 < 1e-6 else 1e-12)
+    assert abs(ground_state_renyi(np.array([mu]), eps) - expected) <= tolerance * abs(expected)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_renyi_does_not_increase_in_eps(seed):
     rng = np.random.default_rng(seed)

@@ -1,6 +1,10 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,6 +194,62 @@ def test_a_cached_workspace_gives_the_bits_of_a_fresh_query(monkeypatch):
         assert_same_bits(got, scipy.linalg.eigh(m))
 
 
+def _run_python(script: str) -> str:
+    """Standard output of ``script`` run in a fresh interpreter that imports this checkout's ``oscent``."""
+    src = Path(oscent.lapack.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True).stdout
+
+
+# The production solves of three realizations: dsyevr on an 8x8x8 box's h
+# and on its 4x4x4 region's symplectic core, dpotrf/dpotrs on that region's
+# complement and Schur blocks, dstemr on 160- and 400-site chains.
+_SOLVES = """
+import numpy as np
+import oscent.lapack
+from oscent import DisorderModel, assemble_anderson, box_region, build_box, sample_springs
+from oscent.spectral import decompose, partition_blocks, spd_sqrt, symplectic_spectrum
+
+
+def solves():
+    out = []
+    for seed in (2024, 7, 99):
+        for lengths in ([8, 8, 8], [160], [400]):
+            lattice = build_box(len(lengths), lengths)
+            h = assemble_anderson(lattice, sample_springs(DisorderModel(k_max=8.0, seed=seed), lattice, 0)).matrix
+            data = decompose(h)
+            out += [data.eigenvalues, data.vectors]
+            if len(lengths) == 3:
+                blocks = partition_blocks(spd_sqrt(data), box_region(lattice, [2, 2, 2], [4, 4, 4]))
+                spectrum = symplectic_spectrum(blocks)
+                out += [blocks.b_inv_ct, blocks.schur, blocks._schur_factor, spectrum.mu, spectrum.a_inv_sqrt]
+    return [(a.shape, a.strides, a.tobytes()) for a in out]
+"""
+
+
+def test_numpy_openblas_and_cython_lapack_give_the_same_bits():
+    script = _SOLVES + (
+        "numpy_bound = oscent.lapack.lapack_versions()\n"
+        "assert 'scipy' not in numpy_bound, numpy_bound\n"
+        "first = solves()\n"
+        "oscent.lapack._lapack = oscent.lapack._cython_binding()\n"
+        "oscent.lapack._workspace_sizes.clear()\n"
+        "second = solves()\n"
+        "assert oscent.lapack.lapack_versions()['lapack'] == 'scipy.linalg.cython_lapack'\n"
+        "print(len(first), [k for k, (a, b) in enumerate(zip(first, second)) if a != b])\n"
+    )
+    if "scipy" in oscent.lapack.lapack_versions():
+        pytest.skip("numpy's BLAS exports no scipy_*_64_ LAPACK routines")
+    assert _run_python(script).splitlines()[-1] == "33 []"
+
+
+def test_the_binding_does_not_depend_on_what_was_imported_first():
+    after = _run_python("import oscent.lapack; print(oscent.lapack.lapack_versions())")
+    before = _run_python("import scipy.linalg, oscent.lapack; print(oscent.lapack.lapack_versions())")
+    assert before == after
+    assert oscent.lapack._numpy_binding(()) is None
+
+
 def _counts():
     return [lib.get_threads() for lib in loaded_openblas()]
 
@@ -271,6 +331,38 @@ def test_run_scans_restores_blas_threads_after_a_worker_raises(blas_at_two_threa
     with pytest.raises(RuntimeError, match="worker failed"):
         run_scans([chain_config()])
     assert _counts() == [2] * len(blas_at_two_threads)
+
+
+def test_the_default_pool_has_one_thread_per_usable_cpu(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    (result,) = run_scans([chain_config(threads=None)])
+    assert result.execution["pool_threads"] == 1
+
+
+def test_the_pool_pins_an_openblas_loaded_after_import():
+    if scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"] != "scipy-openblas":
+        pytest.skip("scipy brings no OpenBLAS of its own")
+    script = (
+        "import json, oscent.experiments, oscent.lapack\n"
+        "from oscent import ExperimentConfig, run_scans\n"
+        "seen = []\n"
+        "coupling_matrix = oscent.experiments.coupling_matrix\n"
+        "def recording(config, lattice, index):\n"
+        "    seen.append({lib.name: lib.get_threads() for lib in oscent.lapack.loaded_openblas()})\n"
+        "    return coupling_matrix(config, lattice, index)\n"
+        "oscent.experiments.coupling_matrix = recording\n"
+        "config = ExperimentConfig(dimension=1, lengths=(24,), region_corner=(8,), region_lengths=(6,),\n"
+        "                          k_max=8.0, realizations=4, master_seed=5, threads=2)\n"
+        "first = run_scans([config])[0].execution\n"
+        "import scipy.linalg\n"
+        "second = run_scans([config])[0].execution\n"
+        "print(json.dumps([first, second, seen[4:]]))\n"
+    )
+    first, second, inside = json.loads(_run_python(script).splitlines()[-1])
+    assert len(second["blas_libraries"]) == len(first["blas_libraries"]) + 1 == 2
+    assert set(first["blas_libraries"]) < set(second["blas_libraries"])
+    assert second["pool_threads"] == 2 and second["blas_threads"] == 1
+    assert inside == [dict.fromkeys(second["blas_libraries"], 1)] * 4
 
 
 def _scan_texts(config, tmp_path):
