@@ -1,10 +1,7 @@
 import dataclasses
 import json
 import os
-import subprocess
-import sys
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +24,7 @@ from oscent import (
 from oscent.cli import main
 from oscent.lapack import loaded_openblas, potrf, potrs, single_blas_thread, stemr, syevr
 from oscent.spectral import partition_blocks
+from test_cli import _run_python
 
 
 def anderson(lengths, seed=2024):
@@ -194,18 +192,10 @@ def test_a_cached_workspace_gives_the_bits_of_a_fresh_query(monkeypatch):
         assert_same_bits(got, scipy.linalg.eigh(m))
 
 
-def _run_python(script: str) -> str:
-    """Standard output of ``script`` run in a fresh interpreter that imports this checkout's ``oscent``."""
-    src = Path(oscent.lapack.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True).stdout
-
-
 # The production solves of three realizations: dsyevr on an 8x8x8 box's h
 # and on its 4x4x4 region's symplectic core, dpotrf/dpotrs on that region's
 # complement and Schur blocks, dstemr on 160- and 400-site chains.
 _SOLVES = """
-import numpy as np
 import oscent.lapack
 from oscent import DisorderModel, assemble_anderson, box_region, build_box, sample_springs
 from oscent.spectral import decompose, partition_blocks, spd_sqrt, symplectic_spectrum
@@ -228,6 +218,8 @@ def solves():
 
 
 def test_numpy_openblas_and_cython_lapack_give_the_same_bits():
+    if "scipy" in oscent.lapack.lapack_versions():
+        pytest.skip("numpy's BLAS exports no scipy_*_64_ LAPACK routines")
     script = _SOLVES + (
         "numpy_bound = oscent.lapack.lapack_versions()\n"
         "assert 'scipy' not in numpy_bound, numpy_bound\n"
@@ -238,14 +230,12 @@ def test_numpy_openblas_and_cython_lapack_give_the_same_bits():
         "assert oscent.lapack.lapack_versions()['lapack'] == 'scipy.linalg.cython_lapack'\n"
         "print(len(first), [k for k, (a, b) in enumerate(zip(first, second)) if a != b])\n"
     )
-    if "scipy" in oscent.lapack.lapack_versions():
-        pytest.skip("numpy's BLAS exports no scipy_*_64_ LAPACK routines")
-    assert _run_python(script).splitlines()[-1] == "33 []"
+    assert _run_python(script).stdout.splitlines()[-1] == "33 []"
 
 
 def test_the_binding_does_not_depend_on_what_was_imported_first():
-    after = _run_python("import oscent.lapack; print(oscent.lapack.lapack_versions())")
-    before = _run_python("import scipy.linalg, oscent.lapack; print(oscent.lapack.lapack_versions())")
+    after = _run_python("import oscent.lapack; print(oscent.lapack.lapack_versions())").stdout
+    before = _run_python("import scipy.linalg, oscent.lapack; print(oscent.lapack.lapack_versions())").stdout
     assert before == after
     assert oscent.lapack._numpy_binding(()) is None
 
@@ -342,6 +332,8 @@ def test_the_default_pool_has_one_thread_per_usable_cpu(monkeypatch):
 def test_the_pool_pins_an_openblas_loaded_after_import():
     if scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"] != "scipy-openblas":
         pytest.skip("scipy brings no OpenBLAS of its own")
+    if "scipy" in oscent.lapack.lapack_versions():
+        pytest.skip("the cython_lapack binding loads scipy's OpenBLAS at import")
     script = (
         "import json, oscent.experiments, oscent.lapack\n"
         "from oscent import ExperimentConfig, run_scans\n"
@@ -358,7 +350,7 @@ def test_the_pool_pins_an_openblas_loaded_after_import():
         "second = run_scans([config])[0].execution\n"
         "print(json.dumps([first, second, seen[4:]]))\n"
     )
-    first, second, inside = json.loads(_run_python(script).splitlines()[-1])
+    first, second, inside = json.loads(_run_python(script).stdout.splitlines()[-1])
     assert len(second["blas_libraries"]) == len(first["blas_libraries"]) + 1 == 2
     assert set(first["blas_libraries"]) < set(second["blas_libraries"])
     assert second["pool_threads"] == 2 and second["blas_threads"] == 1
