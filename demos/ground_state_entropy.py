@@ -46,7 +46,7 @@ chain = oc.build_box(1, [40])
 model = oc.DisorderModel(k_max=8.0, seed=2024)
 springs = oc.sample_springs(model, chain, realization_index=0)
 h_chain = oc.assemble_anderson(chain, springs)
-report = oc.validate_coupling(h_chain, oc.anderson_norm_bound(1, 8.0))
+report = oc.validate_coupling(oc.decompose(h_chain), oc.anderson_norm_bound(1, 8.0))
 print("positive definite:", report.is_positive_definite,
       " |h^(1/2)| =", round(report.hsqrt_norm, 4), " bound ok:", report.bound_satisfied)
 

@@ -33,6 +33,7 @@ from .spectral import (
     BipartitionBlocks,
     SpectralData,
     SymplecticSpectrum,
+    decompose,
     eigensystem,
     partition_blocks,
     spd_inv_sqrt,

@@ -3,7 +3,9 @@
 The correlator matrix holds |<delta_j, h^{-1/2} delta_k>| for all site
 pairs. Its fractional moments decay exponentially in the localized regime;
 fitting that decay over a disorder ensemble produces the (C, eta) pair that
-feeds the averaged area-law constant.
+feeds the averaged area-law constant. Ensemble means are summed in index
+order by ``MomentSum``, and ``line_fit`` is the one least-squares line,
+shared with the scaling fits of ``experiments``.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .hamiltonian import norm_bound_holds
 from .lattice import Lattice, Region
 from .spectral import SpectralData, eigensystem, spd_inv_sqrt
 
@@ -60,7 +63,7 @@ def correlator_table(h, data: SpectralData | None = None) -> CorrelatorTable:
 
 def require_norm_bound(table: CorrelatorTable, bound: float) -> CorrelatorTable:
     """Return ``table``; raise ValueError if ``bound`` does not dominate its ||h^{1/2}||."""
-    if bound < table.hsqrt_norm * (1.0 - 1e-12):
+    if not norm_bound_holds(table.hsqrt_norm, bound):
         raise ValueError(f"bound {bound} is below the actual square-root norm {table.hsqrt_norm}")
     return table
 
@@ -118,7 +121,10 @@ def decay_fit(tables: list[CorrelatorTable], s: float) -> DecayFit:
     lattice = tables[0].lattice
     if any(t.lattice is not lattice and t.lattice.sites != lattice.sites for t in tables):
         raise ValueError("all tables must share one lattice")
-    return _fit_binned(ensemble_mean(t.values**s for t in tables), lattice, s)
+    moments = MomentSum()
+    for table in tables:
+        moments.add(table.values**s)
+    return _fit_binned(moments.mean(), lattice, s)
 
 
 class MomentSum:
@@ -133,14 +139,6 @@ class MomentSum:
 
     def mean(self) -> np.ndarray:
         return self.total / self.count
-
-
-def ensemble_mean(moments) -> np.ndarray:
-    """Mean of moment matrices summed in order; a generator keeps one alive at a time."""
-    moment_sum = MomentSum()
-    for moment in moments:
-        moment_sum.add(moment)
-    return moment_sum.mean()
 
 
 def fit_decay_constant(mean_moment: np.ndarray, lattice: Lattice, s: float, bound: float) -> tuple[DecayFit, float | None]:
@@ -162,18 +160,25 @@ def _fit_binned(mean_moment: np.ndarray, lattice: Lattice, s: float) -> DecayFit
     if len(usable) < 3:
         raise ValueError(f"need >= 3 distinct distances for a fit, have {len(usable)}")
     r = np.array(sorted(usable))
-    y = np.log(np.array([usable[int(v)] for v in r]))
-    design = np.stack([np.ones_like(r, dtype=float), r.astype(float)], axis=1)
+    intercept, slope, _, residual = line_fit(r.astype(float), np.log(np.array([usable[int(v)] for v in r])))
+    return DecayFit(eta=-slope, prefactor=float(np.exp(intercept)), s=s, residual=residual, distances=tuple(int(v) for v in r))
+
+
+def line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
+    """Least-squares line y ~ intercept + slope x: (intercept, slope, slope standard error, rms residual).
+
+    A constant ``x`` (the boundary size of every 1d interval) leaves the
+    line undefined, not flat: intercept, slope and error are nan and the
+    residual is the rms spread of ``y``. With two points the error is 0.
+    """
+    if np.ptp(x) == 0.0:
+        return math.nan, math.nan, math.nan, float(np.sqrt(np.mean((y - y.mean()) ** 2)))
+    design = np.stack([np.ones_like(x), x], axis=1)
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    fitted = design @ coef
-    residual = float(np.sqrt(np.mean((y - fitted) ** 2)))
-    return DecayFit(
-        eta=float(-coef[1]),
-        prefactor=float(np.exp(coef[0])),
-        s=s,
-        residual=residual,
-        distances=tuple(int(v) for v in r),
-    )
+    ssr = float(np.sum((y - design @ coef) ** 2))
+    dof = len(x) - 2
+    slope_se = math.sqrt(max(ssr / dof, 0.0) * np.linalg.inv(design.T @ design)[1, 1]) if dof > 0 else 0.0
+    return float(coef[0]), float(coef[1]), slope_se, math.sqrt(ssr / len(x))
 
 
 def correlator_csv(values: np.ndarray, lattice: Lattice, handle) -> None:

@@ -36,6 +36,9 @@ NEGATIVE_FLOOR = -1e-12
 # log f_eps, and the neglected delta^3 term is below 1e-12 per mode here.
 SERIES_DELTA = 1e-4
 
+# Occupation cutoffs truncate each mode's geometric tail below this mass.
+OCCUPATION_TAIL = 1e-12
+
 # Tolerance of both weight sum rules: a row (one excitation) sums to at
 # most 2, a column (one symplectic mode, over all excitations) to exactly 2.
 WEIGHT_SUM_TOLERANCE = 1e-9
@@ -142,14 +145,17 @@ def _near_von_neumann(mu: np.ndarray, delta: float) -> float:
 
     Mode j is a thermal state with occupation ratio r = (mu-1)/(mu+1); k2
     and k3 sum the second and third cumulants of -log p over those states:
-    k2 = (log r)^2 (mu^2-1)/4 and k3 = -(log r)^3 mu (mu^2-1)/4 per mode.
-    A mode at mu = 1 is pure and adds 0.
+    k2 = (log r)^2 m (m+1) and k3 = -(log r)^3 mu m (m+1) per mode, with
+    m = (mu-1)/2. Each power of log r, which falls like 2/mu, is paired
+    with one factor m, m+1 or mu, so no factor overflows at large mu. A
+    mode at mu = 1 is pure and adds 0.
     """
     mixed = mu[mu > 1.0]
     log_r = _log_ratio(mixed)
-    spread = (mixed - 1.0) * (mixed + 1.0) / 4.0
-    k2 = np.sum(log_r**2 * spread)
-    k3 = -np.sum(log_r**3 * mixed * spread)
+    minus = (mixed - 1.0) / 2.0
+    second = (log_r * minus) * (log_r * (minus + 1.0))
+    k2 = np.sum(second)
+    k3 = -np.sum(second * (log_r * mixed))
     return _von_neumann(mu) + float(delta * k2 / 2.0 + delta**2 * k3 / 6.0)
 
 
@@ -275,17 +281,17 @@ def excited_diagonal_element(weights, spectrum: SymplecticSpectrum, occupations)
     return max(value, 0.0)
 
 
-def occupation_cutoffs(spectrum: SymplecticSpectrum, tail: float = 1e-12) -> np.ndarray:
-    """Per-mode occupation cutoffs with geometric tail below ``tail``."""
+def occupation_cutoffs(spectrum: SymplecticSpectrum) -> np.ndarray:
+    """Per-mode occupation cutoffs with geometric tail below OCCUPATION_TAIL."""
     ratio = (spectrum.mu - 1.0) / (spectrum.mu + 1.0)
     cutoffs = np.ones(spectrum.size, dtype=int)
     positive = ratio > 0
-    cutoffs[positive] = np.ceil(np.log(tail) / np.log(ratio[positive])).astype(int)
+    cutoffs[positive] = np.ceil(np.log(OCCUPATION_TAIL) / np.log(ratio[positive])).astype(int)
     return np.maximum(cutoffs, 1)
 
 
-def excited_diagonal_trace(weights, spectrum: SymplecticSpectrum, cutoffs=None) -> float:
-    """Sum of the diagonal elements of excitation weight row ``weights`` over the truncated occupation box.
+def excited_diagonal_trace(weights, spectrum: SymplecticSpectrum) -> float:
+    """Sum of the diagonal elements of excitation weight row ``weights`` over the occupation_cutoffs box.
 
     Factorizes the box sum over modes exactly (the summand is a ground-state
     product times an affine function of the occupations), so the cost is
@@ -294,9 +300,7 @@ def excited_diagonal_trace(weights, spectrum: SymplecticSpectrum, cutoffs=None) 
     """
     mu = spectrum.mu
     q = _weight_row(weights, spectrum)
-    if cutoffs is None:
-        cutoffs = occupation_cutoffs(spectrum)
-    cutoffs = np.asarray(cutoffs, dtype=int)
+    cutoffs = occupation_cutoffs(spectrum)
     at_one = mu < MU_ONE_THRESHOLD
     ratio = np.where(at_one, 0.0, (mu - 1.0) / (mu + 1.0))
     # Per-mode truncated moments of the ground factor (2/(1+mu)) ratio^n.

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .correlators import DecayFit, MomentSum, correlator_table, fit_decay_constant, ground_state_correlator_bound, require_norm_bound
+from .correlators import DecayFit, MomentSum, correlator_table, fit_decay_constant, ground_state_correlator_bound, line_fit, require_norm_bound
 from .entanglement import EPS_MIN, EntropyReport, entropy_report, excitation_weights
 from .hamiltonian import (
     AssumptionReport,
@@ -75,6 +75,11 @@ def _number(value, name: str) -> float:
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return float(value)
+
+
+def eps_label(eps: float) -> str:
+    """The name of an eps in every output: its ``records.csv`` column and its ``ground_renyi[...]`` aggregate key."""
+    return f"{eps:.15g}"
 
 
 def parse_excitations(entry, modes: int) -> str | tuple[int, int]:
@@ -141,6 +146,8 @@ class ExperimentConfig:
             raise ValueError("need realizations >= 1 and realization_index >= 0")
         if not all(EPS_MIN <= e <= 1.0 for e in self.eps_values):
             raise ValueError(f"every eps must lie in [{EPS_MIN!r}, 1], got {self.eps_values}")
+        if len({eps_label(e) for e in self.eps_values}) < len(self.eps_values):
+            raise ValueError(f"eps values must differ in their 15-digit labels, got {self.eps_values}")
         for name in ("p", "s"):
             if not 0.0 < getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1], got {getattr(self, name)}")
@@ -314,12 +321,8 @@ class _Welford:
         self._m2 += delta * (value - self.mean)
 
     def stats(self) -> dict:
-        if self.count == 0:
-            return None
-        if self.count == 1:
-            return {"mean": self.mean, "se": 0.0, "n": 1}
-        variance = self._m2 / (self.count - 1)
-        return {"mean": self.mean, "se": math.sqrt(variance / self.count), "n": self.count}
+        se = math.sqrt(self._m2 / (self.count - 1) / self.count) if self.count > 1 else 0.0
+        return {"mean": self.mean, "se": se, "n": self.count}
 
 
 def selected_modes(policy, total: int) -> list[int]:
@@ -583,7 +586,7 @@ def _aggregate(records: list[RealizationRecord]) -> dict:
         if not record.pd_ok:
             continue
         for eps, value in record.ground_renyi.items():
-            push(f"ground_renyi[{eps:g}]", value)
+            push(f"ground_renyi[{eps_label(eps)}]", value)
         push("log_negativity", record.log_negativity)
         push("excited_computed_bound", record.excited_computed_bound)
         push("excited_theorem_bound", record.excited_theorem_bound)
@@ -604,16 +607,9 @@ def area_law_fit(results):
     if len(sizes) < 3:
         raise ValueError(f"need >= 3 region sizes, have {len(sizes)}")
     y = np.array([r.excited_theorem_mean for r in results])
-    vs_boundary = _ols(np.array([float(r.boundary_size) for r in results]), y)
-    vs_log = _ols(np.array([math.log(r.region_size) for r in results]), y)
-    return AreaLawFit(
-        slope_vs_boundary=vs_boundary[0],
-        slope_vs_boundary_se=vs_boundary[1],
-        residual_vs_boundary=vs_boundary[2],
-        slope_vs_log_size=vs_log[0],
-        slope_vs_log_size_se=vs_log[1],
-        residual_vs_log_size=vs_log[2],
-    )
+    _, *vs_boundary = line_fit(np.array([float(r.boundary_size) for r in results]), y)
+    _, *vs_log = line_fit(np.array([math.log(r.region_size) for r in results]), y)
+    return AreaLawFit(*vs_boundary, *vs_log)
 
 
 @dataclass(frozen=True)
@@ -626,25 +622,6 @@ class AreaLawFit:
     slope_vs_log_size: float
     slope_vs_log_size_se: float
     residual_vs_log_size: float
-
-
-def _ols(x: np.ndarray, y: np.ndarray):
-    if np.ptp(x) == 0.0:
-        # constant regressor (e.g. the boundary size of 1d intervals):
-        # the slope is undefined, not zero
-        spread = float(np.sqrt(np.mean((y - y.mean()) ** 2)))
-        return math.nan, math.nan, spread
-    design = np.stack([np.ones_like(x), x], axis=1)
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    fitted = design @ coef
-    ssr = float(np.sum((y - fitted) ** 2))
-    dof = len(x) - 2
-    if dof > 0:
-        gram_inv = np.linalg.inv(design.T @ design)
-        slope_se = math.sqrt(max(ssr / dof, 0.0) * gram_inv[1, 1])
-    else:
-        slope_se = 0.0
-    return float(coef[1]), slope_se, math.sqrt(ssr / len(x))
 
 
 CSV_HEADER = (
@@ -676,7 +653,7 @@ def write_records_csv(results, path):
                             str(result.lattice_size),
                             str(result.region_size),
                             str(result.boundary_size),
-                            f"{eps:.15g}",
+                            eps_label(eps),
                             _fmt(value),
                             _fmt(record.log_negativity),
                             excited_k,
@@ -725,9 +702,7 @@ def write_scaling_data(results, path):
         "mean_excited_computed_bound mean_excited_theorem_bound"
     ]
     for result in sorted(results, key=lambda r: r.region_size):
-        half = result.aggregates.get("ground_renyi[0.5]") or result.aggregates.get(
-            "log_negativity"
-        )
+        half = result.aggregates.get("log_negativity")
         computed = result.aggregates.get("excited_computed_bound")
         theorem = result.aggregates.get("excited_theorem_bound")
         lines.append(

@@ -5,6 +5,8 @@ couplings plus i.i.d. on-site spring constants drawn uniformly from
 [0, k_max]. Spring draws use a counter-based generator keyed by
 (seed, realization_index), so realization r is the same no matter how many
 workers sample in parallel or in what order.
+The paper's two hypotheses on h, positive definiteness and ||h^{1/2}|| <= D,
+are one predicate each (``is_positive_definite``, ``norm_bound_holds``).
 """
 
 from __future__ import annotations
@@ -23,6 +25,10 @@ PD_TOLERANCE = 1e-10
 # Relative asymmetry allowed in user-supplied matrices before they are
 # rejected instead of silently symmetrized.
 SYM_TOLERANCE = 1e-12
+
+# Relative roundoff allowed in the computed ||h^{1/2}|| when checking it
+# against a norm bound D: a D equal to the true norm still holds.
+NORM_BOUND_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -102,10 +108,10 @@ def assemble_anderson(lattice: Lattice, springs) -> CouplingMatrix:
     return CouplingMatrix(matrix=h, lattice=lattice)
 
 
-def assemble_custom(lattice: Lattice, entries, sym_tolerance: float = SYM_TOLERANCE) -> CouplingMatrix:
+def assemble_custom(lattice: Lattice, entries) -> CouplingMatrix:
     """Wrap a user-supplied dense symmetric matrix.
 
-    Asymmetry beyond ``sym_tolerance`` (relative to the matrix norm) is an
+    Asymmetry beyond SYM_TOLERANCE (relative to the matrix norm) is an
     error; anything smaller is averaged away so downstream eigensolvers see
     an exactly symmetric matrix.
     """
@@ -116,8 +122,8 @@ def assemble_custom(lattice: Lattice, entries, sym_tolerance: float = SYM_TOLERA
         raise ValueError(f"matrix size {m.shape[0]} != lattice size {lattice.size}")
     scale = max(np.abs(m).max(), 1.0)
     asym = np.abs(m - m.T).max()
-    if asym > sym_tolerance * scale:
-        raise ValueError(f"matrix asymmetry {asym:.3e} exceeds tolerance {sym_tolerance * scale:.3e}")
+    if asym > SYM_TOLERANCE * scale:
+        raise ValueError(f"matrix asymmetry {asym:.3e} exceeds tolerance {SYM_TOLERANCE * scale:.3e}")
     return CouplingMatrix(matrix=0.5 * (m + m.T), lattice=lattice)
 
 
@@ -132,21 +138,26 @@ def is_positive_definite(eigenvalues) -> bool:
     return bool(eigenvalues[0] > PD_TOLERANCE * max(abs(eigenvalues[0]), abs(eigenvalues[-1])))
 
 
-def validate_coupling(h, bound: float) -> AssumptionReport:
+def norm_bound_holds(hsqrt_norm: float, bound: float) -> bool:
+    """Whether ``bound`` dominates ||h^{1/2}|| = ``hsqrt_norm`` up to NORM_BOUND_SLACK: the one norm-bound rule."""
+    return bool(hsqrt_norm * (1.0 - NORM_BOUND_SLACK) <= bound)
+
+
+def validate_coupling(data, bound: float) -> AssumptionReport:
     """Check positive definiteness and the norm bound ||h^{1/2}|| <= bound.
 
-    ``h`` is a CouplingMatrix or its ``spectral.decompose``, whose eigenvalues
-    are then reused. Never raises; failures are carried in the report so
-    disorder loops can count and skip bad realizations.
+    ``data`` is the ``spectral.decompose`` of h; only its ascending
+    eigenvalues are read. Never raises; failures are carried in the report
+    so disorder loops can count and skip bad realizations.
     """
-    eigenvalues = h.eigenvalues if hasattr(h, "eigenvalues") else np.linalg.eigvalsh(0.5 * (h.matrix + h.matrix.T))
+    eigenvalues = data.eigenvalues
     hsqrt_norm = float(np.sqrt(max(eigenvalues[-1], 0.0)))
     return AssumptionReport(
         is_positive_definite=is_positive_definite(eigenvalues),
         smallest_eigenvalue=float(eigenvalues[0]),
         hsqrt_norm=hsqrt_norm,
         bound=float(bound),
-        bound_satisfied=hsqrt_norm <= float(bound),
+        bound_satisfied=norm_bound_holds(hsqrt_norm, float(bound)),
     )
 
 

@@ -353,6 +353,8 @@ COMMANDS = ["ground-entropy", "excited-entropy", "ensemble-bound", "correlators"
         {"master_seed": 12},
         {"region": {"corner": [0], "lengths": [12]}},
         {"region": {"sites": [[i] for i in range(12)]}},
+        {"eps": [0.5, 1.0, 0.5]},
+        {"eps": [0.5, 0.5000000000000001]},
     ],
     ids=[
         "p-above-1", "s-above-1", "zero-k_max", "no-k_max", "negative-threads", "zero-bound",
@@ -361,7 +363,8 @@ COMMANDS = ["ground-entropy", "excited-entropy", "ensemble-bound", "correlators"
         "fractional-realization-index", "fractional-seed", "string-seed", "bool-seed",
         "float-region", "string-fit-decay", "bool-k_max", "string-k_max", "string-p", "bool-s",
         "string-bound", "bool-eps", "string-eps", "bare-eps", "conflicting-disorder-seed",
-        "conflicting-master-seed", "whole-lattice-box", "whole-lattice-sites",
+        "conflicting-master-seed", "whole-lattice-box", "whole-lattice-sites", "duplicate-eps",
+        "eps-sharing-a-label",
     ],
 )
 def test_every_command_rejects_bad_configs_with_exit_2(command, change, scan_config, tmp_path, capsys):

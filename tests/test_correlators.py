@@ -24,13 +24,17 @@ from oscent import (
     symplectic_spectrum,
 )
 from oscent.correlators import (
+    UNDERFLOW_FLOOR,
     CorrelatorTable,
+    MomentSum,
     correlator_csv,
     distance_bins,
-    ensemble_mean,
+    fit_decay_constant,
     lattice_exponential_sum,
+    line_fit,
     mean_moment_by_distance,
 )
+from oscent.experiments import ExperimentConfig, correlator_ensemble
 
 
 def test_table_identity_and_diagonal():
@@ -106,6 +110,79 @@ def test_decay_fit_synthetic_exponential():
     assert fit.eta == pytest.approx(1.0, abs=1e-6)
     assert fit.prefactor == pytest.approx(1.0, abs=1e-6)
     assert fit.residual < 1e-10
+
+
+def _ols_before_line_fit(x, y):
+    """The scaling fits' own least-squares line before line_fit replaced it: (slope, slope se, rms residual)."""
+    if np.ptp(x) == 0.0:
+        spread = float(np.sqrt(np.mean((y - y.mean()) ** 2)))
+        return math.nan, math.nan, spread
+    design = np.stack([np.ones_like(x), x], axis=1)
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    fitted = design @ coef
+    ssr = float(np.sum((y - fitted) ** 2))
+    dof = len(x) - 2
+    if dof > 0:
+        gram_inv = np.linalg.inv(design.T @ design)
+        slope_se = math.sqrt(max(ssr / dof, 0.0) * gram_inv[1, 1])
+    else:
+        slope_se = 0.0
+    return float(coef[1]), slope_se, math.sqrt(ssr / len(x))
+
+
+def _decay_line_before_line_fit(r, y):
+    """The decay fit's own least-squares line before line_fit replaced it: (eta, prefactor, rms residual)."""
+    design = np.stack([np.ones_like(r, dtype=float), r.astype(float)], axis=1)
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    fitted = design @ coef
+    residual = float(np.sqrt(np.mean((y - fitted) ** 2)))
+    return float(-coef[1]), float(np.exp(coef[0])), residual
+
+
+def _binned_log_moments(mean_moment, lattice):
+    by_distance = mean_moment_by_distance(mean_moment, lattice)
+    r = np.array(sorted(d for d, v in by_distance.items() if v > UNDERFLOW_FLOOR))
+    return r, np.log(np.array([by_distance[int(d)] for d in r]))
+
+
+def _bulk_3d_mean_moment():
+    """The mean moment of an 8x8x8 box over 4 realizations, the shape of the bulk-3d benchmark's decay fit."""
+    lattice = build_box(3, [8, 8, 8])
+    config = ExperimentConfig(dimension=3, lengths=(8, 8, 8), region_corner=(2, 2, 2), region_lengths=(4, 4, 4),
+                              k_max=8.0, realizations=4, master_seed=2024, threads=1)
+    return correlator_ensemble(config, lattice)[0], lattice
+
+
+def _chain_exponential():
+    lat = build_box(1, [12])
+    return np.exp(-np.abs(np.subtract.outer(np.arange(12), np.arange(12))).astype(float)), lat
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def test_line_fit_of_a_constant_x_or_two_points_equals_the_lines_it_replaced_bit_for_bit():
+    x, y = np.full(5, 3.0), np.array([0.1, 0.7, -0.2, 1.3, 0.4])
+    intercept, *rest = line_fit(x, y)
+    assert math.isnan(intercept)
+    assert _bits(rest) == _bits(_ols_before_line_fit(x, y))  # nan slope and error, the spread as residual
+    x, y = np.array([1.0, 2.0]), np.array([0.3, 1.7])
+    intercept, slope, slope_se, residual = line_fit(x, y)
+    assert slope_se == 0.0
+    assert _bits([slope, slope_se, residual]) == _bits(_ols_before_line_fit(x, y))
+    assert _bits([-slope, np.exp(intercept), residual]) == _bits(_decay_line_before_line_fit(x, y))
+
+
+@pytest.mark.parametrize("source", [_chain_exponential, _bulk_3d_mean_moment], ids=["synthetic-exponential", "bulk-3d"])
+def test_decay_fit_equals_both_lines_it_replaced_bit_for_bit(source):
+    mean_moment, lattice = source()
+    fit, _ = fit_decay_constant(mean_moment, lattice, 0.5, 1.0)
+    r, y = _binned_log_moments(mean_moment, lattice)
+    assert fit.distances == tuple(r.tolist())
+    assert _bits([fit.eta, fit.prefactor, fit.residual]) == _bits(_decay_line_before_line_fit(r, y))
+    _, slope, slope_se, residual = line_fit(r.astype(float), y)
+    assert _bits([slope, slope_se, residual]) == _bits(_ols_before_line_fit(r.astype(float), y))
 
 
 def test_decay_fit_refuses_diagonal_ensemble():
@@ -264,8 +341,11 @@ def _with_mirror_differences(values, lattice):
 
 
 def _ensemble_mean_moment(values, lattice):
-    springs = (sample_springs(DisorderModel(k_max=8.0, seed=29), lattice, index) for index in range(3))
-    return ensemble_mean(correlator_table(assemble_anderson(lattice, k)).values ** 0.5 for k in springs)
+    moments = MomentSum()
+    for index in range(3):
+        springs = sample_springs(DisorderModel(k_max=8.0, seed=29), lattice, index)
+        moments.add(correlator_table(assemble_anderson(lattice, springs)).values ** 0.5)
+    return moments.mean()
 
 
 CSV_INPUTS = {

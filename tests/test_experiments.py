@@ -60,6 +60,8 @@ def test_config_validation():
         dict(p=2.0), dict(s=0.0), dict(threads=0), dict(bound=0.0), dict(realization_index=-1),
         dict(region_corner=(12,)), dict(region_lengths=(0,)), dict(region_sites=((14,),)),
         dict(lengths=(14, 2)), dict(master_seed=-1),
+        # eps values sharing a 15-digit label would share a records.csv row and an aggregate
+        dict(eps_values=(0.5, 1.0, 0.5)), dict(eps_values=(0.5, 0.5000000000000001)), dict(eps_values=(1.0, 1.0 - 2**-53)),
     ):
         with pytest.raises(ValueError):
             small_config(**bad)
@@ -102,6 +104,20 @@ def test_scan_records_and_aggregates_are_consistent():
     assert result.aggregates["log_negativity"]["mean"] == pytest.approx(
         np.mean([r.log_negativity for r in ok]), rel=1e-12
     )
+
+
+def test_close_eps_values_keep_their_own_aggregates(tmp_path):
+    eps_values = (0.5, 0.5000001, 1.0)
+    result = run_scan(small_config(realizations=3, eps_values=eps_values))
+    for eps in eps_values:
+        stats = result.aggregates[f"ground_renyi[{eps:.15g}]"]
+        assert stats["n"] == 3
+        assert stats["mean"] == pytest.approx(statistics.fmean(r.ground_renyi[eps] for r in result.records), rel=1e-14)
+    assert sorted(name for name in result.aggregates if name.startswith("ground_renyi")) == [
+        "ground_renyi[0.5000001]", "ground_renyi[0.5]", "ground_renyi[1]"
+    ]
+    rows = write_records_csv(result, tmp_path / "records.csv").splitlines()[1:]
+    assert len({tuple(row.split(",")[:5]) for row in rows}) == len(rows) == 9
 
 
 def test_scan_bounds_hold_per_realization():

@@ -13,6 +13,7 @@ from oscent import (
     sample_springs,
     validate_coupling,
 )
+from oscent.correlators import correlator_table, require_norm_bound
 from oscent.hamiltonian import PD_TOLERANCE
 from oscent.spectral import decompose
 
@@ -129,7 +130,7 @@ def test_matrix_csv_roundtrip(tmp_path):
 
 def test_validate_identity():
     lat = build_box(1, [2])
-    report = validate_coupling(assemble_custom(lat, np.eye(2)), 1.0)
+    report = validate_coupling(decompose(assemble_custom(lat, np.eye(2))), 1.0)
     assert report.is_positive_definite
     assert report.hsqrt_norm == pytest.approx(1.0)
     assert report.bound_satisfied
@@ -137,14 +138,14 @@ def test_validate_identity():
 
 def test_validate_coupled_example():
     lat = build_box(1, [2])
-    report = validate_coupling(assemble_custom(lat, [[2.0, -1.0], [-1.0, 2.0]]), 2.0)
+    report = validate_coupling(decompose(assemble_custom(lat, [[2.0, -1.0], [-1.0, 2.0]])), 2.0)
     assert report.hsqrt_norm == pytest.approx(np.sqrt(3.0), abs=1e-12)
     assert report.bound_satisfied
 
 
 def test_validate_indefinite_matrix():
     lat = build_box(1, [2])
-    report = validate_coupling(assemble_custom(lat, [[1.0, 2.0], [2.0, 1.0]]), 10.0)
+    report = validate_coupling(decompose(assemble_custom(lat, [[1.0, 2.0], [2.0, 1.0]])), 10.0)
     assert not report.is_positive_definite
     assert report.smallest_eigenvalue == pytest.approx(-1.0, abs=1e-12)
 
@@ -178,14 +179,19 @@ def test_assembly_is_bit_identical_to_pair_loop(lengths):
     assert np.array_equal(assemble_anderson(lat, springs).matrix, _loop_anderson(lat, springs))
 
 
-@pytest.mark.parametrize("entries", [np.eye(2), [[2.0, -1.0], [-1.0, 2.0]], [[1.0, 2.0], [2.0, 1.0]]])
-def test_validate_reads_a_given_decomposition(entries):
-    h = assemble_custom(build_box(1, [2]), entries)
-    direct, reused = validate_coupling(h, 1.5), validate_coupling(decompose(h), 1.5)
-    assert reused.is_positive_definite == direct.is_positive_definite
-    assert reused.bound_satisfied == direct.bound_satisfied
-    assert reused.smallest_eigenvalue == pytest.approx(direct.smallest_eigenvalue, abs=1e-14)
-    assert reused.hsqrt_norm == pytest.approx(direct.hsqrt_norm, abs=1e-14)
+@pytest.mark.parametrize("relative, holds", [(1e-13, True), (-1e-13, True), (1e-11, False)])
+def test_report_and_correlator_bound_share_one_norm_bound_rule(relative, holds):
+    bound = 3.0
+    h = assemble_custom(build_box(1, [2]), np.diag([1.0, (bound * (1.0 + relative)) ** 2]))
+    report = validate_coupling(decompose(h), bound)
+    assert report.hsqrt_norm == pytest.approx(bound * (1.0 + relative), rel=1e-15)
+    assert report.bound_satisfied is holds
+    table = correlator_table(h)
+    if holds:
+        assert require_norm_bound(table, bound) is table
+    else:
+        with pytest.raises(ValueError, match="below the actual square-root norm"):
+            require_norm_bound(table, bound)
 
 
 def test_one_positive_definiteness_floor_for_the_report_and_the_eigensystem():
