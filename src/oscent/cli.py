@@ -10,6 +10,7 @@ configuration errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -46,7 +47,9 @@ class UsageError(Exception):
     """Bad flags or configuration; maps to exit code 2."""
 
 
-def parse_args(argv):
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="oscent",
         description="entanglement entropies and bounds for disordered oscillator lattices",
@@ -66,7 +69,11 @@ def parse_args(argv):
     verify = sub.add_parser("verify")
     verify.add_argument("--out", type=str, default=None, help="output directory")
     verify.add_argument("--tolerance", type=float, default=1e-8, help="positive, finite identity tolerance")
-    return parser.parse_args(argv)
+    return parser
+
+
+def parse_args(argv):
+    return _parser().parse_args(argv)
 
 
 def _load_config(path: str) -> dict:
@@ -175,7 +182,7 @@ def _single(args):
 def _region_report(config: ExperimentConfig, lattice, region, modes=()):
     """The region report of the configured realization, holding the bounds of excitations ``modes``."""
     try:
-        data = definite_realization(config, lattice, config.realization_index)[1]  # h is dropped before the weights
+        data = definite_realization(config, lattice, config.realization_index)
     except OSError as err:
         raise UsageError(f"cannot read matrix_csv: {err}")
     return region_report(config, data, partition_blocks(spd_sqrt(data), region), modes)

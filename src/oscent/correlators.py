@@ -52,11 +52,16 @@ class DecayFit:
 
 
 def correlator_table(h, data: SpectralData | None = None) -> CorrelatorTable:
-    """Correlator matrix of one coupling matrix, reusing its eigensystem ``data`` if given."""
+    """Correlator matrix of one coupling matrix ``h``, reusing its eigensystem ``data`` if given.
+
+    With ``data`` only the lattice of ``h`` is read, so ``h`` may be that
+    ``Lattice`` itself.
+    """
     data = eigensystem(h) if data is None else data
+    values = spd_inv_sqrt(data)  # exactly symmetric
     return CorrelatorTable(
-        values=np.abs(spd_inv_sqrt(data)),  # spd_inv_sqrt is exactly symmetric
-        lattice=h.lattice,
+        values=np.abs(values, out=values),
+        lattice=h if isinstance(h, Lattice) else h.lattice,
         hsqrt_norm=float(data.frequencies[-1]),
     )
 
@@ -128,13 +133,19 @@ def decay_fit(tables: list[CorrelatorTable], s: float) -> DecayFit:
 
 
 class MomentSum:
-    """Moment matrices summed left to right as they are added; ``mean`` divides once, at the end."""
+    """Moment matrices summed left to right as they are added; ``mean`` divides once, at the end.
+
+    The sum is one array of its own, added to in place; no added moment is changed.
+    """
 
     def __init__(self):
         self.total, self.count = None, 0
 
     def add(self, moment: np.ndarray):
-        self.total = moment if self.total is None else self.total + moment
+        if self.total is None:
+            self.total = np.array(moment, dtype=float)
+        else:
+            self.total += moment
         self.count += 1
 
     def mean(self) -> np.ndarray:

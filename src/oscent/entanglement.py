@@ -176,7 +176,8 @@ def _profile_arrays(data: SpectralData, blocks: BipartitionBlocks, spectrum: Sym
     """
     v_region = data.vectors[blocks.region.indices, :]
     v_complement = data.vectors[blocks.region.complement_indices, :]
-    scaled = v_complement + blocks.b_inv_ct @ v_region  # gamma_k b^{-1} (v_k)_c
+    scaled = blocks.b_inv_ct @ v_region
+    scaled += v_complement  # gamma_k b^{-1} (v_k)_c
     nu = v_region - (blocks.c @ scaled) / data.frequencies
     complement_energy = np.einsum("ik,ik->k", v_complement, scaled)
     frame = spectrum.f2.T @ spectrum.a_inv_sqrt

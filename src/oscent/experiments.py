@@ -358,24 +358,24 @@ def coupling_matrix(config: ExperimentConfig, lattice: Lattice, index: int) -> C
     return CouplingMatrix(matrix=np.diag(springs), lattice=lattice)
 
 
-def checked_realization(config: ExperimentConfig, lattice: Lattice, index: int) -> tuple[CouplingMatrix, AssumptionReport, SpectralData | None]:
+def checked_realization(config: ExperimentConfig, lattice: Lattice, index: int) -> tuple[AssumptionReport, SpectralData | None]:
     """Realization ``index`` of a config from one decomposition of its h.
 
-    Returns h, its validate_coupling report against the config's norm bound,
-    and its eigensystem, which is None unless h is positive definite.
+    Returns the validate_coupling report of h against the config's norm
+    bound, and its eigensystem, which is None unless h is positive definite.
+    h itself is dropped once decomposed.
     """
-    h = coupling_matrix(config, lattice, index)
-    data = decompose(h)
+    data = decompose(coupling_matrix(config, lattice, index))
     report = validate_coupling(data, config.norm_bound)
-    return h, report, eigensystem(data) if report.is_positive_definite else None
+    return report, eigensystem(data) if report.is_positive_definite else None
 
 
-def definite_realization(config: ExperimentConfig, lattice: Lattice, index: int) -> tuple[CouplingMatrix, SpectralData]:
-    """h and eigensystem of realization ``index``; raises ValueError unless h is positive definite."""
-    h, report, data = checked_realization(config, lattice, index)
+def definite_realization(config: ExperimentConfig, lattice: Lattice, index: int) -> SpectralData:
+    """The eigensystem of realization ``index``; raises ValueError unless its h is positive definite."""
+    report, data = checked_realization(config, lattice, index)
     if data is None:
         raise ValueError(f"coupling matrix is not positive definite (smallest eigenvalue {report.smallest_eigenvalue:.3e})")
-    return h, data
+    return data
 
 
 def region_report(config: ExperimentConfig, data: SpectralData, blocks: BipartitionBlocks, modes) -> EntropyReport:
@@ -414,7 +414,10 @@ def run_scans(configs) -> list[ScanResult]:
 
     Realizations are reduced in index order as they finish, with at most
     two per pool thread in flight, so memory does not grow with the number
-    of realizations.
+    of realizations. Inside one, each n x n array is dropped before the
+    next is made: h once decomposed, h^{1/2} once every region has its
+    blocks, the blocks once every region has its report; the correlator
+    table's moment is made in the table's own array.
 
     Realizations failing the positive-definiteness check are recorded with
     pd_ok = False and excluded from every aggregate; the first realization
@@ -436,20 +439,23 @@ def run_scans(configs) -> list[ScanResult]:
     modes = selected_modes(config.excitations, lattice.size)
 
     def worker(index: int):
-        h, _, data = checked_realization(config, lattice, index)
+        data = checked_realization(config, lattice, index)[1]
         if data is None:
             return [RealizationRecord(index=index, pd_ok=False) for _ in regions], None
         hsqrt = spd_sqrt(data)
-        table = correlator_table(h, data)
+        blocks = [partition_blocks(hsqrt, region) for region in regions]
+        del hsqrt
+        reports = [region_report(config, data, region_blocks, modes) for region_blocks in blocks]
+        del blocks
+        table = correlator_table(lattice, data)
         records = [
-            RealizationRecord.of(
-                index,
-                region_report(config, data, partition_blocks(hsqrt, region), modes),
-                ground_state_correlator_bound(table, region, config.p, bound),
-            )
-            for region in regions
+            RealizationRecord.of(index, report, ground_state_correlator_bound(table, region, config.p, bound))
+            for report, region in zip(reports, regions)
         ]
-        moment = table.values**config.s if config.fit_decay else None
+        if not config.fit_decay:
+            return records, None
+        moment = table.values
+        moment **= config.s
         return records, moment
 
     rows = []  # rows[index][position]: the record of realization ``index`` for region ``position``
@@ -515,8 +521,10 @@ def correlator_ensemble(config: ExperimentConfig, lattice: Lattice) -> tuple[np.
     """
 
     def worker(index: int) -> np.ndarray:
-        table = correlator_table(*definite_realization(config, lattice, index))
-        return require_norm_bound(table, config.norm_bound).values ** config.s
+        table = correlator_table(lattice, definite_realization(config, lattice, index))
+        moment = require_norm_bound(table, config.norm_bound).values
+        moment **= config.s
+        return moment
 
     moments = MomentSum()
     execution = _run_pooled(worker, config.realizations, config.threads, moments.add)
@@ -540,6 +548,7 @@ def _run_pooled(worker, count: int, threads: int | None, reduce) -> dict:
     with single_blas_thread() as blas, ThreadPoolExecutor(max_workers=threads) as pool:
         for result in _in_index_order(pool, worker, count, 2 * threads):
             reduce(result)
+            del result  # reduced: not held while the next one is awaited
     return {"pool_threads": threads, "blas_libraries": blas, "blas_threads": 1 if blas else None}
 
 

@@ -210,13 +210,28 @@ def _square(a: np.ndarray, routine: str):
         raise ValueError(f"{routine} expects a square matrix, got shape {a.shape}")
 
 
-def syevr(a) -> tuple[np.ndarray, np.ndarray]:
+def _overwritable(a, overwrite_a: bool) -> np.ndarray:
+    """``a`` as a finite float64 Fortran-ordered array for LAPACK to overwrite.
+
+    ``a`` itself when ``overwrite_a`` is set and it already is one, and
+    writeable; a copy otherwise. Raises ValueError on non-finite input.
+    """
+    a = np.asarray_chkfinite(a, dtype=np.float64)
+    if overwrite_a and a.flags.f_contiguous and a.flags.writeable:
+        return a
+    return np.array(a, order="F")
+
+
+def syevr(a, overwrite_a=False) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvectors of symmetric ``a``: the bits of ``scipy.linalg.eigh(a)``.
 
     Reads the lower triangle, like ``eigh``. Raises ValueError on non-finite
-    input and LinAlgError if LAPACK fails.
+    input and LinAlgError if LAPACK fails. With ``overwrite_a``, as in
+    ``eigh``, dsyevr may work in ``a`` and destroy it: it does when ``a`` is
+    a writeable Fortran-ordered float64 array, which saves one n x n copy;
+    any other ``a`` is copied, as by default.
     """
-    a = np.array(np.asarray_chkfinite(a, dtype=np.float64), order="F")  # dsyevr overwrites it
+    a = _overwritable(a, overwrite_a)
     _square(a, "syevr")
     n = a.shape[0]
     lapack = _lapack
@@ -280,15 +295,18 @@ def stemr(d, e) -> tuple[np.ndarray, np.ndarray]:
     return w[:m], z[:, :m]
 
 
-def potrf(a) -> np.ndarray:
+def potrf(a, overwrite_a=False) -> np.ndarray:
     """Upper Cholesky factor u (a = u^T u) of symmetric positive-definite ``a``: the bits of ``scipy.linalg.cho_factor(a)[0]``.
 
     Reads the upper triangle and, like ``cho_factor``, leaves the input's
     strict lower triangle in place; Fortran order. Raises ValueError on
     non-finite or non-square input and LinAlgError unless ``a`` is
-    positive definite.
+    positive definite. With ``overwrite_a``, as in ``cho_factor``, the
+    factor is written into ``a`` and returned when ``a`` is a writeable
+    Fortran-ordered float64 array (``a`` is then destroyed, also when the
+    factorization fails); any other ``a`` is copied, as by default.
     """
-    c = np.array(np.asarray_chkfinite(a, dtype=np.float64), order="F")  # dpotrf overwrites it
+    c = _overwritable(a, overwrite_a)
     _square(c, "potrf")
     n = c.shape[0]
     lapack = _lapack
@@ -346,16 +364,79 @@ def _thread_controls(path: str) -> OpenBLAS | None:
     return None
 
 
+class _ObjectInfo(ctypes.Structure):
+    """The head of glibc's ``struct dl_phdr_info``, up to its load and unload counters."""
+
+    _fields_ = [
+        ("addr", ctypes.c_void_p),
+        ("name", ctypes.c_char_p),
+        ("phdr", ctypes.c_void_p),
+        ("phnum", ctypes.c_uint16),
+        ("adds", ctypes.c_ulonglong),
+        ("subs", ctypes.c_ulonglong),
+    ]
+
+
+# dl_iterate_phdr calls its visitor holding the loader's lock. A visitor
+# that waited for the GIL there would deadlock with a thread that holds the
+# GIL and waits for that lock (an import's dlopen), so the walk keeps the
+# GIL (PyDLL) and its visitor runs no Python code that could give it up:
+# memmove, bound to a buffer and called keeping the GIL (PYFUNCTYPE),
+# copies the visited object's struct into the buffer. The visitor declares
+# two of the three arguments the walk passes (info and its size). Its
+# return value, the low 32 bits of the buffer's address, is nonzero in all
+# but freak cases and ends the walk; a further visit would copy the same
+# counters.
+_copy_into = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t)(
+    ctypes.cast(ctypes.memmove, ctypes.c_void_p).value
+)
+_ObjectVisitor = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_void_p, ctypes.c_size_t)
+_INFO_ROOM = 4096  # bytes for one struct dl_phdr_info (64 on 64-bit glibc)
+try:
+    _dl_iterate_phdr = ctypes.PyDLL(None).dl_iterate_phdr
+    _dl_iterate_phdr.argtypes, _dl_iterate_phdr.restype = [_ObjectVisitor, ctypes.c_void_p], ctypes.c_int
+except (OSError, AttributeError, TypeError):  # no loader to ask, or not glibc's interface
+    _dl_iterate_phdr = None
+
+
+def _load_counts() -> tuple[int, int] | None:
+    """How many shared objects the dynamic loader has loaded and unloaded so far, or None where it does not say.
+
+    Either count changes whenever the set of mapped libraries changes.
+    glibc reports them as ``dlpi_adds`` and ``dlpi_subs``, the same in
+    every object's struct; an older loader's shorter struct leaves them 0.
+    """
+    if _dl_iterate_phdr is None:
+        return None
+    room = ctypes.create_string_buffer(_INFO_ROOM)
+    _dl_iterate_phdr(_ObjectVisitor(functools.partial(_copy_into, ctypes.addressof(room))), None)
+    info = _ObjectInfo.from_buffer(room)
+    return (info.adds, info.subs) if info.adds else None
+
+
+# (load counts, OpenBLAS paths) as of the last read of the process map.
+# Threads may race to replace it; each stores counts read before its own read.
+_mapped_openblas: tuple[tuple[int, int] | None, tuple[str, ...]] = (None, ())
+
+
 def loaded_openblas() -> tuple[OpenBLAS, ...]:
     """Every OpenBLAS mapped into this process now (by ``/proc/self/maps``), sorted by file name.
 
     numpy brings its own copy and scipy another, mapped only once something
     loads it (``verify``, the ``cython_lapack`` binding or the caller's own
-    code), so the map is read on every call; the thread controls are
-    resolved once per set of mapped files. Empty where the process map
-    cannot be read or no OpenBLAS is loaded.
+    code), so the map is read again whenever the loader's load or unload
+    count has changed since the last read, and on every call where the
+    loader does not report them; the thread controls are resolved once per
+    set of mapped files. Empty where the process map cannot be read or no
+    OpenBLAS is loaded.
     """
-    return _controls_of(_openblas_paths())
+    global _mapped_openblas
+    counts = _load_counts()  # before the map: a library loaded in between changes them for the next call
+    seen, paths = _mapped_openblas
+    if counts is None or counts != seen:
+        paths = _openblas_paths()
+        _mapped_openblas = (counts, paths)
+    return _controls_of(paths)
 
 
 @functools.cache

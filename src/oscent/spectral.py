@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import lapack
 from .hamiltonian import CouplingMatrix, is_positive_definite
 from .lapack import potrf, potrs, stemr, syevr
 from .lattice import Region
@@ -75,11 +76,12 @@ class SymplecticSpectrum:
 
 
 def _fix_eigenvector_signs(vectors: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude entry of each column positive (first on ties)."""
+    """Make the largest-magnitude entry of each column positive (first on ties), in place; returns ``vectors``."""
     idx = np.abs(vectors).argmax(axis=0)
     signs = np.sign(vectors[idx, np.arange(vectors.shape[1])])
     signs[signs == 0] = 1.0
-    return vectors * signs
+    vectors *= signs
+    return vectors
 
 
 def _symmetric_eigh(m: np.ndarray):
@@ -91,7 +93,8 @@ def _symmetric_eigh(m: np.ndarray):
     dstemr on the two diagonals returns the same bits. If dstemr fails, the
     dense call runs dsyevr's own fallback. ``m`` is tridiagonal when its
     nonzeros (NaN counts as one) are all on the diagonal and the two
-    off-diagonals, which symmetry makes equal.
+    off-diagonals, which symmetry makes equal. The dense call may work in
+    ``m`` and destroy it.
     """
     diagonals = np.count_nonzero(np.diag(m)) + 2 * np.count_nonzero(np.diag(m, -1))
     if m.shape[0] > 1 and np.count_nonzero(m) == diagonals:
@@ -99,13 +102,17 @@ def _symmetric_eigh(m: np.ndarray):
             return stemr(np.diag(m), np.diag(m, -1))
         except np.linalg.LinAlgError:
             pass
-    return syevr(m)
+    return syevr(m, overwrite_a=True)
 
 
 def decompose(h) -> SpectralData:
     """Eigendecomposition with a deterministic sign convention, unchecked: eigenvalues < 0 get nan frequencies."""
     m = h.matrix if isinstance(h, CouplingMatrix) else np.asarray(h, dtype=float)
-    eigenvalues, vectors = _symmetric_eigh(0.5 * (m + m.T))
+    # 0.5 * (m + m.T), formed in the Fortran-ordered array dsyevr works in
+    symmetric = np.add(m, m.T, out=np.empty(m.shape, order="F"))
+    symmetric *= 0.5
+    eigenvalues, vectors = _symmetric_eigh(symmetric)
+    del symmetric
     with np.errstate(invalid="ignore"):
         return SpectralData(eigenvalues, np.sqrt(eigenvalues), _fix_eigenvector_signs(vectors))
 
@@ -124,14 +131,18 @@ def spd_sqrt(h) -> np.ndarray:
     """Symmetric square root of an SPD matrix via its eigendecomposition."""
     data = h if isinstance(h, SpectralData) else eigensystem(h)
     root = (data.vectors * data.frequencies) @ data.vectors.T
-    return 0.5 * (root + root.T)
+    root = root + root.T  # then halved: the bits of 0.5 * (root + root.T)
+    root *= 0.5
+    return root
 
 
 def spd_inv_sqrt(h) -> np.ndarray:
     """Symmetric inverse square root of an SPD matrix."""
     data = h if isinstance(h, SpectralData) else eigensystem(h)
     root = (data.vectors / data.frequencies) @ data.vectors.T
-    return 0.5 * (root + root.T)
+    root = root + root.T
+    root *= 0.5
+    return root
 
 
 def partition_blocks(hsqrt: np.ndarray, region: Region) -> BipartitionBlocks:
@@ -148,10 +159,10 @@ def partition_blocks(hsqrt: np.ndarray, region: Region) -> BipartitionBlocks:
         raise ValueError("region equals the whole lattice; the complement block is empty")
     ri, ci = region.indices, region.complement_indices
     a = hsqrt[np.ix_(ri, ri)]
-    b = hsqrt[np.ix_(ci, ci)]
+    b = hsqrt.T[np.ix_(ci, ci)].T  # gathered transposed: Fortran-ordered, so dpotrf factors it in place
     c = hsqrt[np.ix_(ri, ci)]
     try:
-        b_factor = potrf(b)
+        b_factor = lapack.potrf(b, overwrite_a=True)
     except np.linalg.LinAlgError as err:
         raise np.linalg.LinAlgError(f"complement block is not positive definite: {err}")
     b_inv_ct = potrs(b_factor, c.T)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import oscent.cli
 import oscent.entanglement
 import oscent.experiments
 import oscent.spectral
@@ -70,6 +71,15 @@ def test_parse_rejects_unknown_command():
     with pytest.raises(SystemExit) as info:
         parse_args(["frobnicate"])
     assert info.value.code == 2
+
+
+def test_the_parser_is_built_once_and_keeps_nothing_between_calls():
+    first = parse_args(["scan", "--config", "a.json", "--seed", "3", "--eps", "0.5", "--threads", "2"])
+    second = parse_args(["scan", "--config", "b.json"])
+    assert (first.config, first.seed, first.eps, first.threads) == ("a.json", 3, "0.5", 2)
+    assert (second.config, second.seed, second.eps, second.threads) == ("b.json", None, None, None)
+    assert parse_args(["verify"]).tolerance == 1e-8
+    assert oscent.cli._parser() is oscent.cli._parser()
 
 
 def test_missing_config_exits_2(tmp_path, capsys):
@@ -381,11 +391,14 @@ def test_compute_commands_reject_the_tolerance_flag(command, scan_config, tmp_pa
     assert info.value.code == 2
 
 
-def _run_python(script: str, environ=os.environ) -> subprocess.CompletedProcess:
-    """``script`` in a fresh interpreter, with the variables ``environ``, that imports this checkout's ``oscent``."""
+def _run_python(script: str, environ=os.environ, timeout=None) -> subprocess.CompletedProcess:
+    """``script`` in a fresh interpreter, with the variables ``environ``, that imports this checkout's ``oscent``.
+
+    Raises subprocess.TimeoutExpired if it runs longer than ``timeout`` seconds.
+    """
     src = Path(oscent.spectral.__file__).resolve().parents[1]
     env = dict(environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True, timeout=timeout)
 
 
 @pytest.mark.parametrize("command", COMMANDS)

@@ -387,6 +387,31 @@ def test_correlator_ensemble_memory_is_flat_in_the_number_of_realizations(thread
     assert many < few + slack * moment_bytes
 
 
+# A bulk-3d-shaped operation: 8x8x8 box, one 4x4x4 region, 4 realizations on one pool thread.
+BOX = small_config(
+    dimension=3, lengths=(8, 8, 8), region_corner=(2, 2, 2), region_lengths=(4, 4, 4),
+    eps_values=(0.5, 1.0), realizations=4, fit_decay=True, threads=1,
+)
+BOX_MATRIX_BYTES = 512 * 512 * 8
+
+
+def test_a_dense_scan_holds_at_most_six_n_by_n_arrays():
+    # Each n x n array of a realization is dropped before the next is made:
+    # about three at a time inside the worker (the eigenvectors, a product,
+    # h^{1/2} or h^{-1/2}), plus the moment sum and a finished moment waiting
+    # to be reduced; the decay fit needs the lattice distances and a sort
+    # order.
+    run_scans([BOX])  # warm caches
+    assert _peak_bytes(run_scans, [BOX]) <= 6 * BOX_MATRIX_BYTES
+
+
+def test_a_dense_correlator_ensemble_holds_at_most_five_and_a_half_n_by_n_arrays():
+    # Three inside the worker, the moment sum and one finished moment.
+    lattice = build_box(3, BOX.lengths)
+    correlator_ensemble(BOX, lattice)  # warm caches
+    assert _peak_bytes(correlator_ensemble, BOX, lattice) <= 5.5 * BOX_MATRIX_BYTES
+
+
 class _InlinePool:
     """A pool that runs each submitted call at once and records how many results are submitted and unread."""
 

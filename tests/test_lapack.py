@@ -25,6 +25,7 @@ from oscent.cli import main
 from oscent.lapack import loaded_openblas, potrf, potrs, single_blas_thread, stemr, syevr
 from oscent.spectral import partition_blocks
 from test_cli import _run_python
+from test_spectral import _read_only
 
 
 def anderson(lengths, seed=2024):
@@ -151,6 +152,41 @@ def test_potrf_raises_like_cho_factor_unless_positive_definite():
     with pytest.raises(np.linalg.LinAlgError) as scipys:
         scipy.linalg.cho_factor(matrix)
     assert str(ours.value) == str(scipys.value) == "4-th leading minor of the array is not positive definite"
+
+
+def test_solvers_run_on_read_only_inputs_and_give_the_bits_of_writable_ones():
+    matrix, chain, positive = dense(40), anderson([30]), spd(40)
+    d, e = np.diag(chain), np.diag(chain, -1)
+    factor, rhs = potrf(positive), dense(40, 1)[:, :7]
+    for solver, args in [
+        (syevr, (matrix,)), (syevr, (np.asfortranarray(matrix),)), (stemr, (d, e)),
+        (potrf, (positive,)), (potrf, (np.asfortranarray(positive),)), (potrs, (factor, rhs)),
+    ]:
+        frozen = [_read_only(a) for a in args]
+        want = solver(*[np.array(a, order="K") for a in args])
+        got = solver(*frozen)
+        if solver is potrf or solver is potrs:
+            got, want = [got], [want]
+        assert_same_bits(got, want)
+        for before, after in zip(args, frozen):
+            assert after.tobytes() == np.asarray(before).tobytes()
+    for solver in (syevr, potrf):  # a read-only input is copied even where it may be overwritten
+        frozen = _read_only(np.asfortranarray(positive))
+        solver(frozen, overwrite_a=True)
+        assert frozen.tobytes() == np.asfortranarray(positive).tobytes()
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_overwrite_a_gives_the_default_bits_and_works_in_a_fortran_input(order):
+    matrix, positive = np.asarray(dense(64), order=order), np.asarray(spd(64), order=order)
+    overwritable = np.array(matrix, order=order)
+    assert_same_bits(syevr(overwritable, overwrite_a=True), syevr(matrix))
+    assert np.array_equal(overwritable, matrix) == (order == "C")  # dsyevr worked in the Fortran one
+    overwritable = np.array(positive, order=order)
+    factor = potrf(overwritable, overwrite_a=True)
+    assert_same_bits([factor], [potrf(positive)])
+    assert (factor is overwritable) == (order == "F")
+    assert np.array_equal(positive, np.asarray(spd(64)))  # the default copies
 
 
 def test_partition_blocks_names_the_block_that_is_not_positive_definite():
@@ -355,6 +391,53 @@ def test_the_pool_pins_an_openblas_loaded_after_import():
     assert set(first["blas_libraries"]) < set(second["blas_libraries"])
     assert second["pool_threads"] == 2 and second["blas_threads"] == 1
     assert inside == [dict.fromkeys(second["blas_libraries"], 1)] * 4
+
+
+def test_the_process_map_is_read_again_only_after_a_library_is_loaded():
+    if oscent.lapack._load_counts() is None:
+        pytest.skip("the dynamic loader reports no load counts")
+    script = (
+        "import oscent.lapack\n"
+        "from oscent import ExperimentConfig, run_scans\n"
+        "config = ExperimentConfig(dimension=1, lengths=(24,), region_corner=(8,), region_lengths=(6,),\n"
+        "                          k_max=8.0, realizations=4, master_seed=5, threads=2)\n"
+        "run_scans([config])  # its workers load numpy.random's extension modules\n"
+        "reads = []\n"
+        "openblas_paths = oscent.lapack._openblas_paths\n"
+        "oscent.lapack._openblas_paths = lambda: reads.append(1) or openblas_paths()\n"
+        "run_scans([config]), run_scans([config])\n"
+        "twice = len(reads)\n"
+        "import scipy.linalg\n"
+        "run_scans([config])\n"
+        "print(twice, len(reads))\n"
+    )
+    assert _run_python(script).stdout.splitlines()[-1] == "1 2"
+
+
+def test_reading_the_load_counts_does_not_deadlock_with_imports_in_other_threads():
+    # dl_iterate_phdr runs its visitor holding the loader's lock, and an
+    # import holds the GIL while it waits for that lock: a visitor that ran
+    # Python code could give up the GIL there and never get it back.
+    if oscent.lapack._load_counts() is None:
+        pytest.skip("the dynamic loader reports no load counts")
+    script = (
+        "import importlib, sys, threading, oscent.lapack\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "before = oscent.lapack._load_counts()\n"
+        "def count():\n"
+        "    for _ in range(5000):\n"
+        "        oscent.lapack._load_counts()\n"
+        "def load():\n"
+        "    for name in ('scipy.linalg', 'scipy.special', 'scipy.sparse', 'scipy.optimize', 'scipy.stats'):\n"
+        "        importlib.import_module(name)\n"
+        "threads = [threading.Thread(target=count) for _ in range(3)] + [threading.Thread(target=load)]\n"
+        "for thread in threads:\n"
+        "    thread.start()\n"
+        "for thread in threads:\n"
+        "    thread.join()\n"
+        "print(oscent.lapack._load_counts()[0] > before[0])\n"
+    )
+    assert _run_python(script, timeout=120).stdout.splitlines()[-1] == "True"
 
 
 def _scan_texts(config, tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,12 +7,16 @@ import scipy.linalg
 import oscent.oracle
 import oscent.spectral
 from oscent import (
+    CouplingMatrix,
     DisorderModel,
     ExperimentConfig,
     assemble_anderson,
     assemble_custom,
+    box_region,
     build_box,
+    correlator_table,
     eigensystem,
+    excitation_weights,
     load_matrix_csv,
     make_region,
     partition_blocks,
@@ -19,6 +25,7 @@ from oscent import (
     spd_sqrt,
     symplectic_spectrum,
 )
+from oscent.correlators import MomentSum
 from oscent.experiments import coupling_matrix
 from oscent.spectral import _fix_eigenvector_signs, decompose
 
@@ -376,3 +383,51 @@ def test_nan_off_the_band_counts_as_an_entry(monkeypatch):
         decompose(matrix)
     assert tridiagonal == []
     assert dense == [(8, 8)]
+
+
+def _read_only(value):
+    """A read-only copy of an array, or the dataclass with each of its arrays so copied."""
+    if isinstance(value, np.ndarray):
+        value = np.array(value, order="K")
+        value.flags.writeable = False
+        return value
+    arrays = {f.name: _read_only(getattr(value, f.name)) for f in dataclasses.fields(value)
+              if isinstance(getattr(value, f.name), np.ndarray)}
+    return dataclasses.replace(value, **arrays)
+
+
+def _writable(value):
+    return value if not isinstance(value, np.ndarray) else np.array(value, order="K")
+
+
+def _bits(value):
+    if isinstance(value, np.ndarray):
+        return [value.shape, value.strides, value.tobytes()]
+    return [_bits(getattr(value, f.name)) for f in dataclasses.fields(value) if isinstance(getattr(value, f.name), np.ndarray)]
+
+
+def _every_step(given, lengths, corner, sides):
+    """Each step of a realization that works in place, every input passed through ``given``; all their outputs."""
+    lattice = build_box(len(lengths), lengths)
+    region = box_region(lattice, corner, sides)
+    h = CouplingMatrix(given(random_box(lengths, 11).matrix), lattice)
+    data = decompose(h)
+    hsqrt = spd_sqrt(given(data))
+    blocks = partition_blocks(given(hsqrt), region)
+    spectrum = symplectic_spectrum(given(blocks))
+    table = correlator_table(h)
+    moments = MomentSum()
+    moments.add(given(table.values))
+    moments.add(given(table.values))
+    return [
+        data, eigensystem(h), eigensystem(given(data)), hsqrt, spd_inv_sqrt(given(data)), blocks, spectrum,
+        excitation_weights(given(data), given(blocks), given(spectrum)),
+        table.values, correlator_table(lattice, given(data)).values, moments.total,
+    ]
+
+
+@pytest.mark.parametrize("lengths, corner, sides", [((20,), (6,), (5,)), ((4, 4, 4), (1, 1, 1), (2, 2, 2))], ids=["chain", "box"])
+def test_every_step_runs_on_read_only_inputs_and_gives_the_bits_of_writable_ones(lengths, corner, sides):
+    frozen = _every_step(_read_only, lengths, corner, sides)
+    writable = _every_step(_writable, lengths, corner, sides)
+    assert [_bits(value) for value in frozen] == [_bits(value) for value in writable]
