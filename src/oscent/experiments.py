@@ -8,8 +8,9 @@ for each, and aggregates with deterministic (Welford, index-ordered)
 accumulation, so the output is byte-identical no matter how many worker
 threads ran the realizations. The correlator ensemble runs its realizations
 on the same pool. The worker threads are the only compute threads: the
-eigensolves release the GIL, and every loaded OpenBLAS is pinned to one
-thread while the pool runs.
+eigensolves release the GIL, and the OpenBLAS libraries mapped when
+``oscent.lapack`` bound its routines (the ones the pool computes with) are
+pinned to one thread while the pool runs.
 """
 
 from __future__ import annotations
@@ -298,7 +299,7 @@ class ScanResult:
     failed_pd: int
     decay: DecayFit | None = None
     empirical_area_bound: dict | None = None
-    execution: dict | None = None  # pool threads, pinned BLAS libraries, BLAS threads in the pool
+    execution: dict | None = None  # pool threads, the pinned OpenBLAS the binding computes with, BLAS threads in the pool
 
     @property
     def excited_theorem_mean(self) -> float:
@@ -535,12 +536,12 @@ def _run_pooled(worker, count: int, threads: int | None, reduce) -> dict:
     """``reduce(worker(index))`` for index 0, ..., ``count - 1``, the workers on a pool, the reduction in index order.
 
     The pool has ``threads`` workers (default: the CPUs this process may
-    run on), with at most two realizations per thread in flight. Every
-    OpenBLAS loaded when the pool opens is pinned to one thread for every
-    pool size, so no result depends on the BLAS threads of the
-    environment; the pool exits (all workers done) before the pin. Returns
-    the ``execution`` record: pool threads, pinned BLAS libraries and the
-    BLAS threads inside the pool.
+    run on), with at most two realizations per thread in flight. The
+    OpenBLAS libraries mapped when ``oscent.lapack`` bound its routines, the
+    ones the workers compute with, are pinned to one thread at every pool
+    size, so no result depends on the environment's BLAS threads; the pool
+    exits (all workers done) before the pin. Returns the ``execution``
+    record: pool threads, pinned BLAS libraries and their threads in the pool.
     """
     from concurrent.futures import ThreadPoolExecutor  # not at import: most commands run no pool
 

@@ -28,8 +28,9 @@ it imports) never runs; a later import of ``scipy.linalg.cython_lapack``
 gets the same module object and binds it on ``scipy.linalg``.
 
 ``lapack_versions`` names the bound library for a run's manifest.
-``single_blas_thread`` pins every loaded OpenBLAS to one thread while a
-thread pool runs, so the pool's threads are the only compute threads.
+``single_blas_thread`` pins the OpenBLAS libraries mapped when the routines
+were bound, the ones a thread pool computes with, to one thread while the
+pool runs, so the pool's threads are the only compute threads.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import functools
 import importlib.machinery
 import importlib.util
 import sys
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
@@ -63,11 +65,12 @@ _ARITY = {
 
 @dataclass(frozen=True)
 class _Binding:
-    """The four LAPACK routines as ctypes functions, and the library they come from."""
+    """The four LAPACK routines as ctypes functions, the library they come from, and the OpenBLAS mapped then."""
 
     library: str  # what computes: a shared library's file name, or scipy's cython_lapack
     integer: type  # ctypes type of LAPACK's INTEGER, for scalars and integer arrays alike
     routines: dict[str, Callable]  # name -> ctypes function, by _ARITY's names
+    openblas: tuple[str, ...]  # the OpenBLAS files mapped when the routines were bound
     scipy: str | None = None  # scipy's version where the routines are scipy's
 
 
@@ -95,7 +98,7 @@ def _openblas_paths() -> tuple[str, ...]:
 
 
 def _numpy_binding(paths) -> _Binding | None:
-    """The routines of the first library among ``paths`` that exports them as ``scipy_<name>_64_``, or None."""
+    """The routines of the first library among ``paths`` (the OpenBLAS mapped now) that exports them as ``scipy_<name>_64_``, or None."""
     for path in paths:
         try:
             library = ctypes.CDLL(path)
@@ -105,7 +108,7 @@ def _numpy_binding(paths) -> _Binding | None:
         if all(symbols.values()):
             addresses = {name: ctypes.cast(symbol, ctypes.c_void_p).value for name, symbol in symbols.items()}
             routines = {name: _function(address, name) for name, address in addresses.items()}
-            return _Binding(Path(path).name, ctypes.c_int64, routines)
+            return _Binding(Path(path).name, ctypes.c_int64, routines, tuple(paths))
     return None
 
 
@@ -130,10 +133,10 @@ def _load_cython_lapack():
     return module
 
 
-_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
-_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-    ("PyCapsule_GetPointer", ctypes.pythonapi)
-)
+# Indexing makes private function objects: typing them leaves ctypes.pythonapi's alone.
+_capsule_name, _capsule_pointer = ctypes.pythonapi["PyCapsule_GetName"], ctypes.pythonapi["PyCapsule_GetPointer"]
+_capsule_name.argtypes, _capsule_name.restype = [ctypes.py_object], ctypes.c_char_p
+_capsule_pointer.argtypes, _capsule_pointer.restype = [ctypes.py_object, ctypes.c_char_p], ctypes.c_void_p
 
 
 def _cython_binding() -> _Binding:
@@ -144,7 +147,8 @@ def _cython_binding() -> _Binding:
     routines = {
         name: _function(_capsule_pointer(capsules[name], _capsule_name(capsules[name])), name) for name in _ARITY
     }
-    return _Binding("scipy.linalg.cython_lapack", ctypes.c_int, routines, scipy.__version__)
+    # read after the load, which maps scipy's OpenBLAS where scipy bundles one
+    return _Binding("scipy.linalg.cython_lapack", ctypes.c_int, routines, _openblas_paths(), scipy.__version__)
 
 
 _lapack = _numpy_binding(_openblas_paths()) or _cython_binding()
@@ -364,79 +368,14 @@ def _thread_controls(path: str) -> OpenBLAS | None:
     return None
 
 
-class _ObjectInfo(ctypes.Structure):
-    """The head of glibc's ``struct dl_phdr_info``, up to its load and unload counters."""
+def bound_openblas() -> tuple[OpenBLAS, ...]:
+    """The OpenBLAS libraries mapped when the LAPACK routines were bound, sorted by file name: those a pool computes with.
 
-    _fields_ = [
-        ("addr", ctypes.c_void_p),
-        ("name", ctypes.c_char_p),
-        ("phdr", ctypes.c_void_p),
-        ("phnum", ctypes.c_uint16),
-        ("adds", ctypes.c_ulonglong),
-        ("subs", ctypes.c_ulonglong),
-    ]
-
-
-# dl_iterate_phdr calls its visitor holding the loader's lock. A visitor
-# that waited for the GIL there would deadlock with a thread that holds the
-# GIL and waits for that lock (an import's dlopen), so the walk keeps the
-# GIL (PyDLL) and its visitor runs no Python code that could give it up:
-# memmove, bound to a buffer and called keeping the GIL (PYFUNCTYPE),
-# copies the visited object's struct into the buffer. The visitor declares
-# two of the three arguments the walk passes (info and its size). Its
-# return value, the low 32 bits of the buffer's address, is nonzero in all
-# but freak cases and ends the walk; a further visit would copy the same
-# counters.
-_copy_into = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t)(
-    ctypes.cast(ctypes.memmove, ctypes.c_void_p).value
-)
-_ObjectVisitor = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_void_p, ctypes.c_size_t)
-_INFO_ROOM = 4096  # bytes for one struct dl_phdr_info (64 on 64-bit glibc)
-try:
-    _dl_iterate_phdr = ctypes.PyDLL(None).dl_iterate_phdr
-    _dl_iterate_phdr.argtypes, _dl_iterate_phdr.restype = [_ObjectVisitor, ctypes.c_void_p], ctypes.c_int
-except (OSError, AttributeError, TypeError):  # no loader to ask, or not glibc's interface
-    _dl_iterate_phdr = None
-
-
-def _load_counts() -> tuple[int, int] | None:
-    """How many shared objects the dynamic loader has loaded and unloaded so far, or None where it does not say.
-
-    Either count changes whenever the set of mapped libraries changes.
-    glibc reports them as ``dlpi_adds`` and ``dlpi_subs``, the same in
-    every object's struct; an older loader's shorter struct leaves them 0.
+    A pool's workers call only numpy, whose BLAS is mapped before the
+    binding, and the routines (numpy's OpenBLAS, or scipy's, which loading
+    ``cython_lapack`` maps). Empty where the process map could not be read.
     """
-    if _dl_iterate_phdr is None:
-        return None
-    room = ctypes.create_string_buffer(_INFO_ROOM)
-    _dl_iterate_phdr(_ObjectVisitor(functools.partial(_copy_into, ctypes.addressof(room))), None)
-    info = _ObjectInfo.from_buffer(room)
-    return (info.adds, info.subs) if info.adds else None
-
-
-# (load counts, OpenBLAS paths) as of the last read of the process map.
-# Threads may race to replace it; each stores counts read before its own read.
-_mapped_openblas: tuple[tuple[int, int] | None, tuple[str, ...]] = (None, ())
-
-
-def loaded_openblas() -> tuple[OpenBLAS, ...]:
-    """Every OpenBLAS mapped into this process now (by ``/proc/self/maps``), sorted by file name.
-
-    numpy brings its own copy and scipy another, mapped only once something
-    loads it (``verify``, the ``cython_lapack`` binding or the caller's own
-    code), so the map is read again whenever the loader's load or unload
-    count has changed since the last read, and on every call where the
-    loader does not report them; the thread controls are resolved once per
-    set of mapped files. Empty where the process map cannot be read or no
-    OpenBLAS is loaded.
-    """
-    global _mapped_openblas
-    counts = _load_counts()  # before the map: a library loaded in between changes them for the next call
-    seen, paths = _mapped_openblas
-    if counts is None or counts != seen:
-        paths = _openblas_paths()
-        _mapped_openblas = (counts, paths)
-    return _controls_of(paths)
+    return _controls_of(_lapack.openblas)
 
 
 @functools.cache
@@ -445,19 +384,33 @@ def _controls_of(paths: tuple[str, ...]) -> tuple[OpenBLAS, ...]:
     return tuple(lib for lib in found if lib is not None)
 
 
+# The thread counts are process-wide, so overlapping pins share one.
+_pin_lock = threading.Lock()
+_pin_depth = 0
+_pin_saved: list[tuple[OpenBLAS, int]] = []
+
+
 @contextlib.contextmanager
 def single_blas_thread():
-    """Pin every loaded OpenBLAS to one thread inside the block; restore each count on exit, also on error.
+    """Pin the bound OpenBLAS libraries to one thread inside the block; restore their counts on exit, also on error.
 
-    The thread counts are process-wide. Yields the file names of the pinned
-    libraries, empty when none was found (then nothing is pinned).
+    Blocks may overlap, in one thread or several: the first to enter saves
+    the counts and the last to exit restores them. Yields the file names of
+    the pinned libraries, empty when there are none (then nothing is pinned).
     """
-    libraries = loaded_openblas()
-    saved = [lib.get_threads() for lib in libraries]
+    global _pin_depth, _pin_saved
+    libraries = bound_openblas()
+    with _pin_lock:
+        if not _pin_depth:
+            _pin_saved = [(lib, lib.get_threads()) for lib in libraries]
+            for lib in libraries:
+                lib.set_threads(1)
+        _pin_depth += 1
     try:
-        for lib in libraries:
-            lib.set_threads(1)
         yield [lib.name for lib in libraries]
     finally:
-        for lib, count in zip(libraries, saved):
-            lib.set_threads(count)
+        with _pin_lock:
+            _pin_depth -= 1
+            if not _pin_depth:
+                for lib, count in _pin_saved:
+                    lib.set_threads(count)

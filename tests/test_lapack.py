@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from oscent import (
     assemble_anderson,
     box_region,
     build_box,
+    correlator_ensemble,
     run_scans,
     sample_springs,
     write_aggregates_json,
@@ -22,9 +24,9 @@ from oscent import (
     write_scaling_data,
 )
 from oscent.cli import main
-from oscent.lapack import loaded_openblas, potrf, potrs, single_blas_thread, stemr, syevr
+from oscent.lapack import bound_openblas, potrf, potrs, single_blas_thread, stemr, syevr
 from oscent.spectral import partition_blocks
-from test_cli import _run_python
+from test_cli import _FALLBACK, _run_python
 from test_spectral import _read_only
 
 
@@ -277,15 +279,15 @@ def test_the_binding_does_not_depend_on_what_was_imported_first():
 
 
 def _counts():
-    return [lib.get_threads() for lib in loaded_openblas()]
+    return [lib.get_threads() for lib in bound_openblas()]
 
 
 @pytest.fixture
 def blas_at_two_threads():
-    """Every loaded OpenBLAS at two threads for the test, restored afterwards."""
-    libraries = loaded_openblas()
+    """Every OpenBLAS the pin holds at two threads for the test, restored afterwards."""
+    libraries = bound_openblas()
     if not libraries:
-        pytest.skip("no OpenBLAS is loaded")
+        pytest.skip("no OpenBLAS is bound")
     saved = _counts()
     for lib in libraries:
         lib.set_threads(2)
@@ -296,13 +298,14 @@ def blas_at_two_threads():
             lib.set_threads(count)
 
 
-def test_loaded_openblas_finds_the_numpy_and_scipy_builds():
-    names = [lib.name for lib in loaded_openblas()]
+def test_the_pin_holds_the_openblas_the_binding_computes_with():
+    binding = oscent.lapack._lapack
+    names = [lib.name for lib in bound_openblas()]
+    assert names == [Path(path).name for path in binding.openblas]
     assert names == sorted(names)
     assert all("openblas" in name.lower() for name in names)
-    builds = [np.show_config(mode="dicts"), scipy.show_config(mode="dicts")]
-    bundled = sum(b["Build Dependencies"]["blas"]["name"] == "scipy-openblas" for b in builds)
-    assert len(names) >= bundled  # each wheel bundles its own copy
+    if binding.scipy is None:  # the routines are numpy's OpenBLAS
+        assert binding.library in names
 
 
 def test_single_blas_thread_pins_and_restores(blas_at_two_threads):
@@ -314,6 +317,19 @@ def test_single_blas_thread_pins_and_restores(blas_at_two_threads):
         with single_blas_thread():
             raise RuntimeError("boom")
     assert _counts() == [2] * len(names)
+
+
+def test_overlapping_pins_restore_the_counts_when_the_last_exits(blas_at_two_threads):
+    pinned, unpinned = [1] * len(blas_at_two_threads), [2] * len(blas_at_two_threads)
+    first, second = single_blas_thread(), single_blas_thread()
+    first.__enter__()
+    second.__enter__()
+    first.__exit__(None, None, None)
+    try:
+        assert _counts() == pinned  # the second pool still runs
+    finally:
+        second.__exit__(None, None, None)
+    assert _counts() == unpinned
 
 
 def chain_config(**overrides):
@@ -365,79 +381,84 @@ def test_the_default_pool_has_one_thread_per_usable_cpu(monkeypatch):
     assert result.execution["pool_threads"] == 1
 
 
-def test_the_pool_pins_an_openblas_loaded_after_import():
-    if scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"] != "scipy-openblas":
-        pytest.skip("scipy brings no OpenBLAS of its own")
-    if "scipy" in oscent.lapack.lapack_versions():
-        pytest.skip("the cython_lapack binding loads scipy's OpenBLAS at import")
+def test_opening_a_pool_reads_no_process_map(blas_at_two_threads, monkeypatch):
+    def unreadable():
+        raise AssertionError("the process map was read")
+
+    seen = []
+    coupling_matrix = oscent.experiments.coupling_matrix
+
+    def recording(config, lattice, index):
+        seen.append(_counts())
+        return coupling_matrix(config, lattice, index)
+
+    monkeypatch.setattr(oscent.lapack, "_openblas_paths", unreadable)
+    monkeypatch.setattr(oscent.experiments, "coupling_matrix", recording)
+    config = chain_config()
+    (result,) = run_scans([config])
+    _, execution = correlator_ensemble(config, build_box(1, (24,)))
+    assert seen == [[1] * len(blas_at_two_threads)] * 8
+    assert execution == result.execution
+    assert execution["blas_libraries"] == [lib.name for lib in blas_at_two_threads]
+
+
+def _scipy_brings_an_unbound_openblas():
+    bundled = scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"] == "scipy-openblas"
+    return bundled and "scipy" not in oscent.lapack.lapack_versions()
+
+
+BOX_SCAN = {
+    "dimension": 3, "lengths": [8, 8, 8], "region": {"corner": [2, 2, 2], "lengths": [4, 4, 4]},
+    "disorder": {"k_max": 8.0}, "seed": 2024, "realizations": 4, "excitations": "all", "fit_decay": True,
+}
+SCAN_FILES = ("records.csv", "aggregates.json", "scaling.dat")
+
+
+def test_an_openblas_imported_after_oscent_leaves_the_pin_and_the_bytes_alone(tmp_path):
+    # scipy's OpenBLAS, mapped after the binding, stays unpinned at two
+    # threads; the pool never calls it, so the 3d scan keeps its bytes.
+    config = tmp_path / "box.json"
+    config.write_text(json.dumps(BOX_SCAN))
+    late, pinned = tmp_path / "late", tmp_path / "pinned"
+    scan = ["scan", "--config", str(config), "--threads"]
     script = (
-        "import json, oscent.experiments, oscent.lapack\n"
+        "import json, oscent.cli, oscent.lapack\n"
         "from oscent import ExperimentConfig, run_scans\n"
-        "seen = []\n"
-        "coupling_matrix = oscent.experiments.coupling_matrix\n"
-        "def recording(config, lattice, index):\n"
-        "    seen.append({lib.name: lib.get_threads() for lib in oscent.lapack.loaded_openblas()})\n"
-        "    return coupling_matrix(config, lattice, index)\n"
-        "oscent.experiments.coupling_matrix = recording\n"
-        "config = ExperimentConfig(dimension=1, lengths=(24,), region_corner=(8,), region_lengths=(6,),\n"
-        "                          k_max=8.0, realizations=4, master_seed=5, threads=2)\n"
-        "first = run_scans([config])[0].execution\n"
+        "chain = ExperimentConfig(dimension=1, lengths=(24,), region_corner=(8,), region_lengths=(6,),\n"
+        "                         k_max=8.0, realizations=2, master_seed=5, threads=2)\n"
+        "before = run_scans([chain])[0].execution\n"
         "import scipy.linalg\n"
-        "second = run_scans([config])[0].execution\n"
-        "print(json.dumps([first, second, seen[4:]]))\n"
+        f"assert oscent.cli.main({[*scan, '2', '--out', str(late)]!r}) == 0\n"
+        "print(json.dumps([before, [path.rsplit('/', 1)[-1] for path in oscent.lapack._openblas_paths()]]))\n"
     )
-    first, second, inside = json.loads(_run_python(script).stdout.splitlines()[-1])
-    assert len(second["blas_libraries"]) == len(first["blas_libraries"]) + 1 == 2
-    assert set(first["blas_libraries"]) < set(second["blas_libraries"])
-    assert second["pool_threads"] == 2 and second["blas_threads"] == 1
-    assert inside == [dict.fromkeys(second["blas_libraries"], 1)] * 4
+    ran = _run_python(script, dict(os.environ, OPENBLAS_NUM_THREADS="2"))
+    before, mapped = json.loads(ran.stdout.splitlines()[-1])
+    after = json.loads((late / "manifest.json").read_text())["execution"]
+    assert after == before
+    assert set(after["blas_libraries"]) <= set(mapped)
+    if _scipy_brings_an_unbound_openblas():
+        assert len(mapped) == len(after["blas_libraries"]) + 1  # scipy's, mapped and not pinned
+    one = f"import oscent.cli\nassert oscent.cli.main({[*scan, '1', '--out', str(pinned)]!r}) == 0\n"
+    _run_python(one, dict(os.environ, OPENBLAS_NUM_THREADS="1"))
+    for name in SCAN_FILES:
+        assert (late / name).read_bytes() == (pinned / name).read_bytes(), name
 
 
-def test_the_process_map_is_read_again_only_after_a_library_is_loaded():
-    if oscent.lapack._load_counts() is None:
-        pytest.skip("the dynamic loader reports no load counts")
+def test_the_fallback_binding_pins_the_openblas_cython_lapack_maps():
+    if not _scipy_brings_an_unbound_openblas():
+        pytest.skip("scipy brings no OpenBLAS of its own, or the cython_lapack binding already mapped it")
     script = (
-        "import oscent.lapack\n"
-        "from oscent import ExperimentConfig, run_scans\n"
-        "config = ExperimentConfig(dimension=1, lengths=(24,), region_corner=(8,), region_lengths=(6,),\n"
-        "                          k_max=8.0, realizations=4, master_seed=5, threads=2)\n"
-        "run_scans([config])  # its workers load numpy.random's extension modules\n"
-        "reads = []\n"
-        "openblas_paths = oscent.lapack._openblas_paths\n"
-        "oscent.lapack._openblas_paths = lambda: reads.append(1) or openblas_paths()\n"
-        "run_scans([config]), run_scans([config])\n"
-        "twice = len(reads)\n"
-        "import scipy.linalg\n"
-        "run_scans([config])\n"
-        "print(twice, len(reads))\n"
+        "import json, oscent.lapack\n"
+        "numpy_set = oscent.lapack._lapack.openblas\n"
+        + _FALLBACK
+        + "with oscent.lapack.single_blas_thread() as names:\n"
+        "    pass\n"
+        "print(json.dumps([numpy_set, oscent.lapack._lapack.openblas, oscent.lapack._openblas_paths(), names]))\n"
     )
-    assert _run_python(script).stdout.splitlines()[-1] == "1 2"
-
-
-def test_reading_the_load_counts_does_not_deadlock_with_imports_in_other_threads():
-    # dl_iterate_phdr runs its visitor holding the loader's lock, and an
-    # import holds the GIL while it waits for that lock: a visitor that ran
-    # Python code could give up the GIL there and never get it back.
-    if oscent.lapack._load_counts() is None:
-        pytest.skip("the dynamic loader reports no load counts")
-    script = (
-        "import importlib, sys, threading, oscent.lapack\n"
-        "sys.setswitchinterval(1e-6)\n"
-        "before = oscent.lapack._load_counts()\n"
-        "def count():\n"
-        "    for _ in range(5000):\n"
-        "        oscent.lapack._load_counts()\n"
-        "def load():\n"
-        "    for name in ('scipy.linalg', 'scipy.special', 'scipy.sparse', 'scipy.optimize', 'scipy.stats'):\n"
-        "        importlib.import_module(name)\n"
-        "threads = [threading.Thread(target=count) for _ in range(3)] + [threading.Thread(target=load)]\n"
-        "for thread in threads:\n"
-        "    thread.start()\n"
-        "for thread in threads:\n"
-        "    thread.join()\n"
-        "print(oscent.lapack._load_counts()[0] > before[0])\n"
-    )
-    assert _run_python(script, timeout=120).stdout.splitlines()[-1] == "True"
+    numpy_set, fallback_set, mapped, names = json.loads(_run_python(script).stdout.splitlines()[-1])
+    assert fallback_set == mapped  # read once cython_lapack had mapped scipy's OpenBLAS
+    assert set(numpy_set) < set(fallback_set)
+    assert names == [Path(path).name for path in fallback_set]
 
 
 def _scan_texts(config, tmp_path):
@@ -481,7 +502,7 @@ def test_scan_manifest_records_the_execution(tmp_path):
     assert main(["scan", "--config", str(config), "--out", str(out), "--threads", "3"]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert sorted(manifest) == ["command", "config", "execution", "seed", "versions"]
-    names = [lib.name for lib in loaded_openblas()]
+    names = [lib.name for lib in bound_openblas()]
     assert manifest["execution"] == {
         "pool_threads": 3,
         "blas_libraries": names,
