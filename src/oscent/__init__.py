@@ -31,11 +31,13 @@ from .hamiltonian import (
 )
 from .spectral import (
     BipartitionBlocks,
+    RegionBlocks,
     SpectralData,
     SymplecticSpectrum,
     decompose,
     eigensystem,
     partition_blocks,
+    region_blocks,
     spd_inv_sqrt,
     spd_sqrt,
     symplectic_spectrum,

@@ -22,13 +22,13 @@ import numpy as np
 
 from . import __version__
 from .correlators import correlator_csv, fit_decay_constant
-from .entanglement import single_excitation_ensemble_bound
+from .entanglement import require_ensemble_hypothesis
 from .experiments import (
     ExperimentConfig,
     correlator_ensemble,
     definite_realization,
     region_of,
-    region_report,
+    region_reports,
     run_scans,
     selected_modes,
     write_aggregates_json,
@@ -37,7 +37,6 @@ from .experiments import (
 )
 from .lapack import lapack_versions
 from .lattice import build_box
-from .spectral import partition_blocks, spd_sqrt
 
 USAGE_ERROR = 2
 COMPUTE_ERROR = 1
@@ -185,7 +184,7 @@ def _region_report(config: ExperimentConfig, lattice, region, modes=()):
         data = definite_realization(config, lattice, config.realization_index)
     except OSError as err:
         raise UsageError(f"cannot read matrix_csv: {err}")
-    return region_report(config, data, partition_blocks(spd_sqrt(data), region), modes)
+    return region_reports(config, data, [region], modes)[0]
 
 
 def _cmd_ground_entropy(args) -> int:
@@ -213,7 +212,8 @@ def _cmd_excited_entropy(args) -> int:
 def _cmd_ensemble_bound(args) -> int:
     config, lattice, region = _single(args)
     report = _region_report(config, lattice, region)
-    value = single_excitation_ensemble_bound(report.mu, lattice.size, region.size)
+    require_ensemble_hypothesis(lattice.size, region.size)
+    value = report.ensemble_bound
     payload = {"ensemble_bound": value, "lattice_size": lattice.size, "region_size": region.size}
     _write_outputs(args, [config], {"ensemble.json": json.dumps(payload, indent=2, sort_keys=True) + "\n"})
     print(f"ensemble_bound={value:.15g}")

@@ -334,11 +334,16 @@ def excited_half_renyi_bounds(weights, spectrum: SymplecticSpectrum):
     2 N(ground) + 4 log(region size), and nan for single-site regions, where
     its derivation needs region size > 1.
     """
+    return _half_renyi_bounds(weights, spectrum, log_negativity(spectrum))
+
+
+def _half_renyi_bounds(weights, spectrum: SymplecticSpectrum, half: float):
+    """excited_half_renyi_bounds given ``half``, the spectrum's E_{1/2}."""
     f_half = half_renyi_factor(spectrum.mu)
     log_product = float(np.sum(np.log(f_half)))
     computed = 2.0 * (np.log1p(np.sqrt(weights) @ f_half) + log_product)
     if spectrum.size > 1:
-        theorem = 2.0 * log_negativity(spectrum) + 4.0 * math.log(spectrum.size)
+        theorem = 2.0 * half + 4.0 * math.log(spectrum.size)
     else:
         theorem = math.nan
     return (computed if computed.ndim else float(computed)), theorem
@@ -352,12 +357,22 @@ def single_excitation_ensemble_bound(
     Only valid when region_size^2 <= lattice_size; violating that hypothesis
     raises rather than returning a number the derivation does not cover.
     """
+    require_ensemble_hypothesis(lattice_size, region_size)
+    return _ensemble_bound(ground_state_renyi(spectrum, 0.5))
+
+
+def require_ensemble_hypothesis(lattice_size: int, region_size: int) -> None:
+    """Raise ValueError unless region_size^2 <= lattice_size, the ensemble bound's hypothesis."""
     if region_size**2 > lattice_size:
         raise ValueError(
             f"hypothesis violated: region size squared {region_size**2} exceeds "
             f"lattice size {lattice_size}"
         )
-    return math.log(3.0) + 2.0 * ground_state_renyi(spectrum, 0.5)
+
+
+def _ensemble_bound(half: float) -> float:
+    """log 3 + 2 ``half``, for ``half`` the ground state's E_{1/2}."""
+    return math.log(3.0) + 2.0 * half
 
 
 @dataclass
@@ -389,7 +404,8 @@ def entropy_report(
 
     ``modes`` lists 1-based excitations and ``weights`` holds their weight
     rows, a 2d array with one row per mode, for the excited bounds. Each
-    distinct E_eps is computed once.
+    distinct E_eps is computed once; the excited theorem bound and the
+    ensemble bound read E_{1/2} from that table.
     """
     eps_values = [float(e) for e in eps_values]
     renyi = {eps: ground_state_renyi(spectrum, eps) for eps in {*eps_values, 0.5, 1.0}}
@@ -401,12 +417,10 @@ def entropy_report(
         mu=spectrum.mu.tolist(),
     )
     if len(modes):
-        computed, theorem = excited_half_renyi_bounds(weights, spectrum)
+        computed, theorem = _half_renyi_bounds(weights, spectrum, renyi[0.5])
         report.excited_modes = [int(k) for k in modes]
         report.excited_computed_bounds = computed.tolist()
         report.excited_theorem_bounds = [theorem] * len(modes)
     if lattice_size is not None and spectrum.size**2 <= lattice_size:
-        report.ensemble_bound = single_excitation_ensemble_bound(
-            spectrum, lattice_size, spectrum.size
-        )
+        report.ensemble_bound = _ensemble_bound(renyi[0.5])
     return report

@@ -38,7 +38,7 @@ from .hamiltonian import (
 )
 from .lapack import single_blas_thread
 from .lattice import Lattice, Region, box_region, build_box, inner_boundary, make_region
-from .spectral import BipartitionBlocks, SpectralData, decompose, eigensystem, partition_blocks, spd_sqrt, symplectic_spectrum
+from .spectral import BipartitionBlocks, RegionBlocks, SpectralData, decompose, eigensystem, partition_blocks, region_blocks, spd_sqrt, symplectic_spectrum
 
 # The config schema: every key ``ExperimentConfig.from_dict`` reads, and
 # nothing else. ``disorder.kind`` is accepted because ``to_dict`` writes it.
@@ -379,16 +379,37 @@ def definite_realization(config: ExperimentConfig, lattice: Lattice, index: int)
     return data
 
 
-def region_report(config: ExperimentConfig, data: SpectralData, blocks: BipartitionBlocks, modes) -> EntropyReport:
+def region_report(config: ExperimentConfig, data: SpectralData, blocks: BipartitionBlocks | RegionBlocks, modes) -> EntropyReport:
     """The entropies and bounds of one region of a realization.
 
     ``modes`` lists the 1-based excitations whose bounds the report holds;
-    their weight rows come from excitation_weights, which checks every
-    mode's identities whether selected or not.
+    their weight rows come from excitation_weights, which needs the
+    BipartitionBlocks of partition_blocks and checks every mode's identities
+    whether selected or not. A report without excitations takes either kind
+    of blocks.
     """
     spectrum = symplectic_spectrum(blocks)
     weights = excitation_weights(data, blocks, spectrum)[np.asarray(modes, dtype=int) - 1] if modes else None
     return entropy_report(spectrum, config.eps_values, modes, weights, lattice_size=data.size)
+
+
+def region_reports(config: ExperimentConfig, data: SpectralData, regions, modes) -> list[EntropyReport]:
+    """The region report of each of ``regions`` on one realization, holding the bounds of excitations ``modes``.
+
+    The one place a report's route is chosen. Without excitations, each
+    region's spectrum comes from its region_blocks: the region rows of the
+    eigenvectors, no h^{1/2} and no complement block. With excitations, the
+    regions take partition_blocks of one h^{1/2}, dropped once every region
+    has its blocks: the computed excited bound reads the symplectic mode
+    frame, which is free inside a cluster of near-equal mu, and the region
+    route would pick another frame there and move the bound.
+    """
+    if not modes:
+        return [region_report(config, data, region_blocks(data, region), modes) for region in regions]
+    hsqrt = spd_sqrt(data)
+    blocks = [partition_blocks(hsqrt, region) for region in regions]
+    del hsqrt
+    return [region_report(config, data, each, modes) for each in blocks]
 
 
 def _without_region(config: ExperimentConfig) -> dict:
@@ -408,17 +429,19 @@ def run_scans(configs) -> list[ScanResult]:
     """Run several scans that differ only in the region, one result per config.
 
     Each disorder realization is sampled, checked and decomposed once (h,
-    its eigensystem, h^{1/2} and the h^{-1/2} correlator table) and every
-    region derives its record from that shared decomposition, so each
-    result is byte-identical to a separate run of its config. The decay
-    fit, which depends only on the lattice, runs once and is shared.
+    its eigensystem, h^{1/2} where excitations need it and the h^{-1/2}
+    correlator table) and every region derives its record from that shared
+    decomposition, so each result is byte-identical to a separate run of
+    its config. The decay fit, which depends only on the lattice, runs once
+    and is shared.
 
     Realizations are reduced in index order as they finish, with at most
     two per pool thread in flight, so memory does not grow with the number
     of realizations. Inside one, each n x n array is dropped before the
-    next is made: h once decomposed, h^{1/2} once every region has its
-    blocks, the blocks once every region has its report; the correlator
-    table's moment is made in the table's own array.
+    next is made: h once decomposed, h^{1/2} (made only with excitations,
+    see region_reports) once every region has its blocks, the blocks once
+    every region has its report; the correlator table's moment is made in
+    the table's own array.
 
     Realizations failing the positive-definiteness check are recorded with
     pd_ok = False and excluded from every aggregate; the first realization
@@ -443,11 +466,7 @@ def run_scans(configs) -> list[ScanResult]:
         data = checked_realization(config, lattice, index)[1]
         if data is None:
             return [RealizationRecord(index=index, pd_ok=False) for _ in regions], None
-        hsqrt = spd_sqrt(data)
-        blocks = [partition_blocks(hsqrt, region) for region in regions]
-        del hsqrt
-        reports = [region_report(config, data, region_blocks, modes) for region_blocks in blocks]
-        del blocks
+        reports = region_reports(config, data, regions, modes)
         table = correlator_table(lattice, data)
         records = [
             RealizationRecord.of(index, report, ground_state_correlator_bound(table, region, config.p, bound))

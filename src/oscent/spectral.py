@@ -5,7 +5,9 @@ matrix (from its two diagonals alone when it is tridiagonal, as on a chain),
 functions of it (square root, inverse square root), the block decomposition
 of the square root induced by a region, the Schur complement of the
 complement block, and the symplectic eigenvalues mu_j >= 1 that carry all
-the ground-state entanglement information.
+the ground-state entanglement information. The symplectic eigenvalues need
+only the region blocks of h^{1/2} and h^{-1/2}, which the region rows of the
+eigenvectors give without either n x n root (``region_blocks``).
 """
 
 from __future__ import annotations
@@ -54,6 +56,22 @@ class BipartitionBlocks:
 
     def solve_schur(self, rhs: np.ndarray) -> np.ndarray:
         return potrs(self._schur_factor, rhs)
+
+
+@dataclass(frozen=True, eq=False)
+class RegionBlocks:
+    """The region blocks ``a`` = (h^{1/2})_RR and ``x`` = (h^{-1/2})_RR.
+
+    ``x`` is the inverse of the Schur complement a - c b^{-1} c^T (block
+    inversion of h^{1/2} h^{-1/2} = 1), so it stands in for the Schur solve
+    and no complement block is formed.
+    """
+
+    a: np.ndarray
+    x: np.ndarray
+
+    def solve_schur(self, rhs: np.ndarray) -> np.ndarray:
+        return self.x @ rhs
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,22 +145,38 @@ def eigensystem(h) -> SpectralData:
     return data
 
 
+def _symmetrized(root: np.ndarray) -> np.ndarray:
+    """0.5 * (root + root.T), bit for bit."""
+    root = root + root.T
+    root *= 0.5
+    return root
+
+
 def spd_sqrt(h) -> np.ndarray:
     """Symmetric square root of an SPD matrix via its eigendecomposition."""
     data = h if isinstance(h, SpectralData) else eigensystem(h)
-    root = (data.vectors * data.frequencies) @ data.vectors.T
-    root = root + root.T  # then halved: the bits of 0.5 * (root + root.T)
-    root *= 0.5
-    return root
+    return _symmetrized((data.vectors * data.frequencies) @ data.vectors.T)
 
 
 def spd_inv_sqrt(h) -> np.ndarray:
     """Symmetric inverse square root of an SPD matrix."""
     data = h if isinstance(h, SpectralData) else eigensystem(h)
-    root = (data.vectors / data.frequencies) @ data.vectors.T
-    root = root + root.T
-    root *= 0.5
-    return root
+    return _symmetrized((data.vectors / data.frequencies) @ data.vectors.T)
+
+
+def region_blocks(data: SpectralData, region: Region) -> RegionBlocks:
+    """(h^{1/2})_RR and (h^{-1/2})_RR from the region rows of the eigenvectors, in O(n |R|^2).
+
+    Each is the region block of spd_sqrt or spd_inv_sqrt, symmetrized the
+    same way, without the n x n root.
+    """
+    if data.size != region.lattice.size:
+        raise ValueError(f"eigensystem size {data.size} does not match lattice size {region.lattice.size}")
+    rows = data.vectors[region.indices]
+    return RegionBlocks(
+        a=_symmetrized((rows * data.frequencies) @ rows.T),
+        x=_symmetrized((rows / data.frequencies) @ rows.T),
+    )
 
 
 def partition_blocks(hsqrt: np.ndarray, region: Region) -> BipartitionBlocks:
@@ -177,10 +211,12 @@ def partition_blocks(hsqrt: np.ndarray, region: Region) -> BipartitionBlocks:
     )
 
 
-def symplectic_spectrum(blocks: BipartitionBlocks) -> SymplecticSpectrum:
+def symplectic_spectrum(blocks: BipartitionBlocks | RegionBlocks) -> SymplecticSpectrum:
     """Symplectic eigenvalues mu_j and the mode frame of the reduced ground state.
 
-    mu_j^2 are the eigenvalues of a^{1/2} schur^{-1} a^{1/2}; values dipping
+    mu_j^2 are the eigenvalues of a^{1/2} schur^{-1} a^{1/2}, with
+    schur^{-1} applied by the Cholesky solve of partition_blocks or as the
+    ``x`` of region_blocks, which is schur^{-1} itself; values dipping
     below 1 by at most MU_CLIP_TOLERANCE are clipped to exactly 1 (decoupled
     directions), anything lower raises.
     """

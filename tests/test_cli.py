@@ -688,7 +688,7 @@ def test_a_failed_eigensolve_fails_the_command(command, scan_config, tmp_path, m
     assert not (tmp_path / "o" / "records.csv").exists()
 
 
-@pytest.mark.parametrize("command", [*sorted(SINGLE_SHOT_OUTPUTS), "scan"])
+@pytest.mark.parametrize("command", [*sorted(SINGLE_SHOT_OUTPUTS), "scan", "scan-ground-only"])
 def test_commands_factor_and_solve_through_oscent_lapack(command, scan_config, tmp_path, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("scipy's Cholesky was called")
@@ -705,9 +705,17 @@ def test_commands_factor_and_solve_through_oscent_lapack(command, scan_config, t
     factored = []
     potrf = oscent.spectral.potrf
     monkeypatch.setattr(oscent.spectral, "potrf", lambda a: factored.append(np.shape(a)) or potrf(a))
-    argv = [command, "--config", str(scan_config), "--out", str(tmp_path / "o")]
+    # Only excited bounds factor the Schur complement (scan_config selects every
+    # excitation): a report without them reads its region blocks off the
+    # eigenvectors, and correlators needs none
+    holds_excited_bounds = command in ("excited-entropy", "scan")
+    config = scan_config
+    if command == "scan-ground-only":
+        command = "scan"
+        config = _write(tmp_path / "ground.json", dict(json.loads(scan_config.read_text()), excitations="none"))
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "o")]
     assert main(argv) == 0
-    assert bool(factored) == (command != "correlators")  # correlators needs no region blocks
+    assert bool(factored) == holds_excited_bounds
 
 
 @pytest.mark.parametrize(

@@ -584,13 +584,17 @@ def test_entropy_report_computes_the_shared_bound_terms_once(name, monkeypatch):
         monkeypatch.setattr(
             oscent.entanglement, fn, lambda *a, f=original, fn=fn: calls.append(fn) or f(*a)
         )
-    report = entropy_report(spec, [0.5, 0.75, 1.0, 0.5], [5, 1, 3], weights)
+    report = entropy_report(spec, [0.5, 0.75, 1.0, 0.5], [5, 1, 3], weights, lattice_size=data.size)
     assert calls.count("half_renyi_factor") == 1
-    # one E_eps per distinct eps, one more inside the theorem bound's log-negativity
-    assert calls.count("ground_state_renyi") == 3 + 1
+    # one E_eps per distinct eps; the theorem and ensemble bounds read E_1/2 from that table
+    assert calls.count("ground_state_renyi") == 3
     assert report.excited_modes == [5, 1, 3]
     assert report.excited_computed_bounds == computed.tolist()  # the same floats, bit for bit
     assert report.excited_theorem_bounds == [theorem] * 3
+    if spec.size**2 <= data.size:
+        assert report.ensemble_bound == single_excitation_ensemble_bound(spec, data.size, spec.size)
+    else:
+        assert report.ensemble_bound is None
     # one row alone gives its row of the batched call to the last bits (a
     # dot product against a matrix-vector product)
     for row, bound in zip(weights, computed):

@@ -24,6 +24,7 @@ from oscent import (
     write_scaling_data,
 )
 from oscent.cli import main
+from oscent.experiments import definite_realization, region_of, region_reports
 
 
 def small_config(**overrides):
@@ -403,6 +404,17 @@ def test_a_dense_scan_holds_at_most_six_n_by_n_arrays():
     # order.
     run_scans([BOX])  # warm caches
     assert _peak_bytes(run_scans, [BOX]) <= 6 * BOX_MATRIX_BYTES
+
+
+def test_a_ground_only_report_makes_no_n_by_n_array():
+    # Its region blocks come from the |R| = 64 region rows of the eigenvectors
+    # (n^2 / 8 doubles here), never from h^{1/2} or a complement block.
+    config = dataclasses.replace(BOX, excitations="none")
+    lattice = build_box(3, config.lengths)
+    regions = [region_of(config, lattice)]
+    data = definite_realization(config, lattice, 0)
+    region_reports(config, data, regions, [])  # warm caches
+    assert _peak_bytes(region_reports, config, data, regions, []) < 0.5 * BOX_MATRIX_BYTES
 
 
 def test_a_dense_correlator_ensemble_holds_at_most_five_and_a_half_n_by_n_arrays():

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,16 +19,18 @@ from oscent import (
     correlator_table,
     eigensystem,
     excitation_weights,
+    ground_state_renyi,
     load_matrix_csv,
     make_region,
     partition_blocks,
+    region_blocks,
     sample_springs,
     spd_inv_sqrt,
     spd_sqrt,
     symplectic_spectrum,
 )
 from oscent.correlators import MomentSum
-from oscent.experiments import coupling_matrix
+from oscent.experiments import coupling_matrix, definite_realization, region_of
 from oscent.spectral import _fix_eigenvector_signs, decompose
 
 SQ3 = np.sqrt(3.0)
@@ -415,12 +419,14 @@ def _every_step(given, lengths, corner, sides):
     hsqrt = spd_sqrt(given(data))
     blocks = partition_blocks(given(hsqrt), region)
     spectrum = symplectic_spectrum(given(blocks))
+    rows = region_blocks(given(data), region)
     table = correlator_table(h)
     moments = MomentSum()
     moments.add(given(table.values))
     moments.add(given(table.values))
     return [
         data, eigensystem(h), eigensystem(given(data)), hsqrt, spd_inv_sqrt(given(data)), blocks, spectrum,
+        rows, symplectic_spectrum(given(rows)),
         excitation_weights(given(data), given(blocks), given(spectrum)),
         table.values, correlator_table(lattice, given(data)).values, moments.total,
     ]
@@ -431,3 +437,60 @@ def test_every_step_runs_on_read_only_inputs_and_gives_the_bits_of_writable_ones
     frozen = _every_step(_read_only, lengths, corner, sides)
     writable = _every_step(_writable, lengths, corner, sides)
     assert [_bits(value) for value in frozen] == [_bits(value) for value in writable]
+
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos" / "configs"
+
+# One realization each: the single-shot chain, a 2d and a 3d box, decoupled
+# springs, a 1-site region, and (no disorder, so once) the two-site demo.
+_ROUTE_CASES = {
+    "chain-400": dict(dimension=1, lengths=(400,), region_corner=(192,), region_lengths=(16,)),
+    "2d-20x20": dict(dimension=2, lengths=(20, 20), region_corner=(6, 6), region_lengths=(8, 8)),
+    "3d-8x8x8": dict(dimension=3, lengths=(8, 8, 8), region_corner=(2, 2, 2), region_lengths=(4, 4, 4)),
+    "decoupled": dict(dimension=1, lengths=(60,), region_corner=(26,), region_lengths=(8,), coupling_kind="none"),
+    "one-site": dict(dimension=1, lengths=(3,), region_sites=((1,),)),
+}
+
+
+def _route_config(case, seed):
+    if case == "two-site-demo":
+        raw = json.loads((DEMOS / "two_site_ground.json").read_text())
+        return ExperimentConfig.from_dict(dict(raw, matrix_csv=str(DEMOS / "two_site_matrix.csv")))
+    return ExperimentConfig(k_max=8.0, master_seed=seed, **_ROUTE_CASES[case])
+
+
+@pytest.mark.parametrize(
+    "case, seed",
+    [(case, seed) for case in _ROUTE_CASES for seed in (2024, 7, 99)] + [("two-site-demo", None)],
+)
+def test_the_region_route_gives_the_schur_routes_spectrum(case, seed):
+    config = _route_config(case, seed)
+    lattice = build_box(config.dimension, config.lengths)
+    region = region_of(config, lattice)
+    data = definite_realization(config, lattice, config.realization_index)
+    region_mu = symplectic_spectrum(region_blocks(data, region)).mu
+    schur_mu = symplectic_spectrum(partition_blocks(spd_sqrt(data), region)).mu
+    np.testing.assert_allclose(region_mu, schur_mu, rtol=0, atol=1e-12)
+    for eps in (0.5, 0.75, 1.0):
+        # modes whose mu^2 - 1 is roundoff move E_eps by up to about 3e-7 at
+        # eps = 1/2; at smaller eps they weigh more (2e-2 relative at eps = 0.1)
+        expected = ground_state_renyi(schur_mu, eps)
+        assert abs(ground_state_renyi(region_mu, eps) - expected) <= 1e-6 * max(1.0, abs(expected))
+    if lattice.size <= 3:
+        oracle_mu = oscent.oracle.symplectic_eigenvalues(coupling_matrix(config, lattice, config.realization_index), region)
+        np.testing.assert_allclose(region_mu, oracle_mu, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(schur_mu, oracle_mu, rtol=0, atol=1e-8)
+
+
+def test_region_blocks_are_the_region_blocks_of_both_roots():
+    data = eigensystem(random_box((5, 5), 3))
+    region = box_region(build_box(2, (5, 5)), (1, 1), (3, 2))
+    blocks = region_blocks(data, region)
+    ri = np.ix_(region.indices, region.indices)
+    np.testing.assert_allclose(blocks.a, spd_sqrt(data)[ri], rtol=0, atol=1e-13)
+    np.testing.assert_allclose(blocks.x, spd_inv_sqrt(data)[ri], rtol=0, atol=1e-13)
+    np.testing.assert_allclose(blocks.x, np.linalg.inv(partition_blocks(spd_sqrt(data), region).schur), rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(blocks.a, blocks.a.T)
+    np.testing.assert_array_equal(blocks.x, blocks.x.T)
+    with pytest.raises(ValueError, match="does not match lattice size"):
+        region_blocks(data, box_region(build_box(2, (4, 4)), (1, 1), (2, 2)))
