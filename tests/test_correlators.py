@@ -1,9 +1,11 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import oscent.correlators
 from oscent import (
     DisorderModel,
     area_law_constant,
@@ -372,9 +374,72 @@ def test_correlator_csv_is_byte_equal_to_the_per_entry_format(lengths, kind):
     rng = np.random.default_rng(8)
     values = rng.random((lat.size, lat.size)) * 10.0 ** rng.integers(-320, 20, (lat.size, lat.size))
     special = [0.0, 5e-324, 2.2250738585072014e-308, 1e-310, 1e17, 0.1, 1.0, 123456789012345.67]
+    # decade carries ("0.0001", "100000000000000", "1e+15"), signed zero, infinities and an exact tie
+    special += [9.999999999999995e-05, 99999999999999.95, 999999999999999.5, -0.0, math.inf, -math.inf]
+    special += [123456789012345.5]
+    special += [float(np.nextafter(x, toward)) for x in (1e-5, 1e-4, 1e14, 1e15) for toward in (0.0, math.inf)]
     flat = values.ravel()
     flat[: min(len(special), flat.size)] = special[: flat.size]
     values = CSV_INPUTS[kind](values, lat)
     text = _csv_text(values, lat)
     assert text.encode() == _csv_per_entry(values, lat).encode()
     assert text.count("\n") == lat.size**2 + 1
+
+
+def test_correlator_csv_writes_the_same_bytes_when_every_value_takes_the_fallback(monkeypatch):
+    # what a platform whose long double is no wider than double runs
+    lat = build_box(2, [4, 5])
+    rng = np.random.default_rng(21)
+    values = rng.random((lat.size, lat.size)) * 10.0 ** rng.integers(-300, 300, (lat.size, lat.size))
+    values.ravel()[:6] = [0.0, -0.0, math.inf, math.nan, 5e-324, 999999999999999.5]
+    expected = _csv_text(values, lat)
+    monkeypatch.setattr(oscent.correlators, "_kernel", lambda: None)
+    assert _csv_text(values, lat) == expected == _csv_per_entry(values, lat)
+
+
+def _chain_mean_moment():
+    """The mean moment of a 400-site chain over 4 realizations at s = 1/2, the shape of the single-shot-correlators benchmark."""
+    lattice = build_box(1, [400])
+    config = ExperimentConfig(dimension=1, lengths=(400,), region_corner=(192,), region_lengths=(16,),
+                              k_max=8.0, realizations=4, s=0.5, master_seed=2024, threads=1)
+    return correlator_ensemble(config, lattice)[0], lattice
+
+
+def _value_mismatches(values, lattice):
+    """(value, written, f"{value:.15g}") for every value correlator_csv writes otherwise."""
+    written = [line.rsplit(",", 1)[1] for line in _csv_text(values, lattice).splitlines()[1:]]
+    expected = [f"{v:.15g}" for v in np.asarray(values, dtype=float).ravel().tolist()]
+    assert len(written) == len(expected)
+    return [(v, w, e) for v, w, e in zip(values.ravel().tolist(), written, expected) if w != e]
+
+
+def test_correlator_csv_formats_random_bit_patterns_like_python():
+    # 448^2 > 2e5 uniform float64 bit patterns: every exponent, both signs, subnormals and NaN payloads
+    lattice = build_box(1, [448])
+    bits = np.random.default_rng(20).integers(0, 2**64, lattice.size**2, dtype=np.uint64, endpoint=False)
+    values = bits.view(np.float64).reshape(lattice.size, lattice.size)
+    assert np.isnan(values).sum() > 10 and np.signbit(values).any() and not np.signbit(values).all()
+    assert _value_mismatches(values, lattice)[:5] == []
+
+
+def test_correlator_csv_formats_the_benchmark_mean_moment_like_python():
+    values, lattice = _chain_mean_moment()
+    assert _value_mismatches(values, lattice)[:5] == []
+
+
+class _NullHandle:
+    def write(self, text):
+        pass
+
+
+@pytest.mark.parametrize("mean_moment", [_chain_mean_moment, _bulk_3d_mean_moment], ids=["chain-400", "box-8x8x8"])
+def test_correlator_csv_holds_at_most_three_point_two_n_by_n_arrays(mean_moment):
+    values, lattice = mean_moment()
+    lattice.distances  # the lattice's own cached table, not the writer's
+    tracemalloc.start()
+    try:
+        correlator_csv(values, lattice, _NullHandle())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.2 * values.nbytes
