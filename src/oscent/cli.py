@@ -13,7 +13,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import platform
 import sys
 from pathlib import Path
@@ -85,18 +84,6 @@ def _load_config(path: str) -> dict:
         raise UsageError(f"config is not valid JSON: {err}")
 
 
-def _resolve_threads(args) -> int | None:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("OSCENT_THREADS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"OSCENT_THREADS is not an integer: {env!r}")
-    return None
-
-
 def _out_dir(args) -> Path:
     out = Path(args.out) if args.out else Path("oscent-out")
     out.mkdir(parents=True, exist_ok=True)
@@ -146,7 +133,7 @@ def _write_outputs(args, configs: list[ExperimentConfig], files=None, execution=
 def _configs(args) -> list[ExperimentConfig]:
     """One parsed config per region (scan) with the flags applied."""
     resolved = _load_config(args.config)
-    flags = {"seed": args.seed, "p": args.p_value, "s": args.s_value, "threads": _resolve_threads(args)}
+    flags = {"seed": args.seed, "p": args.p_value, "s": args.s_value, "threads": args.threads}
     resolved.update((key, value) for key, value in flags.items() if value is not None)
     if args.seed is not None:  # the flag replaces every spelling of the seed in the file
         resolved.pop("master_seed", None)
@@ -211,8 +198,8 @@ def _cmd_excited_entropy(args) -> int:
 
 def _cmd_ensemble_bound(args) -> int:
     config, lattice, region = _single(args)
-    report = _region_report(config, lattice, region)
     require_ensemble_hypothesis(lattice.size, region.size)
+    report = _region_report(config, lattice, region)
     value = report.ensemble_bound
     payload = {"ensemble_bound": value, "lattice_size": lattice.size, "region_size": region.size}
     _write_outputs(args, [config], {"ensemble.json": json.dumps(payload, indent=2, sort_keys=True) + "\n"})

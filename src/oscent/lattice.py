@@ -1,8 +1,8 @@
 """Finite boxes in Z^d, distinguished subregions and l1 geometry.
 
 Sites are integer tuples. All matrix-valued quantities downstream index
-sites through the lexicographic ordering fixed here, with the distinguished
-region's sites listed first; this keeps the bipartition blocks contiguous.
+sites through the lexicographic ordering fixed here; a region's blocks are
+gathered from its sorted indices in that order, never reordered.
 """
 
 from __future__ import annotations

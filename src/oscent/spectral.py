@@ -32,7 +32,7 @@ class SpectralData:
 
     eigenvalues: np.ndarray  # frequencies squared, ascending
     frequencies: np.ndarray
-    vectors: np.ndarray  # orthogonal, one eigenvector per column
+    vectors: np.ndarray  # orthogonal, one eigenvector per column, in the sign LAPACK gives it
 
     @property
     def size(self) -> int:
@@ -41,7 +41,7 @@ class SpectralData:
 
 @dataclass(frozen=True, eq=False)
 class BipartitionBlocks:
-    """Blocks of the SPD square root in the region-first ordering.
+    """Blocks of the SPD square root, each gathered in lattice order.
 
     ``a`` is the region block, ``c`` the off-diagonal coupling, ``b_inv_ct``
     = b^{-1} c^T for the complement block b, and ``schur`` = a - c b^{-1} c^T.
@@ -79,9 +79,9 @@ class SymplecticSpectrum:
     """Symplectic eigenvalues of the reduced ground state and the mode frame.
 
     ``mu`` is ascending with every entry >= 1, ``f2`` the orthogonal
-    diagonalizer of a^{1/2} schur^{-1} a^{1/2}, and ``a_inv_sqrt`` the
-    inverse square root of the region block (kept because excitation
-    profiles need it).
+    diagonalizer of a^{1/2} schur^{-1} a^{1/2} (columns in LAPACK's sign),
+    and ``a_inv_sqrt`` the inverse square root of the region block (kept
+    because excitation profiles need it).
     """
 
     mu: np.ndarray
@@ -93,46 +93,37 @@ class SymplecticSpectrum:
         return self.mu.shape[0]
 
 
-def _fix_eigenvector_signs(vectors: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude entry of each column positive (first on ties), in place; returns ``vectors``."""
-    idx = np.abs(vectors).argmax(axis=0)
-    signs = np.sign(vectors[idx, np.arange(vectors.shape[1])])
-    signs[signs == 0] = 1.0
-    vectors *= signs
-    return vectors
-
-
 def _symmetric_eigh(m: np.ndarray):
-    """The bits of ``scipy.linalg.eigh(m)`` on the bound LAPACK, for symmetric ``m``, without holding the GIL.
+    """The bits of ``scipy.linalg.eigh(0.5 * (m + m.T))`` on the bound LAPACK, without holding the GIL; ``m`` is only read.
 
-    For n > 1, LAPACK's dsyevr reduces m to tridiagonal form, runs the MRRR
-    solver dstemr and back-transforms. On a tridiagonal m every Householder
-    tau is 0, so the reduction and the back-transform change nothing and
-    dstemr on the two diagonals returns the same bits. If dstemr fails, the
-    dense call runs dsyevr's own fallback. ``m`` is tridiagonal when its
-    nonzeros (NaN counts as one) are all on the diagonal and the two
-    off-diagonals, which symmetry makes equal. The dense call may work in
-    ``m`` and destroy it.
+    For n > 1, LAPACK's dsyevr reduces the matrix to tridiagonal form, runs
+    the MRRR solver dstemr and back-transforms. On a tridiagonal matrix
+    every Householder tau is 0, so the reduction and the back-transform
+    change nothing and dstemr on the two diagonals returns the same bits.
+    If dstemr fails, the dense call runs dsyevr's own fallback. ``m`` is
+    tridiagonal when its nonzeros (NaN counts as one) all lie on the
+    diagonal and the two off-diagonals.
     """
-    diagonals = np.count_nonzero(np.diag(m)) + 2 * np.count_nonzero(np.diag(m, -1))
-    if m.shape[0] > 1 and np.count_nonzero(m) == diagonals:
+    d, lower, upper = np.diag(m), np.diag(m, -1), np.diag(m, 1)
+    band = np.count_nonzero(d) + np.count_nonzero(lower) + np.count_nonzero(upper)
+    if m.shape[0] > 1 and np.count_nonzero(m) == band:
         try:
-            return stemr(np.diag(m), np.diag(m, -1))
+            # the diagonals of 0.5 * (m + m.T), by the same operations in the same order
+            return stemr((d + d) * 0.5, (lower + upper) * 0.5)
         except np.linalg.LinAlgError:
             pass
-    return syevr(m, overwrite_a=True)
-
-
-def decompose(h) -> SpectralData:
-    """Eigendecomposition with a deterministic sign convention, unchecked: eigenvalues < 0 get nan frequencies."""
-    m = h.matrix if isinstance(h, CouplingMatrix) else np.asarray(h, dtype=float)
     # 0.5 * (m + m.T), formed in the Fortran-ordered array dsyevr works in
     symmetric = np.add(m, m.T, out=np.empty(m.shape, order="F"))
     symmetric *= 0.5
-    eigenvalues, vectors = _symmetric_eigh(symmetric)
-    del symmetric
+    return syevr(symmetric, overwrite_a=True)
+
+
+def decompose(h) -> SpectralData:
+    """Eigendecomposition of the symmetric part of ``h``, unchecked: eigenvalues < 0 get nan frequencies."""
+    m = h.matrix if isinstance(h, CouplingMatrix) else np.asarray(h, dtype=float)
+    eigenvalues, vectors = _symmetric_eigh(m)
     with np.errstate(invalid="ignore"):
-        return SpectralData(eigenvalues, np.sqrt(eigenvalues), _fix_eigenvector_signs(vectors))
+        return SpectralData(eigenvalues, np.sqrt(eigenvalues), vectors)
 
 
 def eigensystem(h) -> SpectralData:
@@ -231,7 +222,5 @@ def symplectic_spectrum(blocks: BipartitionBlocks | RegionBlocks) -> SymplecticS
             f"symplectic eigenvalue below 1: mu^2 = {mu_sq[0]:.15f}"
         )
     mu_sq = np.maximum(mu_sq, 1.0)
-    return SymplecticSpectrum(
-        mu=np.sqrt(mu_sq), f2=_fix_eigenvector_signs(f2), a_inv_sqrt=a_inv_sqrt
-    )
+    return SymplecticSpectrum(mu=np.sqrt(mu_sq), f2=f2, a_inv_sqrt=a_inv_sqrt)
 

@@ -156,6 +156,19 @@ def test_ensemble_bound_hypothesis_violation_exits_1(tmp_path, capsys):
     assert "hypothesis" in capsys.readouterr().err
 
 
+def test_ensemble_bound_checks_its_hypothesis_before_any_eigensolve(tmp_path, capsys, monkeypatch):
+    calls = []
+    decompose = oscent.experiments.decompose
+    monkeypatch.setattr(oscent.experiments, "decompose", lambda h: calls.append(h) or decompose(h))
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(
+        {"dimension": 1, "lengths": [400], "region": {"corner": [0], "lengths": [21]}, "disorder": {"k_max": 8.0}}
+    ))
+    assert main(["ensemble-bound", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    assert "hypothesis" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_scan_end_to_end(scan_config, tmp_path):
     out = tmp_path / "scan_out"
     code = main(["scan", "--config", str(scan_config), "--out", str(out)])
@@ -170,17 +183,6 @@ def test_scan_end_to_end(scan_config, tmp_path):
         "boundary_size",
         "eps",
     ]
-
-
-def test_scan_threads_env_fallback(scan_config, tmp_path, monkeypatch):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    monkeypatch.setenv("OSCENT_THREADS", "1")
-    assert main(["scan", "--config", str(scan_config), "--out", str(out1)]) == 0
-    monkeypatch.setenv("OSCENT_THREADS", "7")
-    assert main(["scan", "--config", str(scan_config), "--out", str(out2)]) == 0
-    assert (out1 / "records.csv").read_bytes() == (out2 / "records.csv").read_bytes()
-    monkeypatch.setenv("OSCENT_THREADS", "not-a-number")
-    assert main(["scan", "--config", str(scan_config), "--out", str(tmp_path / "c")]) == 2
 
 
 def test_scan_does_not_mutate_config(scan_config, tmp_path):

@@ -1,11 +1,13 @@
 import dataclasses
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import oscent.experiments
 import oscent.oracle
 import oscent.spectral
 from oscent import (
@@ -30,8 +32,8 @@ from oscent import (
     symplectic_spectrum,
 )
 from oscent.correlators import MomentSum
-from oscent.experiments import coupling_matrix, definite_realization, region_of
-from oscent.spectral import _fix_eigenvector_signs, decompose
+from oscent.experiments import coupling_matrix, definite_realization, region_of, region_reports
+from oscent.spectral import decompose
 
 SQ3 = np.sqrt(3.0)
 
@@ -63,9 +65,9 @@ def test_eigensystem_two_site_hand_values():
     data = eigensystem(two_site())
     np.testing.assert_allclose(data.eigenvalues, [1.0, 3.0], atol=1e-14)
     inv_sq2 = 1.0 / np.sqrt(2.0)
-    np.testing.assert_allclose(data.vectors[:, 0], [inv_sq2, inv_sq2], atol=1e-14)
-    # sign rule: first largest-magnitude entry made positive
-    np.testing.assert_allclose(data.vectors[:, 1], [inv_sq2, -inv_sq2], atol=1e-14)
+    vectors = data.vectors * np.sign(data.vectors[0])  # each eigenvector is fixed only up to sign
+    np.testing.assert_allclose(vectors[:, 0], [inv_sq2, inv_sq2], atol=1e-14)
+    np.testing.assert_allclose(vectors[:, 1], [inv_sq2, -inv_sq2], atol=1e-14)
 
 
 def test_eigensystem_diagonal():
@@ -215,13 +217,69 @@ def test_sigma_theta_lemma_identities():
     assert np.all(theta_eigs > 0.0) and np.all(theta_eigs < 1.0)
 
 
-def test_eigenvector_signs_are_deterministic():
+def test_eigenvectors_are_deterministic():
     lat, h = random_chain(12, seed=71)
     first = eigensystem(h).vectors
     second = eigensystem(h).vectors
     assert np.array_equal(first, second)
-    idx = np.abs(first).argmax(axis=0)
-    assert np.all(first[idx, np.arange(first.shape[1])] > 0)
+
+
+def _negate_half(columns, rng):
+    """``columns`` with a random half of its columns negated, which is exact."""
+    signs = np.ones(columns.shape[1])
+    signs[rng.permutation(columns.shape[1])[: columns.shape[1] // 2]] = -1.0
+    return columns * signs
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        dict(dimension=1, lengths=(40,), region_corner=(16,), region_lengths=(8,)),
+        dict(dimension=3, lengths=(4, 4, 4), region_corner=(1, 1, 1), region_lengths=(2, 2, 2)),
+    ],
+    ids=["chain", "box"],
+)
+def test_no_output_reads_the_sign_of_an_eigenvector_or_a_mode(shape, monkeypatch):
+    # Every output sums products of two entries of one column of V or f2,
+    # or squares a projection on one; negating a column moves no bit.
+    config = ExperimentConfig(k_max=8.0, master_seed=2024, **shape)
+    lattice = build_box(config.dimension, config.lengths)
+    region = region_of(config, lattice)
+    modes = list(range(1, lattice.size + 1))
+
+    def outputs(data):
+        reports = [region_reports(config, data, [region], chosen)[0].to_json() for chosen in ((), modes)]
+        blocks = partition_blocks(spd_sqrt(data), region)
+        weights = excitation_weights(data, blocks, oscent.experiments.symplectic_spectrum(blocks))
+        return reports, weights.tobytes(), correlator_table(lattice, data).values.tobytes()
+
+    data = definite_realization(config, lattice, 0)
+    expected = outputs(data)
+    rng = np.random.default_rng(5)
+    spectrum_of = oscent.experiments.symplectic_spectrum
+    negated = []
+
+    def negated_frame(blocks):
+        spectrum = spectrum_of(blocks)
+        negated.append(spectrum.size)
+        return dataclasses.replace(spectrum, f2=_negate_half(spectrum.f2, rng))
+
+    monkeypatch.setattr(oscent.experiments, "symplectic_spectrum", negated_frame)
+    assert outputs(dataclasses.replace(data, vectors=_negate_half(data.vectors, rng))) == expected
+    assert negated == [region.size] * 3
+
+
+def test_a_chain_decomposes_holding_little_more_than_its_eigenvectors():
+    n = 400
+    _, h = random_chain(n, seed=2024)
+    decompose(h)  # warm: the binding and its workspace queries
+    tracemalloc.start()
+    try:
+        decompose(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * n * n * 8
 
 
 def test_decompose_never_raises_and_eigensystem_checks_it():
@@ -269,10 +327,10 @@ def _spy(monkeypatch, name, fail=False):
 
 
 def _assert_dense_bits(data, matrix):
-    """``data`` carries the exact bits of dense eigh plus the sign fix."""
+    """``data`` carries the exact bits of dense eigh."""
     eigenvalues, vectors = scipy.linalg.eigh(0.5 * (matrix + matrix.T))
     assert data.eigenvalues.tobytes() == eigenvalues.tobytes()
-    assert data.vectors.tobytes() == _fix_eigenvector_signs(vectors).tobytes()
+    assert data.vectors.tobytes() == vectors.tobytes()
     assert data.frequencies.tobytes() == np.sqrt(eigenvalues).tobytes()
 
 
