@@ -1,10 +1,11 @@
 """Command-line entry point for batch runs.
 
 Subcommands: ground-entropy, excited-entropy, ensemble-bound, correlators,
-scan, verify. Every run resolves its configuration (JSON file plus flag
-overrides), writes a manifest sufficient to reproduce the outputs byte for
-byte, and exits 0 on success, 1 on computation failure, 2 on usage or
-configuration errors.
+scan, verify. Every run resolves its configuration (the JSON file, whose
+``seed`` and ``threads`` the ``--seed`` and ``--threads`` flags override),
+writes a manifest sufficient to reproduce the outputs byte for byte, and
+exits 0 on success, 1 on computation failure, 2 on usage or configuration
+errors.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .experiments import (
     write_records_csv,
     write_scaling_data,
 )
+from .hamiltonian import MatrixFileError
 from .lapack import lapack_versions
 from .lattice import build_box
 
@@ -56,15 +58,12 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name in ("ground-entropy", "excited-entropy", "ensemble-bound", "correlators", "scan"):
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)  # so --s is not read as --seed
         p.add_argument("--config", type=str, required=True, help="JSON config path")
         p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None, help="override the master seed")
-        p.add_argument("--eps", type=str, default=None, help="comma-separated eps list")
-        p.add_argument("--p", dest="p_value", type=float, default=None)
-        p.add_argument("--s", dest="s_value", type=float, default=None)
-    verify = sub.add_parser("verify")
+        p.add_argument("--threads", type=int, default=None, help="override the config's threads")
+        p.add_argument("--seed", type=int, default=None, help="override the config's seed")
+    verify = sub.add_parser("verify", allow_abbrev=False)
     verify.add_argument("--out", type=str, default=None, help="output directory")
     verify.add_argument("--tolerance", type=float, default=1e-8, help="positive, finite identity tolerance")
     return parser
@@ -77,11 +76,14 @@ def parse_args(argv):
 def _load_config(path: str) -> dict:
     try:
         with open(path) as handle:
-            return json.load(handle)
+            raw = json.load(handle)
     except FileNotFoundError:
         raise UsageError(f"config file not found: {path}")
     except json.JSONDecodeError as err:
         raise UsageError(f"config is not valid JSON: {err}")
+    if not isinstance(raw, dict):
+        raise UsageError(f"config must be a JSON object, got {raw!r}")
+    return raw
 
 
 def _out_dir(args) -> Path:
@@ -133,22 +135,15 @@ def _write_outputs(args, configs: list[ExperimentConfig], files=None, execution=
 def _configs(args) -> list[ExperimentConfig]:
     """One parsed config per region (scan) with the flags applied."""
     resolved = _load_config(args.config)
-    flags = {"seed": args.seed, "p": args.p_value, "s": args.s_value, "threads": args.threads}
+    flags = {"seed": args.seed, "threads": args.threads}
     resolved.update((key, value) for key, value in flags.items() if value is not None)
-    if args.seed is not None:  # the flag replaces every spelling of the seed in the file
-        resolved.pop("master_seed", None)
-        if isinstance(resolved.get("disorder"), dict):
-            resolved["disorder"] = {k: v for k, v in resolved["disorder"].items() if k != "seed"}
-    if args.eps is not None:
-        try:
-            resolved["eps"] = [float(e) for e in args.eps.split(",")]
-        except ValueError:
-            raise UsageError(f"--eps needs comma-separated numbers, got {args.eps!r}")
     regions = resolved.pop("regions", None)
     if regions is None:
         regions = [resolved.get("region")]
     elif args.command != "scan":
         raise UsageError("regions is read by scan only; give one region")
+    elif not (isinstance(regions, list) and regions):
+        raise UsageError(f"regions must be a non-empty list, got {regions!r}")
     try:
         configs = [ExperimentConfig.from_dict(dict(resolved, region=spec)) for spec in regions]
     except (KeyError, TypeError, ValueError) as err:
@@ -169,8 +164,8 @@ def _region_report(config: ExperimentConfig, lattice, region, modes=()):
     """The region report of the configured realization, holding the bounds of excitations ``modes``."""
     try:
         data = definite_realization(config, lattice, config.realization_index)
-    except OSError as err:
-        raise UsageError(f"cannot read matrix_csv: {err}")
+    except (OSError, MatrixFileError) as err:
+        raise UsageError(f"bad matrix_csv: {err}")
     return region_reports(config, data, [region], modes)[0]
 
 

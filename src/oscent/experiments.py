@@ -44,13 +44,15 @@ from .spectral import BipartitionBlocks, RegionBlocks, SpectralData, decompose, 
 # nothing else. ``disorder.kind`` is accepted because ``to_dict`` writes it.
 _CONFIG_KEYS = frozenset(
     "dimension lengths region disorder matrix_csv bound realization_index realizations "
-    "eps excitations p s seed master_seed threads fit_decay coupling".split()
+    "eps excitations p s seed threads fit_decay coupling".split()
 )
-_DISORDER_KEYS = frozenset({"k_max", "seed", "kind"})
+_DISORDER_KEYS = frozenset({"k_max", "kind"})
 _REGION_KEYS = frozenset({"corner", "lengths", "sites"})
 
 
 def _check_keys(entry, allowed, where: str):
+    if not isinstance(entry, dict):
+        raise ValueError(f"{where} must be a JSON object, got {entry!r}")
     unknown = sorted(set(entry) - allowed)
     if unknown:
         raise ValueError(f"unknown {where} keys {unknown}; allowed: {sorted(allowed)}")
@@ -67,8 +69,15 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _array(values, name: str) -> list | tuple:
+    """A config value that must be a JSON array; raises ValueError otherwise."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{name} must be a list, got {values!r}")
+    return values
+
+
 def _integers(values, name: str) -> tuple[int, ...]:
-    return tuple(_integer(value, name) for value in values)
+    return tuple(_integer(value, name) for value in _array(values, name))
 
 
 def _number(value, name: str) -> float:
@@ -145,6 +154,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown coupling kind {self.coupling_kind!r}")
         if self.realizations < 1 or self.realization_index < 0:
             raise ValueError("need realizations >= 1 and realization_index >= 0")
+        if not self.eps_values:
+            raise ValueError("eps needs at least one value")
         if not all(EPS_MIN <= e <= 1.0 for e in self.eps_values):
             raise ValueError(f"every eps must lie in [{EPS_MIN!r}, 1], got {self.eps_values}")
         if len({eps_label(e) for e in self.eps_values}) < len(self.eps_values):
@@ -194,11 +205,6 @@ class ExperimentConfig:
             raise ValueError("config needs disorder.k_max or matrix_csv")
         lengths = _integers(raw["lengths"], "lengths")
         excitations = parse_excitations(raw.get("excitations", "all"), math.prod(lengths))
-        seeds = {name: _integer(entry[key], name) for entry, key, name in (
-            (raw, "seed", "seed"), (raw, "master_seed", "master_seed"), (disorder, "seed", "disorder.seed")
-        ) if key in entry}
-        if len(set(seeds.values())) > 1:
-            raise ValueError(f"seed spellings disagree: {seeds}")
         fit_decay = raw.get("fit_decay", False)
         if not isinstance(fit_decay, bool):
             raise ValueError(f"fit_decay must be true or false, got {fit_decay!r}")
@@ -207,14 +213,14 @@ class ExperimentConfig:
             lengths=lengths,
             region_corner=_integers(region["corner"], "region.corner") if "corner" in region else None,
             region_lengths=_integers(region["lengths"], "region.lengths") if "lengths" in region else None,
-            region_sites=tuple(_integers(site, "region.sites") for site in region["sites"]) if "sites" in region else None,
+            region_sites=tuple(_integers(site, "region.sites") for site in _array(region["sites"], "region.sites")) if "sites" in region else None,
             k_max=_number(disorder.get("k_max", 1.0), "disorder.k_max"),
             realizations=_integer(raw.get("realizations", 1), "realizations"),
-            eps_values=tuple(_number(e, "eps") for e in raw.get("eps", [0.5, 1.0])),
+            eps_values=tuple(_number(e, "eps") for e in _array(raw.get("eps", [0.5, 1.0]), "eps")),
             excitations=excitations,
             p=_number(raw.get("p", 1.0), "p"),
             s=_number(raw.get("s", 0.5), "s"),
-            master_seed=next(iter(seeds.values()), 0),
+            master_seed=_integer(raw.get("seed", 0), "seed"),
             threads=_integer(raw["threads"], "threads") if raw.get("threads") is not None else None,
             fit_decay=fit_decay,
             coupling_kind=str(raw.get("coupling", "nearest")),

@@ -111,15 +111,17 @@ def assemble_anderson(lattice: Lattice, springs) -> CouplingMatrix:
 def assemble_custom(lattice: Lattice, entries) -> CouplingMatrix:
     """Wrap a user-supplied dense symmetric matrix.
 
-    Asymmetry beyond SYM_TOLERANCE (relative to the matrix norm) is an
-    error; anything smaller is averaged away so downstream eigensolvers see
-    an exactly symmetric matrix.
+    Non-finite entries and asymmetry beyond SYM_TOLERANCE (relative to the
+    matrix norm) are errors; smaller asymmetry is averaged away so
+    downstream eigensolvers see an exactly symmetric matrix.
     """
     m = np.asarray(entries, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] != lattice.size:
         raise ValueError(f"matrix size {m.shape[0]} != lattice size {lattice.size}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has non-finite entries")
     scale = max(np.abs(m).max(), 1.0)
     asym = np.abs(m - m.T).max()
     if asym > SYM_TOLERANCE * scale:
@@ -127,10 +129,20 @@ def assemble_custom(lattice: Lattice, entries) -> CouplingMatrix:
     return CouplingMatrix(matrix=0.5 * (m + m.T), lattice=lattice)
 
 
+class MatrixFileError(ValueError):
+    """A matrix file that does not hold the lattice's finite, symmetric, square matrix."""
+
+
 def load_matrix_csv(path, lattice: Lattice) -> CouplingMatrix:
-    """Load a dense coupling matrix from a comma-separated row-major text file."""
-    m = np.loadtxt(path, delimiter=",", ndmin=2)
-    return assemble_custom(lattice, m)
+    """Load a dense coupling matrix from a comma-separated row-major text file.
+
+    Raises OSError if the file cannot be read, and MatrixFileError if its
+    text is not numbers or ``assemble_custom`` rejects the matrix.
+    """
+    try:
+        return assemble_custom(lattice, np.loadtxt(path, delimiter=",", ndmin=2))
+    except ValueError as err:
+        raise MatrixFileError(f"{path}: {err}") from err
 
 
 def is_positive_definite(eigenvalues) -> bool:

@@ -74,10 +74,10 @@ def test_parse_rejects_unknown_command():
 
 
 def test_the_parser_is_built_once_and_keeps_nothing_between_calls():
-    first = parse_args(["scan", "--config", "a.json", "--seed", "3", "--eps", "0.5", "--threads", "2"])
+    first = parse_args(["scan", "--config", "a.json", "--seed", "3", "--threads", "2"])
     second = parse_args(["scan", "--config", "b.json"])
-    assert (first.config, first.seed, first.eps, first.threads) == ("a.json", 3, "0.5", 2)
-    assert (second.config, second.seed, second.eps, second.threads) == ("b.json", None, None, None)
+    assert (first.config, first.seed, first.threads) == ("a.json", 3, 2)
+    assert (second.config, second.seed, second.threads) == ("b.json", None, None)
     assert parse_args(["verify"]).tolerance == 1e-8
     assert oscent.cli._parser() is oscent.cli._parser()
 
@@ -87,16 +87,19 @@ def test_missing_config_exits_2(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def _with_eps(config, eps):
+    """``config`` rewritten to hold the Renyi orders ``eps``."""
+    return _write(config, dict(json.loads(config.read_text()), eps=eps))
+
+
 def test_bad_eps_exits_2(two_site_config, tmp_path, capsys):
-    code = main(
-        ["ground-entropy", "--config", str(two_site_config), "--eps", "1.5", "--out", str(tmp_path / "o")]
-    )
+    code = main(["ground-entropy", "--config", str(_with_eps(two_site_config, [1.5])), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "eps" in capsys.readouterr().err
 
 
 def test_a_subnormal_eps_exits_2(two_site_config, tmp_path, capsys):
-    code = main(["ground-entropy", "--config", str(two_site_config), "--eps", "1e-320", "--out", str(tmp_path / "o")])
+    code = main(["ground-entropy", "--config", str(_with_eps(two_site_config, [1e-320])), "--out", str(tmp_path / "o")])
     assert code == 2
     assert repr(float(np.finfo(float).tiny)) in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
@@ -104,16 +107,9 @@ def test_a_subnormal_eps_exits_2(two_site_config, tmp_path, capsys):
 
 def test_a_tiny_normal_eps_gives_a_finite_entropy(two_site_config, tmp_path):
     out = tmp_path / "o"
-    assert main(["ground-entropy", "--config", str(two_site_config), "--eps", "1e-300", "--out", str(out)]) == 0
+    assert main(["ground-entropy", "--config", str(_with_eps(two_site_config, [1e-300])), "--out", str(out)]) == 0
     (value,) = json.loads((out / "ground_entropy.json").read_text(), parse_constant=float)["ground_renyi"]
     assert math.isfinite(value) and value == pytest.approx(689.39, abs=0.01)
-
-
-@pytest.mark.parametrize("flag", ["0.5,x", "", "0.5,,1"])
-def test_an_eps_flag_that_is_not_a_number_exits_2(flag, two_site_config, tmp_path, capsys):
-    code = main(["ground-entropy", "--config", str(two_site_config), "--eps", flag, "--out", str(tmp_path / "o")])
-    assert code == 2
-    assert "--eps needs comma-separated numbers" in capsys.readouterr().err
 
 
 def test_ground_entropy_two_site(two_site_config, tmp_path, capsys):
@@ -148,7 +144,8 @@ def test_ensemble_bound_hypothesis_violation_exits_1(tmp_path, capsys):
                 "dimension": 1,
                 "lengths": [9],
                 "region": {"corner": [0], "lengths": [4]},
-                "disorder": {"k_max": 4.0, "seed": 3},
+                "disorder": {"k_max": 4.0},
+                "seed": 3,
             }
         )
     )
@@ -231,7 +228,8 @@ def test_seed_override_changes_draw(two_site_config, tmp_path):
                 "dimension": 1,
                 "lengths": [6],
                 "region": {"corner": [2], "lengths": [2]},
-                "disorder": {"k_max": 6.0, "seed": 1},
+                "disorder": {"k_max": 6.0},
+                "seed": 1,
                 "eps": [0.5],
             }
         )
@@ -259,28 +257,12 @@ def _scan_seed(config_path, out, extra=()):
 
 def test_scan_seed_precedence(scan_config, tmp_path):
     cfg = json.loads(scan_config.read_text())
-    cfg["disorder"]["seed"] = cfg["master_seed"] = 11
-    scan_config.write_text(json.dumps(cfg))
-    # the flag, then any spelling in the file (they agree), then 0
+    # the flag, then the file's seed, then 0
     assert _scan_seed(scan_config, tmp_path / "flag", ["--seed", "3"]) == 3
-    assert _scan_seed(scan_config, tmp_path / "all") == 11
-    del cfg["seed"], cfg["master_seed"]
-    scan_config.write_text(json.dumps(cfg))
-    assert _scan_seed(scan_config, tmp_path / "disorder") == 11
-    del cfg["disorder"]["seed"]
+    assert _scan_seed(scan_config, tmp_path / "file") == 11
+    del cfg["seed"]
     scan_config.write_text(json.dumps(cfg))
     assert _scan_seed(scan_config, tmp_path / "default") == 0
-
-
-def test_scan_uses_disorder_seed_like_top_level_seed(scan_config, tmp_path):
-    cfg = json.loads(scan_config.read_text())
-    cfg["disorder"]["seed"] = cfg.pop("seed")
-    nested = tmp_path / "nested.json"
-    nested.write_text(json.dumps(cfg))
-    out1, out2 = tmp_path / "top", tmp_path / "nested"
-    assert main(["scan", "--config", str(scan_config), "--out", str(out1)]) == 0
-    assert main(["scan", "--config", str(nested), "--out", str(out2)]) == 0
-    assert (out1 / "records.csv").read_bytes() == (out2 / "records.csv").read_bytes()
 
 
 @pytest.mark.parametrize("command", ["scan", "excited-entropy"])
@@ -328,6 +310,16 @@ def _write(path, cfg):
 
 COMMANDS = ["ground-entropy", "excited-entropy", "ensemble-bound", "correlators", "scan"]
 
+# Config shapes that must exit 2 with an error naming the key: (change, text the error holds)
+_MALFORMED_SHAPES = {
+    "list-config": ([1, 2], "config must be a JSON object"),
+    "null-config": (None, "config must be a JSON object"),
+    "empty-regions": ({"regions": []}, "regions"),
+    "empty-eps": ({"eps": []}, "eps needs at least one value"),
+    "string-eps-list": ({"eps": "0.5"}, "eps must be a list"),
+    "bare-int-lengths": ({"lengths": 12}, "lengths must be a list"),
+}
+
 
 @pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize(
@@ -336,7 +328,7 @@ COMMANDS = ["ground-entropy", "excited-entropy", "ensemble-bound", "correlators"
         {"p": 2.0},
         {"s": 2.0},
         {"disorder": {"k_max": 0.0}},
-        {"disorder": {"seed": 3}},
+        {"disorder": {}},
         {"threads": -1},
         {"bound": 0.0},
         {"region": {"corner": [10], "lengths": [3]}},
@@ -367,6 +359,7 @@ COMMANDS = ["ground-entropy", "excited-entropy", "ensemble-bound", "correlators"
         {"region": {"sites": [[i] for i in range(12)]}},
         {"eps": [0.5, 1.0, 0.5]},
         {"eps": [0.5, 0.5000000000000001]},
+        *(shape for shape, _ in _MALFORMED_SHAPES.values()),
     ],
     ids=[
         "p-above-1", "s-above-1", "zero-k_max", "no-k_max", "negative-threads", "zero-bound",
@@ -376,14 +369,17 @@ COMMANDS = ["ground-entropy", "excited-entropy", "ensemble-bound", "correlators"
         "float-region", "string-fit-decay", "bool-k_max", "string-k_max", "string-p", "bool-s",
         "string-bound", "bool-eps", "string-eps", "bare-eps", "conflicting-disorder-seed",
         "conflicting-master-seed", "whole-lattice-box", "whole-lattice-sites", "duplicate-eps",
-        "eps-sharing-a-label",
+        "eps-sharing-a-label", *_MALFORMED_SHAPES,
     ],
 )
 def test_every_command_rejects_bad_configs_with_exit_2(command, change, scan_config, tmp_path, capsys):
-    cfg = dict(json.loads(scan_config.read_text()), **change)
+    # a dict changes the scan config's keys; anything else is the whole config
+    cfg = dict(json.loads(scan_config.read_text()), **change) if isinstance(change, dict) else change
     _write(scan_config, cfg)
     assert main([command, "--config", str(scan_config), "--out", str(tmp_path / "o")]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert all(named in err for shape, named in _MALFORMED_SHAPES.values() if shape == change)
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -391,6 +387,27 @@ def test_compute_commands_reject_the_tolerance_flag(command, scan_config, tmp_pa
     with pytest.raises(SystemExit) as info:
         main([command, "--config", str(scan_config), "--out", str(tmp_path / "o"), "--tolerance", "5"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("flag", ["--eps", "--p", "--s"], ids=["eps", "p", "s"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_compute_commands_reject_the_eps_p_and_s_flags(command, flag, scan_config, tmp_path, capsys):
+    # The config file is the one place eps, p and s are set; "1" also parses as a --seed, were --s read as one
+    with pytest.raises(SystemExit) as info:
+        main([command, "--config", str(scan_config), "--out", str(tmp_path / "o"), flag, "1"])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag", ["0.5,x", "", "0.5,,1"])
+def test_an_eps_flag_that_is_not_a_number_exits_2(flag, two_site_config, tmp_path, capsys):
+    # --eps is no flag at all now, so a malformed one exits 2 before any value is read
+    with pytest.raises(SystemExit) as info:
+        main(["ground-entropy", "--config", str(two_site_config), "--eps", flag, "--out", str(tmp_path / "o")])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: --eps {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def _run_python(script: str, environ=os.environ, timeout=None) -> subprocess.CompletedProcess:
@@ -490,6 +507,55 @@ def test_ensemble_commands_reject_matrix_csv(command, two_site_config, tmp_path,
     assert "matrix_csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("2,-1,0\n-1,2,-1\n0,-1,2\n", "matrix size 3 != lattice size 2"),
+        ("2,-1\n-0.5,2\n", "matrix asymmetry 5.000e-01 exceeds tolerance"),
+        ("2,x\n-1,2\n", "could not convert string 'x'"),
+        ("2,nan\nnan,2\n", "matrix has non-finite entries"),
+        (None, "not found"),
+    ],
+    ids=["wrong-size", "asymmetric", "non-numeric", "nan", "missing"],
+)
+def test_a_bad_matrix_csv_exits_2(text, error, two_site_config, tmp_path, capsys):
+    matrix = Path(json.loads(two_site_config.read_text())["matrix_csv"])
+    if text is None:
+        matrix.unlink()
+    else:
+        matrix.write_text(text)
+    out = tmp_path / "o"
+    assert main(["ground-entropy", "--config", str(two_site_config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad matrix_csv: {matrix}") and error in err
+    assert not out.exists()
+
+
+def test_an_indefinite_matrix_csv_exits_1(two_site_config, tmp_path, capsys):
+    # positive definiteness is the paper's hypothesis on h, not a check on the file's shape
+    Path(json.loads(two_site_config.read_text())["matrix_csv"]).write_text("1,2\n2,1\n")
+    assert main(["ground-entropy", "--config", str(two_site_config), "--out", str(tmp_path / "o")]) == 1
+    assert "coupling matrix is not positive definite" in capsys.readouterr().err
+
+
+def test_readme_names_every_config_key_and_compute_flag():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (schema,) = re.findall(r"^```jsonc\n(.*?)^```", readme, re.S | re.M)
+    # each line's JSON, a commented-out line included, without its trailing comment
+    code = [line.strip().removeprefix("//").split("//")[0] for line in schema.splitlines()]
+    keys = set(re.findall(r'"(\w+)"\s*:', "\n".join(code)))
+    experiments = oscent.experiments
+    assert keys == experiments._CONFIG_KEYS | {"regions"} | experiments._DISORDER_KEYS | experiments._REGION_KEYS
+    (paragraph,) = re.findall(r"^The five compute commands take .*?(?=\n\n)", readme, re.S | re.M)
+    subcommands = oscent.cli._parser()._subparsers._group_actions[0].choices
+    flags = {
+        command: {flag for action in subcommands[command]._actions for flag in action.option_strings} - {"-h", "--help"}
+        for command in COMMANDS
+    }
+    assert all(named == flags[COMMANDS[0]] for named in flags.values())
+    assert set(re.findall(r"--[\w-]+", paragraph)) == flags[COMMANDS[0]]
+
+
 def test_readme_cli_examples_exit_0(tmp_path, monkeypatch):
     root = Path(__file__).resolve().parents[1]
     lines = re.findall(r"^oscent ([\w-]+)\s+--config (\S+)", (root / "README.md").read_text(), re.M)
@@ -510,35 +576,6 @@ def test_ground_entropy_reads_coupling_none(scan_config, tmp_path):
     payload = _ground_entropy(_write(scan_config, cfg), tmp_path / "o")
     assert payload["ground_renyi"] == [0.0, 0.0]
     assert payload["log_negativity"] == 0.0 and payload["von_neumann"] == 0.0
-
-
-@pytest.mark.parametrize("command", COMMANDS)
-def test_conflicting_seed_spellings_exit_2_unless_the_flag_replaces_them(command, scan_config, tmp_path, capsys):
-    cfg = json.loads(scan_config.read_text())
-    cfg["disorder"]["seed"] = 5
-    cfg["master_seed"] = 7
-    _write(scan_config, cfg)
-    assert main([command, "--config", str(scan_config), "--out", str(tmp_path / "file")]) == 2
-    assert "seed spellings disagree" in capsys.readouterr().err
-    out = tmp_path / "flag"
-    assert main([command, "--config", str(scan_config), "--out", str(out), "--seed", "5"]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["seed"] == 5
-
-
-def test_ground_entropy_reads_every_seed_spelling_alike(scan_config, tmp_path):
-    cfg = json.loads(scan_config.read_text())
-    cfg["disorder"]["seed"] = 11
-    both = _ground_entropy(_write(tmp_path / "both.json", cfg), tmp_path / "both")
-    del cfg["seed"]
-    nested = _ground_entropy(_write(tmp_path / "nested.json", cfg), tmp_path / "nested")
-    cfg["master_seed"] = 11
-    del cfg["disorder"]["seed"]
-    master = _ground_entropy(_write(tmp_path / "master.json", cfg), tmp_path / "master")
-    cfg["master_seed"] = 5
-    other = _ground_entropy(_write(tmp_path / "other.json", cfg), tmp_path / "other")
-    assert both == nested == master != other
-    assert json.loads((tmp_path / "both" / "manifest.json").read_text())["seed"] == 11
 
 
 def test_scan_bound_below_the_norm_exits_1(scan_config, tmp_path, capsys):
@@ -620,10 +657,10 @@ SINGLE_SHOT_OUTPUTS = {
 
 
 def _rerun_from_manifest(command, config, tmp_path, names) -> dict:
-    """Run ``command`` with flags, rerun it on its manifest config, check ``names`` and the manifest match; the manifest."""
-    flags = ["--eps", "0.75", "--seed", "5", "--s", "0.25"]
+    """Run ``command`` with eps and s set in its config and ``--seed 5``, rerun it on its manifest config, check ``names`` and the manifest match; the manifest."""
+    config = _write(config, dict(json.loads(config.read_text()), eps=[0.75], s=0.25))
     first = tmp_path / "first"
-    assert main([command, "--config", str(config), "--out", str(first), *flags]) == 0
+    assert main([command, "--config", str(config), "--out", str(first), "--seed", "5"]) == 0
     manifest = json.loads((first / "manifest.json").read_text())
     assert manifest["config"]["eps"] == [0.75]
     assert (manifest["config"]["seed"], manifest["config"]["s"], manifest["seed"]) == (5, 0.25, 5)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,13 @@ def test_custom_identity_and_errors():
         assemble_custom(lat, np.ones((2, 3)))
     with pytest.raises(ValueError):
         assemble_custom(lat, [[1.0, 2.0], [1.0, 1.0]])  # asymmetry 1
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+def test_custom_rejects_non_finite_entries(entry):
+    # nan passes the asymmetry test (nan > tol is False), so it needs its own
+    with pytest.raises(ValueError, match="non-finite"):
+        assemble_custom(build_box(1, [2]), [[2.0, entry], [entry, 2.0]])
 
 
 def test_custom_symmetrizes_roundoff_noise():
