@@ -10,8 +10,9 @@ from pathlib import Path
 
 from oscent.experiments import (
     ExperimentConfig,
+    RegionSpec,
     area_law_fit,
-    run_scans,
+    run_scan,
     write_aggregates_json,
     write_records_csv,
     write_scaling_data,
@@ -20,25 +21,21 @@ from oscent.experiments import (
 out = Path("oscent-out/area-law-demo")
 out.mkdir(parents=True, exist_ok=True)
 
-# One config per window; run_scans decomposes each realization once and
-# evaluates every window on it.
-configs = [
-    ExperimentConfig(
-        dimension=1,
-        lengths=(96,),
-        region_corner=(48 - length // 2,),
-        region_lengths=(length,),
-        k_max=8.0,
-        realizations=24,
-        eps_values=(0.5, 1.0),
-        excitations="all",
-        p=1.0,
-        s=0.5,
-        master_seed=31415,
-    )
-    for length in (4, 8, 16, 32)
-]
-results = run_scans(configs)
+# One config covers every window; run_scan decomposes each realization once
+# and evaluates every window on it.
+config = ExperimentConfig(
+    dimension=1,
+    lengths=(96,),
+    regions=tuple(RegionSpec(corner=(48 - length // 2,), lengths=(length,)) for length in (4, 8, 16, 32)),
+    k_max=8.0,
+    realizations=24,
+    eps_values=(0.5, 1.0),
+    excitations="all",
+    p=1.0,
+    s=0.5,
+    master_seed=31415,
+)
+results = run_scan(config)
 for result in results:
     half = result.aggregates["ground_renyi[0.5]"]
     theorem = result.aggregates["excited_theorem_bound"]

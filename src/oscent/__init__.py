@@ -70,11 +70,11 @@ from .experiments import (
     AreaLawFit,
     ExperimentConfig,
     RealizationRecord,
+    RegionSpec,
     ScanResult,
     area_law_fit,
     correlator_ensemble,
     run_scan,
-    run_scans,
     write_aggregates_json,
     write_records_csv,
     write_scaling_data,

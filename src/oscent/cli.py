@@ -27,9 +27,8 @@ from .experiments import (
     ExperimentConfig,
     correlator_ensemble,
     definite_realization,
-    region_of,
     region_reports,
-    run_scans,
+    run_scan,
     selected_modes,
     write_aggregates_json,
     write_records_csv,
@@ -116,48 +115,41 @@ def _write_run(args, entries: dict, versions: dict, files=None) -> Path:
     return out
 
 
-def _write_outputs(args, configs: list[ExperimentConfig], files=None, execution=None) -> Path:
+def _write_outputs(args, config: ExperimentConfig, files=None, execution=None) -> Path:
     """``_write_run`` with the resolved config, the seed and a pool's ``execution`` in the manifest.
 
-    A scan's configs differ only in the region: its config is their shared keys plus ``regions``.
+    A scan's manifest names its ``regions``; a single-realization command's its one ``region``.
     """
-    config = configs[0]
     resolved = config.to_dict()
-    if args.command == "scan":
-        del resolved["region"]
-        resolved["regions"] = [c.to_dict()["region"] for c in configs]
+    if args.command != "scan":
+        (resolved["region"],) = resolved.pop("regions")
     entries = {"config": resolved, "seed": None if config.matrix_csv is not None else config.master_seed}
     if execution is not None:
         entries["execution"] = execution
     return _write_run(args, entries, lapack_versions(), files)
 
 
-def _configs(args) -> list[ExperimentConfig]:
-    """One parsed config per region (scan) with the flags applied."""
+def _config(args) -> ExperimentConfig:
+    """The parsed config with the flags applied."""
     resolved = _load_config(args.config)
     flags = {"seed": args.seed, "threads": args.threads}
     resolved.update((key, value) for key, value in flags.items() if value is not None)
-    regions = resolved.pop("regions", None)
-    if regions is None:
-        regions = [resolved.get("region")]
-    elif args.command != "scan":
-        raise UsageError("regions is read by scan only; give one region")
-    elif not (isinstance(regions, list) and regions):
-        raise UsageError(f"regions must be a non-empty list, got {regions!r}")
     try:
-        configs = [ExperimentConfig.from_dict(dict(resolved, region=spec)) for spec in regions]
+        config = ExperimentConfig.from_dict(resolved)
     except (KeyError, TypeError, ValueError) as err:
         raise UsageError(f"bad config: {err}")
-    if args.command in ("scan", "correlators") and configs[0].matrix_csv is not None:
+    if args.command != "scan" and "regions" in resolved:
+        raise UsageError("regions is read by scan only; give one region")
+    if args.command in ("scan", "correlators") and config.matrix_csv is not None:
         raise UsageError(f"{args.command} averages over disorder; matrix_csv is for single realizations")
-    return configs
+    return config
 
 
 def _single(args):
     """Config, lattice and region of a single-realization command."""
-    (config,) = _configs(args)
+    config = _config(args)
     lattice = build_box(config.dimension, config.lengths)
-    return config, lattice, region_of(config, lattice)
+    return config, lattice, config.regions[0].on(lattice)
 
 
 def _region_report(config: ExperimentConfig, lattice, region, modes=()):
@@ -172,7 +164,7 @@ def _region_report(config: ExperimentConfig, lattice, region, modes=()):
 def _cmd_ground_entropy(args) -> int:
     config, lattice, region = _single(args)
     report = _region_report(config, lattice, region)
-    _write_outputs(args, [config], {"ground_entropy.json": report.to_json() + "\n"})
+    _write_outputs(args, config, {"ground_entropy.json": report.to_json() + "\n"})
     for eps, value in zip(report.eps, report.ground_renyi):
         print(f"eps={eps:g} renyi_entropy={value:.15g}")
     print(f"von_neumann={report.von_neumann:.15g}")
@@ -183,7 +175,7 @@ def _cmd_ground_entropy(args) -> int:
 def _cmd_excited_entropy(args) -> int:
     config, lattice, region = _single(args)
     report = _region_report(config, lattice, region, selected_modes(config.excitations, lattice.size))
-    _write_outputs(args, [config], {"excited_bounds.json": report.to_json() + "\n"})
+    _write_outputs(args, config, {"excited_bounds.json": report.to_json() + "\n"})
     for mode, computed, theorem in zip(
         report.excited_modes, report.excited_computed_bounds, report.excited_theorem_bounds
     ):
@@ -197,7 +189,7 @@ def _cmd_ensemble_bound(args) -> int:
     report = _region_report(config, lattice, region)
     value = report.ensemble_bound
     payload = {"ensemble_bound": value, "lattice_size": lattice.size, "region_size": region.size}
-    _write_outputs(args, [config], {"ensemble.json": json.dumps(payload, indent=2, sort_keys=True) + "\n"})
+    _write_outputs(args, config, {"ensemble.json": json.dumps(payload, indent=2, sort_keys=True) + "\n"})
     print(f"ensemble_bound={value:.15g}")
     return 0
 
@@ -215,7 +207,7 @@ def _cmd_correlators(args) -> int:
         "area_law_constant": constant,
     }
     decay = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    out = _write_outputs(args, [config], {"decay.json": decay}, execution=execution)
+    out = _write_outputs(args, config, {"decay.json": decay}, execution=execution)
     with open(out / "correlators.csv", "w", newline="\n") as handle:
         correlator_csv(mean_moment, lattice, handle)
     print(f"eta={fit.eta:.15g} prefactor={fit.prefactor:.15g} residual={fit.residual:.3e}")
@@ -223,9 +215,9 @@ def _cmd_correlators(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    configs = _configs(args)
-    results = run_scans(configs)
-    out = _write_outputs(args, configs, execution=results[0].execution)
+    config = _config(args)
+    results = run_scan(config)
+    out = _write_outputs(args, config, execution=results[0].execution)
     write_records_csv(results, out / "records.csv")
     write_aggregates_json(results, out / "aggregates.json")
     write_scaling_data(results, out / "scaling.dat")

@@ -20,7 +20,7 @@ import math
 import numbers
 import os
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .spectral import BipartitionBlocks, RegionBlocks, SpectralData, decompose, 
 # The config schema: every key ``ExperimentConfig.from_dict`` reads, and
 # nothing else. ``disorder.kind`` is accepted because ``to_dict`` writes it.
 _CONFIG_KEYS = frozenset(
-    "dimension lengths region disorder matrix_csv bound realization_index realizations "
+    "dimension lengths region regions disorder matrix_csv bound realization_index realizations "
     "eps excitations p s seed threads fit_decay coupling".split()
 )
 _DISORDER_KEYS = frozenset({"k_max", "kind"})
@@ -78,6 +78,13 @@ def _array(values, name: str) -> list | tuple:
 
 def _integers(values, name: str) -> tuple[int, ...]:
     return tuple(_integer(value, name) for value in _array(values, name))
+
+
+def _string(value, name: str) -> str:
+    """A config value that must be a JSON string; raises ValueError otherwise."""
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    return value
 
 
 def _number(value, name: str) -> float:
@@ -125,14 +132,59 @@ def _excitations_entry(policy) -> str | dict:
 
 
 @dataclass(frozen=True)
+class RegionSpec:
+    """One region of a config: a box (``corner`` + ``lengths``) or explicit ``sites``."""
+
+    corner: tuple[int, ...] | None = None
+    lengths: tuple[int, ...] | None = None
+    sites: tuple[tuple[int, ...], ...] | None = None
+
+    @staticmethod
+    def from_dict(raw) -> "RegionSpec":
+        _check_keys(raw, _REGION_KEYS, "region")
+        return RegionSpec(
+            corner=_integers(raw["corner"], "region.corner") if "corner" in raw else None,
+            lengths=_integers(raw["lengths"], "region.lengths") if "lengths" in raw else None,
+            sites=tuple(_integers(site, "region.sites") for site in _array(raw["sites"], "region.sites")) if "sites" in raw else None,
+        )
+
+    def to_dict(self) -> dict:
+        if self.sites is not None:
+            return {"sites": [list(s) for s in self.sites]}
+        return {"corner": list(self.corner), "lengths": list(self.lengths)}
+
+    def check(self, lattice_lengths: tuple[int, ...]):
+        """Raise ValueError unless the region is a non-empty proper part of a lattice of side lengths ``lattice_lengths``."""
+        if self.sites is not None:
+            boxes = [(site, site) for site in self.sites]
+        elif self.corner is not None and self.lengths is not None:
+            boxes = [(self.corner, [c + n - 1 for c, n in zip(self.corner, self.lengths)])]
+        else:
+            raise ValueError("region needs sites or corner + lengths")
+        if not boxes or not all(
+            len(lo) == len(hi) == len(lattice_lengths)
+            and all(0 <= a <= b < n for a, b, n in zip(lo, hi, lattice_lengths))
+            for lo, hi in boxes
+        ):
+            raise ValueError(f"region is empty or leaves the lattice {list(lattice_lengths)}")
+        covered = len(set(self.sites)) if self.sites is not None else math.prod(self.lengths)
+        if covered == math.prod(lattice_lengths):
+            raise ValueError("region equals the whole lattice; the complement is empty")
+
+    def on(self, lattice: Lattice) -> Region:
+        """The region this spec selects on ``lattice``."""
+        if self.sites is not None:
+            return make_region(lattice, self.sites)
+        return box_region(lattice, self.corner, self.lengths)
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed to reproduce one run (a scan or a single-realization command) byte for byte."""
+    """Everything needed to reproduce one run (a scan of its ``regions``, or a single-realization command) byte for byte."""
 
     dimension: int
     lengths: tuple[int, ...]
-    region_corner: tuple[int, ...] | None = None
-    region_lengths: tuple[int, ...] | None = None
-    region_sites: tuple[tuple[int, ...], ...] | None = None
+    regions: tuple[RegionSpec, ...] = ()
     k_max: float = 1.0
     realizations: int = 1
     eps_values: tuple[float, ...] = (0.5, 1.0)
@@ -168,22 +220,10 @@ class ExperimentConfig:
         if self.bound is not None and not self.bound > 0:
             raise ValueError(f"bound must be positive, got {self.bound}")
         DisorderModel(k_max=self.k_max, seed=self.master_seed)  # checks k_max > 0 and the seed
-        if self.region_sites is not None:
-            boxes = [(site, site) for site in self.region_sites]
-        elif self.region_corner is not None and self.region_lengths is not None:
-            far = [c + n - 1 for c, n in zip(self.region_corner, self.region_lengths)]
-            boxes = [(self.region_corner, far)]
-        else:
-            raise ValueError("config needs region_sites or region_corner + region_lengths")
-        if not boxes or not all(
-            len(lo) == len(hi) == self.dimension
-            and all(0 <= a <= b < n for a, b, n in zip(lo, hi, self.lengths))
-            for lo, hi in boxes
-        ):
-            raise ValueError(f"region is empty or leaves the lattice {list(self.lengths)}")
-        covered = len(set(self.region_sites)) if self.region_sites is not None else math.prod(self.region_lengths)
-        if covered == math.prod(self.lengths):
-            raise ValueError("region equals the whole lattice; the complement is empty")
+        if not self.regions:
+            raise ValueError("config needs a region")
+        for region in self.regions:
+            region.check(self.lengths)
         parse_excitations(_excitations_entry(self.excitations), math.prod(self.lengths))
 
     @property
@@ -193,10 +233,13 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
-        """Parse a JSON config; unknown keys and out-of-range values raise."""
+        """Parse a JSON config; unknown keys, out-of-range values and both ``region`` and ``regions`` raise."""
         _check_keys(raw, _CONFIG_KEYS, "config")
-        region = raw.get("region") or {}
-        _check_keys(region, _REGION_KEYS, "region")
+        if "region" in raw and "regions" in raw:
+            raise ValueError("config has both region and regions; give one")
+        regions = raw["regions"] if "regions" in raw else [raw.get("region") or {}]
+        if not (isinstance(regions, list) and regions):
+            raise ValueError(f"regions must be a non-empty list, got {regions!r}")
         disorder = raw.get("disorder") or {}
         _check_keys(disorder, _DISORDER_KEYS, "disorder")
         if disorder.get("kind", "uniform") != "uniform":
@@ -211,9 +254,7 @@ class ExperimentConfig:
         return ExperimentConfig(
             dimension=_integer(raw["dimension"], "dimension"),
             lengths=lengths,
-            region_corner=_integers(region["corner"], "region.corner") if "corner" in region else None,
-            region_lengths=_integers(region["lengths"], "region.lengths") if "lengths" in region else None,
-            region_sites=tuple(_integers(site, "region.sites") for site in _array(region["sites"], "region.sites")) if "sites" in region else None,
+            regions=tuple(RegionSpec.from_dict(region) for region in regions),
             k_max=_number(disorder.get("k_max", 1.0), "disorder.k_max"),
             realizations=_integer(raw.get("realizations", 1), "realizations"),
             eps_values=tuple(_number(e, "eps") for e in _array(raw.get("eps", [0.5, 1.0]), "eps")),
@@ -223,23 +264,17 @@ class ExperimentConfig:
             master_seed=_integer(raw.get("seed", 0), "seed"),
             threads=_integer(raw["threads"], "threads") if raw.get("threads") is not None else None,
             fit_decay=fit_decay,
-            coupling_kind=str(raw.get("coupling", "nearest")),
+            coupling_kind=_string(raw.get("coupling", "nearest"), "coupling"),
             realization_index=_integer(raw.get("realization_index", 0), "realization_index"),
-            matrix_csv=str(raw["matrix_csv"]) if raw.get("matrix_csv") is not None else None,
+            matrix_csv=_string(raw["matrix_csv"], "matrix_csv") if raw.get("matrix_csv") is not None else None,
             bound=_number(raw["bound"], "bound") if raw.get("bound") is not None else None,
         )
 
     def to_dict(self) -> dict:
-        region: dict = {}
-        if self.region_sites is not None:
-            region["sites"] = [list(s) for s in self.region_sites]
-        else:
-            region["corner"] = list(self.region_corner)
-            region["lengths"] = list(self.region_lengths)
         return {
             "dimension": self.dimension,
             "lengths": list(self.lengths),
-            "region": region,
+            "regions": [region.to_dict() for region in self.regions],
             "disorder": {"kind": "uniform", "k_max": self.k_max},
             "realizations": self.realizations,
             "eps": list(self.eps_values),
@@ -294,7 +329,7 @@ class RealizationRecord:
 
 @dataclass
 class ScanResult:
-    """Records plus deterministic aggregates for one scan."""
+    """Records plus deterministic aggregates for one region of a scan."""
 
     config: ExperimentConfig
     lattice_size: int
@@ -340,13 +375,6 @@ def selected_modes(policy, total: int) -> list[int]:
         return []
     lo, hi = policy
     return list(range(lo, hi + 1))
-
-
-def region_of(config: ExperimentConfig, lattice: Lattice) -> Region:
-    """The region a config selects on its lattice."""
-    if config.region_sites is not None:
-        return make_region(lattice, config.region_sites)
-    return box_region(lattice, config.region_corner, config.region_lengths)
 
 
 def coupling_matrix(config: ExperimentConfig, lattice: Lattice, index: int) -> CouplingMatrix:
@@ -418,28 +446,15 @@ def region_reports(config: ExperimentConfig, data: SpectralData, regions, modes)
     return [region_report(config, data, each, modes) for each in blocks]
 
 
-def _without_region(config: ExperimentConfig) -> dict:
-    return {
-        f.name: getattr(config, f.name)
-        for f in fields(config)
-        if not f.name.startswith("region_")
-    }
-
-
-def run_scan(config: ExperimentConfig) -> ScanResult:
-    """Run one disorder scan; deterministic given the config (incl. seed)."""
-    return run_scans([config])[0]
-
-
-def run_scans(configs) -> list[ScanResult]:
-    """Run several scans that differ only in the region, one result per config.
+def run_scan(config: ExperimentConfig) -> list[ScanResult]:
+    """Run the disorder scan of a config: one result per region, deterministic given the config (incl. seed).
 
     Each disorder realization is sampled, checked and decomposed once (h,
     its eigensystem, h^{1/2} where excitations need it and the h^{-1/2}
     correlator table) and every region derives its record from that shared
-    decomposition, so each result is byte-identical to a separate run of
-    its config. The decay fit, which depends only on the lattice, runs once
-    and is shared.
+    decomposition, so each result is byte-identical to a scan of its region
+    alone. The decay fit, which depends only on the lattice, runs once and
+    is shared.
 
     Realizations are reduced in index order as they finish, with at most
     two per pool thread in flight, so memory does not grow with the number
@@ -451,20 +466,10 @@ def run_scans(configs) -> list[ScanResult]:
 
     Realizations failing the positive-definiteness check are recorded with
     pd_ok = False and excluded from every aggregate; the first realization
-    must pass (anything else means the config itself is bad). Raises
-    ValueError when the configs differ in anything but the region.
+    must pass (anything else means the config itself is bad).
     """
-    configs = list(configs)
-    if not configs:
-        raise ValueError("need at least one scan config")
-    config = configs[0]
-    shared = _without_region(config)
-    for other in configs[1:]:
-        differing = sorted(k for k, v in _without_region(other).items() if shared[k] != v)
-        if differing:
-            raise ValueError(f"scan configs may differ only in the region, not in {differing}")
     lattice = build_box(config.dimension, config.lengths)
-    regions = [region_of(c, lattice) for c in configs]
+    regions = [spec.on(lattice) for spec in config.regions]
     bound = config.norm_bound
     modes = selected_modes(config.excitations, lattice.size)
 
@@ -506,7 +511,7 @@ def run_scans(configs) -> list[ScanResult]:
         decay, constant = fit_decay_constant(moments.mean(), lattice, config.s, bound)
 
     results = []
-    for position, (scan_config, region) in enumerate(zip(configs, regions)):
+    for position, region in enumerate(regions):
         boundary = len(inner_boundary(region))
         records = [row[position] for row in rows]
         empirical = None
@@ -522,7 +527,7 @@ def run_scans(configs) -> list[ScanResult]:
             }
         results.append(
             ScanResult(
-                config=scan_config,
+                config=config,
                 lattice_size=lattice.size,
                 region_size=region.size,
                 boundary_size=boundary,
@@ -671,9 +676,7 @@ def _fmt(value: float) -> str:
 
 
 def write_records_csv(results, path):
-    """One CSV over all scans: one row per (realization, eps), sorted."""
-    if isinstance(results, ScanResult):
-        results = [results]
+    """One CSV over the results of a scan: one row per (region, realization, eps), sorted."""
     lines = [CSV_HEADER]
     for result in results:
         for record in sorted(result.records, key=lambda r: r.index):
@@ -706,9 +709,7 @@ def write_records_csv(results, path):
 
 
 def write_aggregates_json(results, path):
-    """Aggregate means and standard errors, one entry per scan."""
-    if isinstance(results, ScanResult):
-        results = [results]
+    """Aggregate means and standard errors, one entry per region of a scan."""
     payload = []
     for result in results:
         payload.append(
@@ -730,8 +731,6 @@ def write_aggregates_json(results, path):
 
 def write_scaling_data(results, path):
     """Gnuplot-style whitespace table of mean quantities per region size."""
-    if isinstance(results, ScanResult):
-        results = [results]
     lines = [
         "# region_size boundary_size log_region_size mean_half_renyi "
         "mean_excited_computed_bound mean_excited_theorem_bound"

@@ -137,10 +137,16 @@ def load_matrix_csv(path, lattice: Lattice) -> CouplingMatrix:
     """Load a dense coupling matrix from a comma-separated row-major text file.
 
     Raises OSError if the file cannot be read, and MatrixFileError if its
-    text is not numbers or ``assemble_custom`` rejects the matrix.
+    text is no data, not numbers or a matrix ``assemble_custom`` rejects.
     """
     try:
-        return assemble_custom(lattice, np.loadtxt(path, delimiter=",", ndmin=2))
+        with open(path) as handle:
+            lines = handle.readlines()
+        if not any(line.split("#")[0].strip() for line in lines):
+            raise ValueError("no data")  # checked here: loadtxt only warns
+        return assemble_custom(lattice, np.loadtxt(lines, delimiter=",", ndmin=2))
+    except FileNotFoundError as err:
+        raise FileNotFoundError(f"{path} not found.") from err
     except ValueError as err:
         raise MatrixFileError(f"{path}: {err}") from err
 

@@ -14,7 +14,7 @@ import pytest
 import scipy.linalg
 
 import oscent as oc
-from oscent.experiments import ExperimentConfig, area_law_fit, run_scan, write_records_csv
+from oscent.experiments import ExperimentConfig, RegionSpec, area_law_fit, run_scan, write_records_csv
 
 pytestmark = pytest.mark.acceptance
 
@@ -240,23 +240,20 @@ def test_criterion_5_von_neumann_limit():
 def test_criterion_6_area_law_scaling():
     start = time.time()
     lengths = (4, 8, 16, 32, 64)
-    results = []
-    for length in lengths:
-        config = ExperimentConfig(
-            dimension=1,
-            lengths=(160,),
-            region_corner=(80 - length // 2,),
-            region_lengths=(length,),
-            k_max=8.0,
-            realizations=50,
-            eps_values=(0.5, 1.0),
-            excitations="all",
-            p=1.0,
-            s=0.5,
-            master_seed=606,
-            threads=8,
-        )
-        results.append(run_scan(config))
+    config = ExperimentConfig(
+        dimension=1,
+        lengths=(160,),
+        regions=tuple(RegionSpec(corner=(80 - length // 2,), lengths=(length,)) for length in lengths),
+        k_max=8.0,
+        realizations=50,
+        eps_values=(0.5, 1.0),
+        excitations="all",
+        p=1.0,
+        s=0.5,
+        master_seed=606,
+        threads=8,
+    )
+    results = run_scan(config)
     means = [r.aggregates["ground_renyi[0.5]"]["mean"] for r in results]
     plateau = [m for r, m in zip(results, means) if r.region_size >= 8]
     ratio = max(plateau) / min(plateau)
@@ -308,8 +305,7 @@ def test_criterion_8_scan_determinism(tmp_path):
     config = ExperimentConfig(
         dimension=1,
         lengths=(60,),
-        region_corner=(26,),
-        region_lengths=(8,),
+        regions=(RegionSpec(corner=(26,), lengths=(8,)),),
         k_max=8.0,
         realizations=20,
         eps_values=(0.5, 0.75, 1.0),

@@ -315,6 +315,10 @@ _MALFORMED_SHAPES = {
     "list-config": ([1, 2], "config must be a JSON object"),
     "null-config": (None, "config must be a JSON object"),
     "empty-regions": ({"regions": []}, "regions"),
+    # region outside the lattice, so a scan that read only regions would exit 0
+    "region-and-regions": ({"region": {"corner": [99], "lengths": [2]}, "regions": [{"corner": [4], "lengths": [3]}]}, "both region and regions"),
+    "number-matrix-csv": ({"matrix_csv": 5}, "matrix_csv must be a string"),
+    "number-coupling": ({"coupling": 1}, "coupling must be a string"),
     "empty-eps": ({"eps": []}, "eps needs at least one value"),
     "string-eps-list": ({"eps": "0.5"}, "eps must be a list"),
     "bare-int-lengths": ({"lengths": 12}, "lengths must be a list"),
@@ -515,8 +519,10 @@ def test_ensemble_commands_reject_matrix_csv(command, two_site_config, tmp_path,
         ("2,x\n-1,2\n", "could not convert string 'x'"),
         ("2,nan\nnan,2\n", "matrix has non-finite entries"),
         (None, "not found"),
+        ("", "no data"),
+        ("# a comment\n \n", "no data"),
     ],
-    ids=["wrong-size", "asymmetric", "non-numeric", "nan", "missing"],
+    ids=["wrong-size", "asymmetric", "non-numeric", "nan", "missing", "empty", "comment-only"],
 )
 def test_a_bad_matrix_csv_exits_2(text, error, two_site_config, tmp_path, capsys):
     matrix = Path(json.loads(two_site_config.read_text())["matrix_csv"])
@@ -529,6 +535,14 @@ def test_a_bad_matrix_csv_exits_2(text, error, two_site_config, tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith(f"error: bad matrix_csv: {matrix}") and error in err
     assert not out.exists()
+
+
+def test_an_empty_matrix_csv_exits_2_with_only_the_error_under_warnings_as_errors(two_site_config, tmp_path):
+    matrix = Path(json.loads(two_site_config.read_text())["matrix_csv"])
+    matrix.write_text("")
+    argv = ["ground-entropy", "--config", str(two_site_config), "--out", str(tmp_path / "o")]
+    ran = _run_python(f"import oscent.cli\nassert oscent.cli.main({argv!r}) == 2\n", dict(os.environ, PYTHONWARNINGS="error"))
+    assert ran.stderr == f"error: bad matrix_csv: {matrix}: no data\n"
 
 
 def test_an_indefinite_matrix_csv_exits_1(two_site_config, tmp_path, capsys):
@@ -545,7 +559,7 @@ def test_readme_names_every_config_key_and_compute_flag():
     code = [line.strip().removeprefix("//").split("//")[0] for line in schema.splitlines()]
     keys = set(re.findall(r'"(\w+)"\s*:', "\n".join(code)))
     experiments = oscent.experiments
-    assert keys == experiments._CONFIG_KEYS | {"regions"} | experiments._DISORDER_KEYS | experiments._REGION_KEYS
+    assert keys == experiments._CONFIG_KEYS | experiments._DISORDER_KEYS | experiments._REGION_KEYS
     (paragraph,) = re.findall(r"^The five compute commands take .*?(?=\n\n)", readme, re.S | re.M)
     subcommands = oscent.cli._parser()._subparsers._group_actions[0].choices
     flags = {
@@ -589,7 +603,8 @@ def test_correlators_decay_matches_the_scan_fit(scan_config, tmp_path):
     assert main(["correlators", "--config", str(scan_config), "--out", str(out)]) == 0
     payload = json.loads((out / "decay.json").read_text())
     cfg = dict(json.loads(scan_config.read_text()), fit_decay=True)
-    decay = run_scan(ExperimentConfig.from_dict(cfg)).decay
+    (result,) = run_scan(ExperimentConfig.from_dict(cfg))
+    decay = result.decay
     assert (payload["eta"], payload["prefactor"]) == (decay.eta, decay.prefactor)
     scan = tmp_path / "scan"
     assert main(["scan", "--config", str(_write(tmp_path / "fit.json", cfg)), "--out", str(scan), "--threads", "2"]) == 0
@@ -685,6 +700,24 @@ def test_scan_manifest_reproduces_the_run(scan_config, tmp_path):
     assert manifest["config"]["regions"] == regions and "region" not in manifest["config"]
 
 
+@pytest.mark.parametrize("command", [command for command in COMMANDS if command != "scan"])
+def test_only_scan_reads_regions(command, scan_config, tmp_path, capsys):
+    cfg = json.loads(scan_config.read_text())
+    _write(scan_config, dict(cfg, regions=[cfg.pop("region")]))
+    assert main([command, "--config", str(scan_config), "--out", str(tmp_path / "o")]) == 2
+    assert "regions is read by scan only" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_scan_reads_region_as_regions_of_one(scan_config, tmp_path):
+    cfg = json.loads(scan_config.read_text())
+    as_list = _write(tmp_path / "as-list.json", dict(cfg, regions=[cfg.pop("region")]))
+    for name, config in (("one", scan_config), ("list", as_list)):
+        assert main(["scan", "--config", str(config), "--out", str(tmp_path / name)]) == 0
+    for name in ("records.csv", "aggregates.json", "scaling.dat", "manifest.json"):
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "list" / name).read_bytes(), name
+
+
 def _count_full_eigensolves(monkeypatch, n, fail=False):
     """Count n x n symmetric eigensolves through every solver oscent can reach.
 
@@ -776,7 +809,8 @@ def test_excited_entropy_worst_bound_is_the_scan_record_bit_for_bit(geometry, ex
     with single_blas_thread():  # as inside the scan pool, so both see the same BLAS bits
         assert main(["excited-entropy", "--config", str(_write(tmp_path / "c.json", cfg)), "--out", str(out)]) == 0
     payload = json.loads((out / "excited_bounds.json").read_text())
-    record = run_scan(ExperimentConfig.from_dict(cfg)).records[2]
+    (result,) = run_scan(ExperimentConfig.from_dict(cfg))
+    record = result.records[2]
     worst = int(np.argmax(payload["excited_computed_bounds"]))
     assert payload["excited_computed_bounds"][worst] == record.excited_computed_bound
     assert payload["excited_modes"][worst] == record.excited_mode

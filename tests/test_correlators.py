@@ -36,7 +36,7 @@ from oscent.correlators import (
     line_fit,
     mean_moment_by_distance,
 )
-from oscent.experiments import ExperimentConfig, correlator_ensemble
+from oscent.experiments import ExperimentConfig, RegionSpec, correlator_ensemble
 
 
 def test_table_identity_and_diagonal():
@@ -150,7 +150,7 @@ def _binned_log_moments(mean_moment, lattice):
 def _bulk_3d_mean_moment():
     """The mean moment of an 8x8x8 box over 4 realizations, the shape of the bulk-3d benchmark's decay fit."""
     lattice = build_box(3, [8, 8, 8])
-    config = ExperimentConfig(dimension=3, lengths=(8, 8, 8), region_corner=(2, 2, 2), region_lengths=(4, 4, 4),
+    config = ExperimentConfig(dimension=3, lengths=(8, 8, 8), regions=(RegionSpec(corner=(2, 2, 2), lengths=(4, 4, 4)),),
                               k_max=8.0, realizations=4, master_seed=2024, threads=1)
     return correlator_ensemble(config, lattice)[0], lattice
 
@@ -400,7 +400,7 @@ def test_correlator_csv_writes_the_same_bytes_when_every_value_takes_the_fallbac
 def _chain_mean_moment():
     """The mean moment of a 400-site chain over 4 realizations at s = 1/2, the shape of the single-shot-correlators benchmark."""
     lattice = build_box(1, [400])
-    config = ExperimentConfig(dimension=1, lengths=(400,), region_corner=(192,), region_lengths=(16,),
+    config = ExperimentConfig(dimension=1, lengths=(400,), regions=(RegionSpec(corner=(192,), lengths=(16,)),),
                               k_max=8.0, realizations=4, s=0.5, master_seed=2024, threads=1)
     return correlator_ensemble(config, lattice)[0], lattice
 

@@ -14,25 +14,28 @@ import oscent.experiments
 from oscent import (
     AreaLawFit,
     ExperimentConfig,
+    RegionSpec,
     area_law_fit,
     build_box,
     correlator_ensemble,
     run_scan,
-    run_scans,
     write_aggregates_json,
     write_records_csv,
     write_scaling_data,
 )
 from oscent.cli import main
-from oscent.experiments import definite_realization, region_of, region_reports
+from oscent.experiments import definite_realization, region_reports
+
+
+def box(corner, lengths) -> RegionSpec:
+    return RegionSpec(corner=corner, lengths=lengths)
 
 
 def small_config(**overrides):
     base = dict(
         dimension=1,
         lengths=(14,),
-        region_corner=(5,),
-        region_lengths=(4,),
+        regions=(box((5,), (4,)),),
         k_max=8.0,
         realizations=6,
         eps_values=(0.5, 0.75, 1.0),
@@ -59,7 +62,8 @@ def test_config_validation():
         ExperimentConfig(dimension=1, lengths=(4,))
     for bad in (
         dict(p=2.0), dict(s=0.0), dict(threads=0), dict(bound=0.0), dict(realization_index=-1),
-        dict(region_corner=(12,)), dict(region_lengths=(0,)), dict(region_sites=((14,),)),
+        dict(regions=(box((12,), (4,)),)), dict(regions=(box((5,), (0,)),)), dict(regions=(RegionSpec(sites=((14,),)),)),
+        dict(regions=(RegionSpec(corner=(5,)),)), dict(regions=(box((5,), (4,)), box((0,), (14,)))),
         dict(lengths=(14, 2)), dict(master_seed=-1),
         # eps values sharing a 15-digit label would share a records.csv row and an aggregate
         dict(eps_values=(0.5, 1.0, 0.5)), dict(eps_values=(0.5, 0.5000000000000001)), dict(eps_values=(1.0, 1.0 - 2**-53)),
@@ -76,7 +80,7 @@ def test_config_json_roundtrip():
 
 def test_scan_decoupled_realization_has_zero_entropy():
     config = small_config(coupling_kind="none", realizations=1, excitations="none")
-    result = run_scan(config)
+    (result,) = run_scan(config)
     record = result.records[0]
     assert record.pd_ok
     for eps in config.eps_values:
@@ -95,7 +99,7 @@ def test_scan_is_deterministic_across_thread_counts(tmp_path):
 
 
 def test_scan_records_and_aggregates_are_consistent():
-    result = run_scan(small_config())
+    (result,) = run_scan(small_config())
     ok = [r for r in result.records if r.pd_ok]
     assert result.failed_pd == 0 and len(ok) == 6
     for eps in (0.5, 0.75, 1.0):
@@ -109,7 +113,8 @@ def test_scan_records_and_aggregates_are_consistent():
 
 def test_close_eps_values_keep_their_own_aggregates(tmp_path):
     eps_values = (0.5, 0.5000001, 1.0)
-    result = run_scan(small_config(realizations=3, eps_values=eps_values))
+    results = run_scan(small_config(realizations=3, eps_values=eps_values))
+    (result,) = results
     for eps in eps_values:
         stats = result.aggregates[f"ground_renyi[{eps:.15g}]"]
         assert stats["n"] == 3
@@ -117,12 +122,12 @@ def test_close_eps_values_keep_their_own_aggregates(tmp_path):
     assert sorted(name for name in result.aggregates if name.startswith("ground_renyi")) == [
         "ground_renyi[0.5000001]", "ground_renyi[0.5]", "ground_renyi[1]"
     ]
-    rows = write_records_csv(result, tmp_path / "records.csv").splitlines()[1:]
+    rows = write_records_csv(results, tmp_path / "records.csv").splitlines()[1:]
     assert len({tuple(row.split(",")[:5]) for row in rows}) == len(rows) == 9
 
 
 def test_scan_bounds_hold_per_realization():
-    result = run_scan(small_config(realizations=10))
+    (result,) = run_scan(small_config(realizations=10))
     for record in result.records:
         assert record.pd_ok
         for eps in (0.5, 0.75, 1.0):
@@ -134,29 +139,28 @@ def test_scan_bounds_hold_per_realization():
 
 def test_scan_excitation_range_policy():
     config = small_config(excitations=(1, 3))
-    result = run_scan(config)
+    (result,) = run_scan(config)
     assert all(1 <= r.excited_mode <= 3 for r in result.records)
-    none = run_scan(small_config(excitations="none"))
+    (none,) = run_scan(small_config(excitations="none"))
     assert all(r.excited_mode == -1 for r in none.records)
     assert "excited_computed_bound" not in none.aggregates
 
 
 def test_scan_ensemble_bound_hypothesis_gate():
     # region 3^2 <= 14: bound present; region 4^2 > 14: absent
-    with_bound = run_scan(small_config(region_lengths=(3,)))
+    (with_bound,) = run_scan(small_config(regions=(box((5,), (3,)),)))
     assert all(math.isfinite(r.ensemble_bound) for r in with_bound.records)
-    without = run_scan(small_config(region_lengths=(4,)))
+    (without,) = run_scan(small_config())
     assert all(math.isnan(r.ensemble_bound) for r in without.records)
 
 
 def test_scan_standard_error_shrinks_with_realizations():
     ses = []
     for count in (50, 200, 800):
-        result = run_scan(
+        (result,) = run_scan(
             small_config(
                 lengths=(10,),
-                region_corner=(3,),
-                region_lengths=(3,),
+                regions=(box((3,), (3,)),),
                 realizations=count,
                 excitations="none",
             )
@@ -169,8 +173,8 @@ def test_scan_standard_error_shrinks_with_realizations():
 
 def test_scan_decay_fit_is_deterministic():
     config = small_config(fit_decay=True, realizations=8)
-    first = run_scan(dataclasses.replace(config, threads=1))
-    second = run_scan(dataclasses.replace(config, threads=4))
+    (first,) = run_scan(dataclasses.replace(config, threads=1))
+    (second,) = run_scan(dataclasses.replace(config, threads=4))
     assert first.decay is not None
     assert first.decay == second.decay
     assert first.empirical_area_bound["note"] == "empirical"
@@ -197,13 +201,11 @@ def test_area_law_fit_recovers_synthetic_slopes():
 
 
 def test_writers_produce_stable_files(tmp_path):
-    results = [
-        run_scan(small_config(region_lengths=(n,), realizations=3)) for n in (2, 3, 4)
-    ]
+    results = run_scan(small_config(regions=tuple(box((5,), (n,)) for n in (2, 3, 4)), realizations=3))
     csv_text = write_records_csv(results, tmp_path / "records.csv")
     lines = csv_text.strip().split("\n")
     assert lines[0].startswith("realization_index,lattice_size,region_size")
-    assert len(lines) == 1 + 3 * 3 * 3  # header + scans * realizations * eps values
+    assert len(lines) == 1 + 3 * 3 * 3  # header + regions * realizations * eps values
     agg_text = write_aggregates_json(results, tmp_path / "agg.json")
     payload = json.loads(agg_text)
     assert [entry["region_size"] for entry in payload] == [2, 3, 4]
@@ -234,51 +236,28 @@ def _written(results, tmp_path, tag):
 
 @pytest.mark.parametrize("threads", [1, 4])
 @pytest.mark.parametrize(
-    "configs",
+    "config",
     [
-        [
-            small_config(lengths=(24,), region_corner=(12 - n // 2,), region_lengths=(n,))
-            for n in (2, 4, 8)
-        ],
-        [
-            small_config(
-                dimension=2,
-                lengths=(6, 5),
-                region_corner=(1, 1),
-                region_lengths=(3, 2),
-                fit_decay=True,
-            ),
-            small_config(
-                dimension=2,
-                lengths=(6, 5),
-                region_corner=None,
-                region_lengths=None,
-                region_sites=((0, 0), (2, 3), (5, 4)),
-                fit_decay=True,
-            ),
-        ],
+        small_config(lengths=(24,), regions=tuple(box((12 - n // 2,), (n,)) for n in (2, 4, 8))),
+        small_config(
+            dimension=2,
+            lengths=(6, 5),
+            regions=(box((1, 1), (3, 2)), RegionSpec(sites=((0, 0), (2, 3), (5, 4)))),
+            fit_decay=True,
+        ),
     ],
     ids=["chain-windows", "grid-box-and-sites"],
 )
-def test_run_scans_matches_separate_scans_byte_for_byte(configs, threads, tmp_path):
-    configs = [dataclasses.replace(c, threads=threads) for c in configs]
-    shared = run_scans(configs)
-    separate = [run_scan(c) for c in configs]
-    assert [r.config for r in shared] == configs
+def test_run_scans_matches_separate_scans_byte_for_byte(config, threads, tmp_path):
+    # One multi-region scan against one single-region scan per region
+    config = dataclasses.replace(config, threads=threads)
+    shared = run_scan(config)
+    separate = [result for region in config.regions for result in run_scan(dataclasses.replace(config, regions=(region,)))]
+    assert all(r.config == config for r in shared)
     assert _written(shared, tmp_path, "shared") == _written(separate, tmp_path, "separate")
     for one, other in zip(shared, separate):
         assert one.decay == other.decay
         assert one.empirical_area_bound == other.empirical_area_bound
-
-
-@pytest.mark.parametrize(
-    "change", [{"k_max": 6.0}, {"eps_values": (0.5,)}, {"master_seed": 7}]
-)
-def test_run_scans_rejects_configs_differing_beyond_the_region(change):
-    base = small_config(realizations=1)
-    other = dataclasses.replace(base, region_lengths=(2,), **change)
-    with pytest.raises(ValueError, match="differ only in the region"):
-        run_scans([base, other])
 
 
 def _zero_springs_of(monkeypatch, failing_index):
@@ -292,21 +271,18 @@ def _zero_springs_of(monkeypatch, failing_index):
 
 
 def _decoupled_regions(sizes):
-    return [
-        small_config(coupling_kind="none", excitations="none", region_lengths=(n,))
-        for n in sizes
-    ]
+    return small_config(coupling_kind="none", excitations="none", regions=tuple(box((5,), (n,)) for n in sizes))
 
 
 def test_run_scans_raises_when_the_first_realization_fails_pd(monkeypatch):
     _zero_springs_of(monkeypatch, 0)
     with pytest.raises(ValueError, match="first realization"):
-        run_scans(_decoupled_regions((2, 3)))
+        run_scan(_decoupled_regions((2, 3)))
 
 
 def test_run_scans_marks_a_failed_realization_in_every_region(monkeypatch):
     _zero_springs_of(monkeypatch, 2)
-    results = run_scans(_decoupled_regions((2, 3)))
+    results = run_scan(_decoupled_regions((2, 3)))
     for result in results:
         assert result.failed_pd == 1
         assert [r.pd_ok for r in result.records] == [True, True, False, True, True, True]
@@ -362,13 +338,13 @@ def test_scan_memory_is_flat_in_the_number_of_realizations(threads, slack):
     # often has a finished result waiting in the window while a worker runs
     # the next realization, which adds about one on one thread.
     config = small_config(
-        lengths=(160,), region_corner=(60,), region_lengths=(16,), excitations="none",
+        lengths=(160,), regions=(box((60,), (16,)),), excitations="none",
         fit_decay=True, threads=threads,
     )
     moment_bytes = 160 * 160 * 8
-    run_scans([config])  # warm caches
+    run_scan(config)  # warm caches
     few, many = (
-        statistics.median(_peak_bytes(run_scans, [dataclasses.replace(config, realizations=n)]) for _ in range(3))
+        statistics.median(_peak_bytes(run_scan, dataclasses.replace(config, realizations=n)) for _ in range(3))
         for n in (8, 32)
     )
     assert many < few + slack * moment_bytes
@@ -377,7 +353,7 @@ def test_scan_memory_is_flat_in_the_number_of_realizations(threads, slack):
 @pytest.mark.parametrize("threads, slack", [(1, 2), (2, 4)])
 def test_correlator_ensemble_memory_is_flat_in_the_number_of_realizations(threads, slack):
     # The ensemble reads its pool through the scan's window, so the same bound holds
-    config = small_config(lengths=(160,), region_corner=(60,), region_lengths=(16,), threads=threads)
+    config = small_config(lengths=(160,), regions=(box((60,), (16,)),), threads=threads)
     lattice = build_box(1, config.lengths)
     moment_bytes = 160 * 160 * 8
     correlator_ensemble(config, lattice)  # warm caches
@@ -390,7 +366,7 @@ def test_correlator_ensemble_memory_is_flat_in_the_number_of_realizations(thread
 
 # A bulk-3d-shaped operation: 8x8x8 box, one 4x4x4 region, 4 realizations on one pool thread.
 BOX = small_config(
-    dimension=3, lengths=(8, 8, 8), region_corner=(2, 2, 2), region_lengths=(4, 4, 4),
+    dimension=3, lengths=(8, 8, 8), regions=(box((2, 2, 2), (4, 4, 4)),),
     eps_values=(0.5, 1.0), realizations=4, fit_decay=True, threads=1,
 )
 BOX_MATRIX_BYTES = 512 * 512 * 8
@@ -402,8 +378,8 @@ def test_a_dense_scan_holds_at_most_six_n_by_n_arrays():
     # h^{1/2} or h^{-1/2}), plus the moment sum and a finished moment waiting
     # to be reduced; the decay fit needs the lattice distances and a sort
     # order.
-    run_scans([BOX])  # warm caches
-    assert _peak_bytes(run_scans, [BOX]) <= 6 * BOX_MATRIX_BYTES
+    run_scan(BOX)  # warm caches
+    assert _peak_bytes(run_scan, BOX) <= 6 * BOX_MATRIX_BYTES
 
 
 def test_a_ground_only_report_makes_no_n_by_n_array():
@@ -411,7 +387,7 @@ def test_a_ground_only_report_makes_no_n_by_n_array():
     # (n^2 / 8 doubles here), never from h^{1/2} or a complement block.
     config = dataclasses.replace(BOX, excitations="none")
     lattice = build_box(3, config.lengths)
-    regions = [region_of(config, lattice)]
+    regions = [config.regions[0].on(lattice)]
     data = definite_realization(config, lattice, 0)
     region_reports(config, data, regions, [])  # warm caches
     assert _peak_bytes(region_reports, config, data, regions, []) < 0.5 * BOX_MATRIX_BYTES
@@ -466,7 +442,7 @@ def test_a_worker_exception_stops_the_scan_early(threads, monkeypatch):
 
     monkeypatch.setattr(oscent.experiments, "coupling_matrix", failing)
     with pytest.raises(RuntimeError, match="worker failed"):
-        run_scans([small_config(realizations=40, threads=threads)])
+        run_scan(small_config(realizations=40, threads=threads))
     assert len(started) <= 1 + 2 * threads  # realizations beyond the in-flight window never start
 
 
@@ -481,4 +457,4 @@ def test_a_worker_exception_wins_over_a_failed_first_realization(monkeypatch):
 
     monkeypatch.setattr(oscent.experiments, "coupling_matrix", failing)
     with pytest.raises(RuntimeError, match="worker failed"):
-        run_scans(_decoupled_regions((2, 3)))
+        run_scan(_decoupled_regions((2, 3)))

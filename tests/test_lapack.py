@@ -13,11 +13,12 @@ import oscent.lapack
 from oscent import (
     DisorderModel,
     ExperimentConfig,
+    RegionSpec,
     assemble_anderson,
     box_region,
     build_box,
     correlator_ensemble,
-    run_scans,
+    run_scan,
     sample_springs,
     write_aggregates_json,
     write_records_csv,
@@ -334,7 +335,7 @@ def test_overlapping_pins_restore_the_counts_when_the_last_exits(blas_at_two_thr
 
 def chain_config(**overrides):
     base = dict(
-        dimension=1, lengths=(24,), region_corner=(8,), region_lengths=(6,),
+        dimension=1, lengths=(24,), regions=(RegionSpec(corner=(8,), lengths=(6,)),),
         k_max=8.0, realizations=4, master_seed=5, threads=2,
     )
     base.update(overrides)
@@ -350,7 +351,7 @@ def test_run_scans_restores_blas_threads_after_it_returns(blas_at_two_threads, m
         return coupling_matrix(config, lattice, index)
 
     monkeypatch.setattr(oscent.experiments, "coupling_matrix", recording)
-    (result,) = run_scans([chain_config()])
+    (result,) = run_scan(chain_config())
     pinned = [1] * len(blas_at_two_threads)
     assert seen == [pinned] * 4
     assert _counts() == [2] * len(blas_at_two_threads)
@@ -371,13 +372,13 @@ def test_run_scans_restores_blas_threads_after_a_worker_raises(blas_at_two_threa
 
     monkeypatch.setattr(oscent.experiments, "coupling_matrix", failing)
     with pytest.raises(RuntimeError, match="worker failed"):
-        run_scans([chain_config()])
+        run_scan(chain_config())
     assert _counts() == [2] * len(blas_at_two_threads)
 
 
 def test_the_default_pool_has_one_thread_per_usable_cpu(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    (result,) = run_scans([chain_config(threads=None)])
+    (result,) = run_scan(chain_config(threads=None))
     assert result.execution["pool_threads"] == 1
 
 
@@ -395,7 +396,7 @@ def test_opening_a_pool_reads_no_process_map(blas_at_two_threads, monkeypatch):
     monkeypatch.setattr(oscent.lapack, "_openblas_paths", unreadable)
     monkeypatch.setattr(oscent.experiments, "coupling_matrix", recording)
     config = chain_config()
-    (result,) = run_scans([config])
+    (result,) = run_scan(config)
     _, execution = correlator_ensemble(config, build_box(1, (24,)))
     assert seen == [[1] * len(blas_at_two_threads)] * 8
     assert execution == result.execution
@@ -423,10 +424,10 @@ def test_an_openblas_imported_after_oscent_leaves_the_pin_and_the_bytes_alone(tm
     scan = ["scan", "--config", str(config), "--threads"]
     script = (
         "import json, oscent.cli, oscent.lapack\n"
-        "from oscent import ExperimentConfig, run_scans\n"
-        "chain = ExperimentConfig(dimension=1, lengths=(24,), region_corner=(8,), region_lengths=(6,),\n"
+        "from oscent import ExperimentConfig, RegionSpec, run_scan\n"
+        "chain = ExperimentConfig(dimension=1, lengths=(24,), regions=(RegionSpec(corner=(8,), lengths=(6,)),),\n"
         "                         k_max=8.0, realizations=2, master_seed=5, threads=2)\n"
-        "before = run_scans([chain])[0].execution\n"
+        "before = run_scan(chain)[0].execution\n"
         "import scipy.linalg\n"
         f"assert oscent.cli.main({[*scan, '2', '--out', str(late)]!r}) == 0\n"
         "print(json.dumps([before, [path.rsplit('/', 1)[-1] for path in oscent.lapack._openblas_paths()]]))\n"
@@ -462,7 +463,7 @@ def test_the_fallback_binding_pins_the_openblas_cython_lapack_maps():
 
 
 def _scan_texts(config, tmp_path):
-    results = run_scans([config])
+    results = run_scan(config)
     return [
         write(results, tmp_path / name)
         for write, name in (
@@ -474,7 +475,7 @@ def _scan_texts(config, tmp_path):
 
 
 BULK = ExperimentConfig(
-    dimension=3, lengths=(8, 8, 8), region_corner=(2, 2, 2), region_lengths=(4, 4, 4),
+    dimension=3, lengths=(8, 8, 8), regions=(RegionSpec(corner=(2, 2, 2), lengths=(4, 4, 4)),),
     k_max=8.0, realizations=4, excitations="all", master_seed=2024, fit_decay=True, threads=1,
 )
 

@@ -14,6 +14,7 @@ from oscent import (
     CouplingMatrix,
     DisorderModel,
     ExperimentConfig,
+    RegionSpec,
     assemble_anderson,
     assemble_custom,
     box_region,
@@ -32,7 +33,7 @@ from oscent import (
     symplectic_spectrum,
 )
 from oscent.correlators import MomentSum
-from oscent.experiments import coupling_matrix, definite_realization, region_of, region_reports
+from oscent.experiments import coupling_matrix, definite_realization, region_reports
 from oscent.spectral import decompose
 
 SQ3 = np.sqrt(3.0)
@@ -234,8 +235,8 @@ def _negate_half(columns, rng):
 @pytest.mark.parametrize(
     "shape",
     [
-        dict(dimension=1, lengths=(40,), region_corner=(16,), region_lengths=(8,)),
-        dict(dimension=3, lengths=(4, 4, 4), region_corner=(1, 1, 1), region_lengths=(2, 2, 2)),
+        dict(dimension=1, lengths=(40,), regions=(RegionSpec(corner=(16,), lengths=(8,)),)),
+        dict(dimension=3, lengths=(4, 4, 4), regions=(RegionSpec(corner=(1, 1, 1), lengths=(2, 2, 2)),)),
     ],
     ids=["chain", "box"],
 )
@@ -244,7 +245,7 @@ def test_no_output_reads_the_sign_of_an_eigenvector_or_a_mode(shape, monkeypatch
     # or squares a projection on one; negating a column moves no bit.
     config = ExperimentConfig(k_max=8.0, master_seed=2024, **shape)
     lattice = build_box(config.dimension, config.lengths)
-    region = region_of(config, lattice)
+    region = config.regions[0].on(lattice)
     modes = list(range(1, lattice.size + 1))
 
     def outputs(data):
@@ -349,7 +350,7 @@ def test_a_chain_takes_the_tridiagonal_route_bit_for_bit(n, monkeypatch):
 def test_decoupled_springs_take_the_tridiagonal_route_bit_for_bit(n, monkeypatch):
     tridiagonal = _spy(monkeypatch, "stemr")
     config = ExperimentConfig(
-        dimension=1, lengths=(n,), region_corner=(0,), region_lengths=(1,),
+        dimension=1, lengths=(n,), regions=(RegionSpec(corner=(0,), lengths=(1,)),),
         k_max=8.0, master_seed=5, coupling_kind="none",
     )
     h = coupling_matrix(config, build_box(1, [n]), 0)
@@ -502,11 +503,11 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 # One realization each: the single-shot chain, a 2d and a 3d box, decoupled
 # springs, a 1-site region, and (no disorder, so once) the two-site demo.
 _ROUTE_CASES = {
-    "chain-400": dict(dimension=1, lengths=(400,), region_corner=(192,), region_lengths=(16,)),
-    "2d-20x20": dict(dimension=2, lengths=(20, 20), region_corner=(6, 6), region_lengths=(8, 8)),
-    "3d-8x8x8": dict(dimension=3, lengths=(8, 8, 8), region_corner=(2, 2, 2), region_lengths=(4, 4, 4)),
-    "decoupled": dict(dimension=1, lengths=(60,), region_corner=(26,), region_lengths=(8,), coupling_kind="none"),
-    "one-site": dict(dimension=1, lengths=(3,), region_sites=((1,),)),
+    "chain-400": dict(dimension=1, lengths=(400,), regions=(RegionSpec(corner=(192,), lengths=(16,)),)),
+    "2d-20x20": dict(dimension=2, lengths=(20, 20), regions=(RegionSpec(corner=(6, 6), lengths=(8, 8)),)),
+    "3d-8x8x8": dict(dimension=3, lengths=(8, 8, 8), regions=(RegionSpec(corner=(2, 2, 2), lengths=(4, 4, 4)),)),
+    "decoupled": dict(dimension=1, lengths=(60,), regions=(RegionSpec(corner=(26,), lengths=(8,)),), coupling_kind="none"),
+    "one-site": dict(dimension=1, lengths=(3,), regions=(RegionSpec(sites=((1,),)),)),
 }
 
 
@@ -524,7 +525,7 @@ def _route_config(case, seed):
 def test_the_region_route_gives_the_schur_routes_spectrum(case, seed):
     config = _route_config(case, seed)
     lattice = build_box(config.dimension, config.lengths)
-    region = region_of(config, lattice)
+    region = config.regions[0].on(lattice)
     data = definite_realization(config, lattice, config.realization_index)
     region_mu = symplectic_spectrum(region_blocks(data, region)).mu
     schur_mu = symplectic_spectrum(partition_blocks(spd_sqrt(data), region)).mu
