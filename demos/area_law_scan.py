@@ -29,11 +29,11 @@ config = ExperimentConfig(
     regions=tuple(RegionSpec(corner=(48 - length // 2,), lengths=(length,)) for length in (4, 8, 16, 32)),
     k_max=8.0,
     realizations=24,
-    eps_values=(0.5, 1.0),
+    eps=(0.5, 1.0),
     excitations="all",
     p=1.0,
     s=0.5,
-    master_seed=31415,
+    seed=31415,
 )
 results = run_scan(config)
 for result in results:

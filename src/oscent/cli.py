@@ -36,7 +36,6 @@ from .experiments import (
 )
 from .hamiltonian import MatrixFileError
 from .lapack import lapack_versions
-from .lattice import build_box
 
 USAGE_ERROR = 2
 COMPUTE_ERROR = 1
@@ -123,7 +122,7 @@ def _write_outputs(args, config: ExperimentConfig, files=None, execution=None) -
     resolved = config.to_dict()
     if args.command != "scan":
         (resolved["region"],) = resolved.pop("regions")
-    entries = {"config": resolved, "seed": None if config.matrix_csv is not None else config.master_seed}
+    entries = {"config": resolved, "seed": None if config.matrix_csv is not None else config.seed}
     if execution is not None:
         entries["execution"] = execution
     return _write_run(args, entries, lapack_versions(), files)
@@ -136,7 +135,7 @@ def _config(args) -> ExperimentConfig:
     resolved.update((key, value) for key, value in flags.items() if value is not None)
     try:
         config = ExperimentConfig.from_dict(resolved)
-    except (KeyError, TypeError, ValueError) as err:
+    except (TypeError, ValueError) as err:  # TypeError: a required key is missing
         raise UsageError(f"bad config: {err}")
     if args.command != "scan" and "regions" in resolved:
         raise UsageError("regions is read by scan only; give one region")
@@ -145,25 +144,18 @@ def _config(args) -> ExperimentConfig:
     return config
 
 
-def _single(args):
-    """Config, lattice and region of a single-realization command."""
-    config = _config(args)
-    lattice = build_box(config.dimension, config.lengths)
-    return config, lattice, config.regions[0].on(lattice)
-
-
-def _region_report(config: ExperimentConfig, lattice, region, modes=()):
-    """The region report of the configured realization, holding the bounds of excitations ``modes``."""
+def _region_report(config: ExperimentConfig, modes=()):
+    """The report of the one region of a single-realization command, holding the bounds of excitations ``modes``."""
     try:
-        data = definite_realization(config, lattice, config.realization_index)
+        data = definite_realization(config, config.realization_index)
     except (OSError, MatrixFileError) as err:
         raise UsageError(f"bad matrix_csv: {err}")
-    return region_reports(config, data, [region], modes)[0]
+    return region_reports(config, data, modes)[0]
 
 
 def _cmd_ground_entropy(args) -> int:
-    config, lattice, region = _single(args)
-    report = _region_report(config, lattice, region)
+    config = _config(args)
+    report = _region_report(config)
     _write_outputs(args, config, {"ground_entropy.json": report.to_json() + "\n"})
     for eps, value in zip(report.eps, report.ground_renyi):
         print(f"eps={eps:g} renyi_entropy={value:.15g}")
@@ -173,8 +165,8 @@ def _cmd_ground_entropy(args) -> int:
 
 
 def _cmd_excited_entropy(args) -> int:
-    config, lattice, region = _single(args)
-    report = _region_report(config, lattice, region, selected_modes(config.excitations, lattice.size))
+    config = _config(args)
+    report = _region_report(config, selected_modes(config.excitations, config.lattice.size))
     _write_outputs(args, config, {"excited_bounds.json": report.to_json() + "\n"})
     for mode, computed, theorem in zip(
         report.excited_modes, report.excited_computed_bounds, report.excited_theorem_bounds
@@ -184,10 +176,10 @@ def _cmd_excited_entropy(args) -> int:
 
 
 def _cmd_ensemble_bound(args) -> int:
-    config, lattice, region = _single(args)
+    config = _config(args)
+    lattice, (region,) = config.lattice, config.lattice_regions
     require_ensemble_hypothesis(lattice.size, region.size)
-    report = _region_report(config, lattice, region)
-    value = report.ensemble_bound
+    value = _region_report(config).ensemble_bound
     payload = {"ensemble_bound": value, "lattice_size": lattice.size, "region_size": region.size}
     _write_outputs(args, config, {"ensemble.json": json.dumps(payload, indent=2, sort_keys=True) + "\n"})
     print(f"ensemble_bound={value:.15g}")
@@ -195,9 +187,9 @@ def _cmd_ensemble_bound(args) -> int:
 
 
 def _cmd_correlators(args) -> int:
-    config, lattice, _ = _single(args)
-    mean_moment, execution = correlator_ensemble(config, lattice)
-    fit, constant = fit_decay_constant(mean_moment, lattice, config.s, config.norm_bound)
+    config = _config(args)
+    mean_moment, execution = correlator_ensemble(config)
+    fit, constant = fit_decay_constant(mean_moment, config.lattice, config.s, config.norm_bound)
     payload = {
         "eta": fit.eta,
         "prefactor": fit.prefactor,
@@ -209,7 +201,7 @@ def _cmd_correlators(args) -> int:
     decay = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     out = _write_outputs(args, config, {"decay.json": decay}, execution=execution)
     with open(out / "correlators.csv", "w", newline="\n") as handle:
-        correlator_csv(mean_moment, lattice, handle)
+        correlator_csv(mean_moment, config.lattice, handle)
     print(f"eta={fit.eta:.15g} prefactor={fit.prefactor:.15g} residual={fit.residual:.3e}")
     return 0
 

@@ -20,7 +20,8 @@ import math
 import numbers
 import os
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -40,22 +41,18 @@ from .lapack import single_blas_thread
 from .lattice import Lattice, Region, box_region, build_box, inner_boundary, make_region
 from .spectral import BipartitionBlocks, RegionBlocks, SpectralData, decompose, eigensystem, partition_blocks, region_blocks, spd_sqrt, symplectic_spectrum
 
-# The config schema: every key ``ExperimentConfig.from_dict`` reads, and
-# nothing else. ``disorder.kind`` is accepted because ``to_dict`` writes it.
-_CONFIG_KEYS = frozenset(
-    "dimension lengths region regions disorder matrix_csv bound realization_index realizations "
-    "eps excitations p s seed threads fit_decay coupling".split()
-)
 _DISORDER_KEYS = frozenset({"k_max", "kind"})
 _REGION_KEYS = frozenset({"corner", "lengths", "sites"})
 
 
-def _check_keys(entry, allowed, where: str):
+def _check_keys(entry, allowed, where: str) -> dict:
+    """A JSON object whose keys are all ``allowed``; raises ValueError otherwise."""
     if not isinstance(entry, dict):
         raise ValueError(f"{where} must be a JSON object, got {entry!r}")
     unknown = sorted(set(entry) - allowed)
     if unknown:
         raise ValueError(f"unknown {where} keys {unknown}; allowed: {sorted(allowed)}")
+    return entry
 
 
 def _is_integer(value) -> bool:
@@ -63,17 +60,17 @@ def _is_integer(value) -> bool:
 
 
 def _integer(value, name: str) -> int:
-    """A config value that must be a JSON integer (a bool is not one); raises ValueError otherwise."""
+    """A setting that must be an integer (a bool is not one); raises ValueError otherwise."""
     if not _is_integer(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
 
-def _array(values, name: str) -> list | tuple:
-    """A config value that must be a JSON array; raises ValueError otherwise."""
+def _array(values, name: str) -> tuple:
+    """A setting that must be a list (or tuple), as a tuple; raises ValueError otherwise."""
     if not isinstance(values, (list, tuple)):
         raise ValueError(f"{name} must be a list, got {values!r}")
-    return values
+    return tuple(values)
 
 
 def _integers(values, name: str) -> tuple[int, ...]:
@@ -81,16 +78,16 @@ def _integers(values, name: str) -> tuple[int, ...]:
 
 
 def _string(value, name: str) -> str:
-    """A config value that must be a JSON string; raises ValueError otherwise."""
+    """A setting that must be a string; raises ValueError otherwise."""
     if not isinstance(value, str):
         raise ValueError(f"{name} must be a string, got {value!r}")
     return value
 
 
 def _number(value, name: str) -> float:
-    """A config value that must be a JSON number (a bool or a string is not one); raises ValueError otherwise."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        raise ValueError(f"{name} must be a number, got {value!r}")
+    """A setting that must be a finite real (a bool, a string, an inf or a NaN is not one); raises ValueError otherwise."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -100,24 +97,17 @@ def eps_label(eps: float) -> str:
 
 
 def parse_excitations(entry, modes: int) -> str | tuple[int, int]:
-    """Read the ``excitations`` entry of a config: the one policy parser.
+    """Read an excitation policy: the one policy parser.
 
-    Accepts "all", "none" or {"k_range": [lo, hi]} with integer bounds
-    1 <= lo <= hi <= ``modes``, and returns "all", "none" or (lo, hi);
-    raises ValueError on anything else.
+    Accepts "all", "none", {"k_range": [lo, hi]} (its config form) or the
+    tuple (lo, hi), with integer bounds 1 <= lo <= hi <= ``modes``, and
+    returns "all", "none" or (lo, hi); raises ValueError on anything else.
     """
     if entry in ("all", "none"):
         return entry
-    bounds = entry.get("k_range") if isinstance(entry, dict) and len(entry) == 1 else None
-    if not (
-        isinstance(bounds, (list, tuple))
-        and len(bounds) == 2
-        and all(_is_integer(b) for b in bounds)
-    ):
-        raise ValueError(
-            f"unknown excitation policy {entry!r}: use \"all\", \"none\" or "
-            f"{{\"k_range\": [lo, hi]}} with integer bounds"
-        )
+    bounds = entry.get("k_range") if isinstance(entry, dict) and len(entry) == 1 else entry if isinstance(entry, tuple) else None
+    if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2 and all(_is_integer(b) for b in bounds)):
+        raise ValueError(f"unknown excitation policy {entry!r}: use \"all\", \"none\" or {{\"k_range\": [lo, hi]}} with integer bounds")
     lo, hi = bounds
     if not 1 <= lo <= hi:
         raise ValueError(f"bad excitation range {entry}")
@@ -133,98 +123,112 @@ def _excitations_entry(policy) -> str | dict:
 
 @dataclass(frozen=True)
 class RegionSpec:
-    """One region of a config: a box (``corner`` + ``lengths``) or explicit ``sites``."""
+    """One region of a config: a box (``corner`` + ``lengths``) or explicit ``sites``, held as integer tuples."""
 
     corner: tuple[int, ...] | None = None
     lengths: tuple[int, ...] | None = None
     sites: tuple[tuple[int, ...], ...] | None = None
 
-    @staticmethod
-    def from_dict(raw) -> "RegionSpec":
-        _check_keys(raw, _REGION_KEYS, "region")
-        return RegionSpec(
-            corner=_integers(raw["corner"], "region.corner") if "corner" in raw else None,
-            lengths=_integers(raw["lengths"], "region.lengths") if "lengths" in raw else None,
-            sites=tuple(_integers(site, "region.sites") for site in _array(raw["sites"], "region.sites")) if "sites" in raw else None,
-        )
+    def __post_init__(self):
+        given = (self.corner is not None, self.lengths is not None, self.sites is not None)
+        if given not in ((True, True, False), (False, False, True)):
+            raise ValueError("region needs sites or corner + lengths, not both")
+        if self.sites is not None:
+            object.__setattr__(self, "sites", tuple(_integers(site, "region.sites") for site in _array(self.sites, "region.sites")))
+        else:
+            object.__setattr__(self, "corner", _integers(self.corner, "region.corner"))
+            object.__setattr__(self, "lengths", _integers(self.lengths, "region.lengths"))
 
     def to_dict(self) -> dict:
         if self.sites is not None:
             return {"sites": [list(s) for s in self.sites]}
         return {"corner": list(self.corner), "lengths": list(self.lengths)}
 
-    def check(self, lattice_lengths: tuple[int, ...]):
-        """Raise ValueError unless the region is a non-empty proper part of a lattice of side lengths ``lattice_lengths``."""
-        if self.sites is not None:
-            boxes = [(site, site) for site in self.sites]
-        elif self.corner is not None and self.lengths is not None:
-            boxes = [(self.corner, [c + n - 1 for c, n in zip(self.corner, self.lengths)])]
-        else:
-            raise ValueError("region needs sites or corner + lengths")
-        if not boxes or not all(
-            len(lo) == len(hi) == len(lattice_lengths)
-            and all(0 <= a <= b < n for a, b, n in zip(lo, hi, lattice_lengths))
-            for lo, hi in boxes
-        ):
-            raise ValueError(f"region is empty or leaves the lattice {list(lattice_lengths)}")
-        covered = len(set(self.sites)) if self.sites is not None else math.prod(self.lengths)
-        if covered == math.prod(lattice_lengths):
-            raise ValueError("region equals the whole lattice; the complement is empty")
-
-    def on(self, lattice: Lattice) -> Region:
-        """The region this spec selects on ``lattice``."""
-        if self.sites is not None:
-            return make_region(lattice, self.sites)
-        return box_region(lattice, self.corner, self.lengths)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed to reproduce one run (a scan of its ``regions``, or a single-realization command) byte for byte."""
+    """Everything needed to reproduce one run (a scan of its ``regions``, or a single-realization command) byte for byte.
+
+    The one config schema: each field is a config key (``k_max`` is read
+    from ``disorder``, ``regions`` from ``region`` or ``regions``) with its
+    one default. ``__post_init__`` checks every setting however the config
+    was built, holds arrays as tuples and reals as floats, and builds the
+    config's ``lattice`` and ``lattice_regions``, which live as long as it.
+    """
 
     dimension: int
     lengths: tuple[int, ...]
     regions: tuple[RegionSpec, ...] = ()
     k_max: float = 1.0
     realizations: int = 1
-    eps_values: tuple[float, ...] = (0.5, 1.0)
+    eps: tuple[float, ...] = (0.5, 1.0)
     excitations: str | tuple[int, int] = "all"
     p: float = 1.0
     s: float = 0.5
-    master_seed: int = 0
+    seed: int = 0
     threads: int | None = None
     fit_decay: bool = False
-    coupling_kind: str = "nearest"  # "nearest" or "none" (springs only, decoupled)
+    coupling: str = "nearest"  # "nearest" or "none" (springs only, decoupled)
     realization_index: int = 0  # the realization single-realization commands use
     matrix_csv: str | None = None  # a fixed coupling matrix instead of disorder
     bound: float | None = None  # norm bound D on ||h^{1/2}||; see ``norm_bound``
 
     def __post_init__(self):
+        def put(name: str, value):
+            object.__setattr__(self, name, value)
+
+        for name in ("dimension", "realizations", "seed", "realization_index"):
+            put(name, _integer(getattr(self, name), name))
+        put("lengths", _integers(self.lengths, "lengths"))
         if self.dimension < 1 or len(self.lengths) != self.dimension or min(self.lengths) < 1:
             raise ValueError(f"need {self.dimension} >= 1 positive side lengths, got {self.lengths}")
-        if self.coupling_kind not in ("nearest", "none"):
-            raise ValueError(f"unknown coupling kind {self.coupling_kind!r}")
         if self.realizations < 1 or self.realization_index < 0:
             raise ValueError("need realizations >= 1 and realization_index >= 0")
-        if not self.eps_values:
+        put("k_max", _number(self.k_max, "disorder.k_max"))
+        DisorderModel(k_max=self.k_max, seed=self.seed)  # checks k_max > 0 and the seed
+        put("eps", tuple(_number(e, "eps") for e in _array(self.eps, "eps")))
+        if not self.eps:
             raise ValueError("eps needs at least one value")
-        if not all(EPS_MIN <= e <= 1.0 for e in self.eps_values):
-            raise ValueError(f"every eps must lie in [{EPS_MIN!r}, 1], got {self.eps_values}")
-        if len({eps_label(e) for e in self.eps_values}) < len(self.eps_values):
-            raise ValueError(f"eps values must differ in their 15-digit labels, got {self.eps_values}")
+        if not all(EPS_MIN <= e <= 1.0 for e in self.eps):
+            raise ValueError(f"every eps must lie in [{EPS_MIN!r}, 1], got {self.eps}")
+        if len({eps_label(e) for e in self.eps}) < len(self.eps):
+            raise ValueError(f"eps values must differ in their 15-digit labels, got {self.eps}")
         for name in ("p", "s"):
+            put(name, _number(getattr(self, name), name))
             if not 0.0 < getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1], got {getattr(self, name)}")
+        for name, check in (("threads", _integer), ("bound", _number), ("matrix_csv", _string)):
+            if getattr(self, name) is not None:  # None: not set
+                put(name, check(getattr(self, name), name))
         if self.threads is not None and self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
         if self.bound is not None and not self.bound > 0:
             raise ValueError(f"bound must be positive, got {self.bound}")
-        DisorderModel(k_max=self.k_max, seed=self.master_seed)  # checks k_max > 0 and the seed
-        if not self.regions:
-            raise ValueError("config needs a region")
-        for region in self.regions:
-            region.check(self.lengths)
-        parse_excitations(_excitations_entry(self.excitations), math.prod(self.lengths))
+        if not isinstance(self.fit_decay, bool):
+            raise ValueError(f"fit_decay must be true or false, got {self.fit_decay!r}")
+        if _string(self.coupling, "coupling") not in ("nearest", "none"):
+            raise ValueError(f"unknown coupling kind {self.coupling!r}")
+        put("excitations", parse_excitations(self.excitations, math.prod(self.lengths)))
+        put("regions", _array(self.regions, "regions"))
+        if not (self.regions and all(isinstance(region, RegionSpec) for region in self.regions)):
+            raise ValueError(f"regions must be a non-empty list of regions, got {self.regions!r}")
+        self.lattice_regions  # builds the lattice and every region on it, which checks the regions
+
+    @cached_property
+    def lattice(self) -> Lattice:
+        """The config's box, built once."""
+        return build_box(self.dimension, self.lengths)
+
+    @cached_property
+    def lattice_regions(self) -> tuple[Region, ...]:
+        """The config's regions on its lattice, built once; raises ValueError for a region that is empty, leaves the lattice or is all of it."""
+        regions = tuple(
+            make_region(self.lattice, spec.sites) if spec.sites is not None else box_region(self.lattice, spec.corner, spec.lengths)
+            for spec in self.regions
+        )
+        if any(region.size == self.lattice.size for region in regions):
+            raise ValueError("region equals the whole lattice; the complement is empty")
+        return regions
 
     @property
     def norm_bound(self) -> float:
@@ -233,62 +237,43 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
-        """Parse a JSON config; unknown keys, out-of-range values and both ``region`` and ``regions`` raise."""
+        """Parse a JSON config: unknown keys, both ``region`` and ``regions`` and a bad value raise ValueError.
+
+        Unnests ``disorder.k_max`` and ``region`` (a ``regions`` of one);
+        ``__post_init__`` checks every value.
+        """
         _check_keys(raw, _CONFIG_KEYS, "config")
         if "region" in raw and "regions" in raw:
             raise ValueError("config has both region and regions; give one")
-        regions = raw["regions"] if "regions" in raw else [raw.get("region") or {}]
-        if not (isinstance(regions, list) and regions):
-            raise ValueError(f"regions must be a non-empty list, got {regions!r}")
         disorder = raw.get("disorder") or {}
         _check_keys(disorder, _DISORDER_KEYS, "disorder")
         if disorder.get("kind", "uniform") != "uniform":
             raise ValueError(f"unknown disorder kind {disorder['kind']!r}")
         if "k_max" not in disorder and raw.get("matrix_csv") is None:
             raise ValueError("config needs disorder.k_max or matrix_csv")
-        lengths = _integers(raw["lengths"], "lengths")
-        excitations = parse_excitations(raw.get("excitations", "all"), math.prod(lengths))
-        fit_decay = raw.get("fit_decay", False)
-        if not isinstance(fit_decay, bool):
-            raise ValueError(f"fit_decay must be true or false, got {fit_decay!r}")
-        return ExperimentConfig(
-            dimension=_integer(raw["dimension"], "dimension"),
-            lengths=lengths,
-            regions=tuple(RegionSpec.from_dict(region) for region in regions),
-            k_max=_number(disorder.get("k_max", 1.0), "disorder.k_max"),
-            realizations=_integer(raw.get("realizations", 1), "realizations"),
-            eps_values=tuple(_number(e, "eps") for e in _array(raw.get("eps", [0.5, 1.0]), "eps")),
-            excitations=excitations,
-            p=_number(raw.get("p", 1.0), "p"),
-            s=_number(raw.get("s", 0.5), "s"),
-            master_seed=_integer(raw.get("seed", 0), "seed"),
-            threads=_integer(raw["threads"], "threads") if raw.get("threads") is not None else None,
-            fit_decay=fit_decay,
-            coupling_kind=_string(raw.get("coupling", "nearest"), "coupling"),
-            realization_index=_integer(raw.get("realization_index", 0), "realization_index"),
-            matrix_csv=_string(raw["matrix_csv"], "matrix_csv") if raw.get("matrix_csv") is not None else None,
-            bound=_number(raw["bound"], "bound") if raw.get("bound") is not None else None,
-        )
+        settings = {key: value for key, value in raw.items() if key not in ("disorder", "region")}
+        regions = raw["regions"] if "regions" in raw else [raw.get("region") or {}]
+        settings["regions"] = tuple(RegionSpec(**_check_keys(region, _REGION_KEYS, "region")) for region in _array(regions, "regions"))
+        if "k_max" in disorder:
+            settings["k_max"] = disorder["k_max"]
+        return ExperimentConfig(**settings)
 
     def to_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "lengths": list(self.lengths),
-            "regions": [region.to_dict() for region in self.regions],
-            "disorder": {"kind": "uniform", "k_max": self.k_max},
-            "realizations": self.realizations,
-            "eps": list(self.eps_values),
-            "excitations": _excitations_entry(self.excitations),
-            "p": self.p,
-            "s": self.s,
-            "seed": self.master_seed,
-            "threads": self.threads,
-            "fit_decay": self.fit_decay,
-            "coupling": self.coupling_kind,
-            "realization_index": self.realization_index,
-            "matrix_csv": self.matrix_csv,
-            "bound": self.bound,
-        }
+        """The JSON form of the config, with ``k_max`` nested in ``disorder``; ``from_dict`` reads it back."""
+        settings = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "k_max"}
+        return dict(
+            settings,
+            lengths=list(self.lengths),
+            regions=[region.to_dict() for region in self.regions],
+            disorder={"kind": "uniform", "k_max": self.k_max},
+            eps=list(self.eps),
+            excitations=_excitations_entry(self.excitations),
+        )
+
+
+# The config schema: every key ``ExperimentConfig.from_dict`` reads, and
+# nothing else. ``disorder.kind`` is accepted because ``to_dict`` writes it.
+_CONFIG_KEYS = frozenset(f.name for f in fields(ExperimentConfig)) - {"k_max"} | {"disorder", "region"}
 
 
 @dataclass
@@ -377,37 +362,37 @@ def selected_modes(policy, total: int) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def coupling_matrix(config: ExperimentConfig, lattice: Lattice, index: int) -> CouplingMatrix:
-    """The coupling matrix h of realization ``index`` of a config.
+def coupling_matrix(config: ExperimentConfig, index: int) -> CouplingMatrix:
+    """The coupling matrix h of realization ``index`` of a config, on its lattice.
 
     The config's ``matrix_csv`` if it names one; otherwise springs drawn
     from its disorder model, coupled to nearest neighbors or not at all
-    according to ``coupling_kind``.
+    according to ``coupling``.
     """
+    lattice = config.lattice
     if config.matrix_csv is not None:
         return load_matrix_csv(config.matrix_csv, lattice)
-    model = DisorderModel(k_max=config.k_max, seed=config.master_seed)
-    springs = sample_springs(model, lattice, index)
-    if config.coupling_kind == "nearest":
+    springs = sample_springs(DisorderModel(k_max=config.k_max, seed=config.seed), lattice, index)
+    if config.coupling == "nearest":
         return assemble_anderson(lattice, springs)
     return CouplingMatrix(matrix=np.diag(springs), lattice=lattice)
 
 
-def checked_realization(config: ExperimentConfig, lattice: Lattice, index: int) -> tuple[AssumptionReport, SpectralData | None]:
+def checked_realization(config: ExperimentConfig, index: int) -> tuple[AssumptionReport, SpectralData | None]:
     """Realization ``index`` of a config from one decomposition of its h.
 
     Returns the validate_coupling report of h against the config's norm
     bound, and its eigensystem, which is None unless h is positive definite.
     h itself is dropped once decomposed.
     """
-    data = decompose(coupling_matrix(config, lattice, index))
+    data = decompose(coupling_matrix(config, index))
     report = validate_coupling(data, config.norm_bound)
     return report, eigensystem(data) if report.is_positive_definite else None
 
 
-def definite_realization(config: ExperimentConfig, lattice: Lattice, index: int) -> SpectralData:
+def definite_realization(config: ExperimentConfig, index: int) -> SpectralData:
     """The eigensystem of realization ``index``; raises ValueError unless its h is positive definite."""
-    report, data = checked_realization(config, lattice, index)
+    report, data = checked_realization(config, index)
     if data is None:
         raise ValueError(f"coupling matrix is not positive definite (smallest eigenvalue {report.smallest_eigenvalue:.3e})")
     return data
@@ -424,11 +409,11 @@ def region_report(config: ExperimentConfig, data: SpectralData, blocks: Bipartit
     """
     spectrum = symplectic_spectrum(blocks)
     weights = excitation_weights(data, blocks, spectrum)[np.asarray(modes, dtype=int) - 1] if modes else None
-    return entropy_report(spectrum, config.eps_values, modes, weights, lattice_size=data.size)
+    return entropy_report(spectrum, config.eps, modes, weights, lattice_size=data.size)
 
 
-def region_reports(config: ExperimentConfig, data: SpectralData, regions, modes) -> list[EntropyReport]:
-    """The region report of each of ``regions`` on one realization, holding the bounds of excitations ``modes``.
+def region_reports(config: ExperimentConfig, data: SpectralData, modes) -> list[EntropyReport]:
+    """The region report of each of a config's regions on one realization, holding the bounds of excitations ``modes``.
 
     The one place a report's route is chosen. Without excitations, each
     region's spectrum comes from its region_blocks: the region rows of the
@@ -438,6 +423,7 @@ def region_reports(config: ExperimentConfig, data: SpectralData, regions, modes)
     frame, which is free inside a cluster of near-equal mu, and the region
     route would pick another frame there and move the bound.
     """
+    regions = config.lattice_regions
     if not modes:
         return [region_report(config, data, region_blocks(data, region), modes) for region in regions]
     hsqrt = spd_sqrt(data)
@@ -468,16 +454,15 @@ def run_scan(config: ExperimentConfig) -> list[ScanResult]:
     pd_ok = False and excluded from every aggregate; the first realization
     must pass (anything else means the config itself is bad).
     """
-    lattice = build_box(config.dimension, config.lengths)
-    regions = [spec.on(lattice) for spec in config.regions]
+    lattice, regions = config.lattice, config.lattice_regions
     bound = config.norm_bound
     modes = selected_modes(config.excitations, lattice.size)
 
     def worker(index: int):
-        data = checked_realization(config, lattice, index)[1]
+        data = checked_realization(config, index)[1]
         if data is None:
             return [RealizationRecord(index=index, pd_ok=False) for _ in regions], None
-        reports = region_reports(config, data, regions, modes)
+        reports = region_reports(config, data, modes)
         table = correlator_table(lattice, data)
         records = [
             RealizationRecord.of(index, report, ground_state_correlator_bound(table, region, config.p, bound))
@@ -542,7 +527,7 @@ def run_scan(config: ExperimentConfig) -> list[ScanResult]:
     return results
 
 
-def correlator_ensemble(config: ExperimentConfig, lattice: Lattice) -> tuple[np.ndarray, dict]:
+def correlator_ensemble(config: ExperimentConfig) -> tuple[np.ndarray, dict]:
     """The mean moment matrix E|<delta_j, h^{-1/2} delta_k>|^s over a config's realizations, and the pool's ``execution``.
 
     Realizations run on the scan's pool and are summed in index order, so
@@ -552,7 +537,7 @@ def correlator_ensemble(config: ExperimentConfig, lattice: Lattice) -> tuple[np.
     """
 
     def worker(index: int) -> np.ndarray:
-        table = correlator_table(lattice, definite_realization(config, lattice, index))
+        table = correlator_table(config.lattice, definite_realization(config, index))
         moment = require_norm_bound(table, config.norm_bound).values
         moment **= config.s
         return moment
@@ -680,7 +665,7 @@ def write_records_csv(results, path):
     lines = [CSV_HEADER]
     for result in results:
         for record in sorted(result.records, key=lambda r: r.index):
-            eps_list = result.config.eps_values if record.pd_ok else result.config.eps_values[:1]
+            eps_list = result.config.eps if record.pd_ok else result.config.eps[:1]
             for eps in eps_list:
                 value = record.ground_renyi.get(eps, math.nan)
                 excited_k = str(record.excited_mode) if record.excited_mode > 0 else ""

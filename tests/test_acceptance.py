@@ -246,11 +246,11 @@ def test_criterion_6_area_law_scaling():
         regions=tuple(RegionSpec(corner=(80 - length // 2,), lengths=(length,)) for length in lengths),
         k_max=8.0,
         realizations=50,
-        eps_values=(0.5, 1.0),
+        eps=(0.5, 1.0),
         excitations="all",
         p=1.0,
         s=0.5,
-        master_seed=606,
+        seed=606,
         threads=8,
     )
     results = run_scan(config)
@@ -308,11 +308,11 @@ def test_criterion_8_scan_determinism(tmp_path):
         regions=(RegionSpec(corner=(26,), lengths=(8,)),),
         k_max=8.0,
         realizations=20,
-        eps_values=(0.5, 0.75, 1.0),
+        eps=(0.5, 0.75, 1.0),
         excitations="all",
         p=1.0,
         s=0.5,
-        master_seed=808,
+        seed=808,
         threads=1,
     )
     text_1 = write_records_csv(run_scan(config), tmp_path / "one.csv")

@@ -322,6 +322,10 @@ _MALFORMED_SHAPES = {
     "empty-eps": ({"eps": []}, "eps needs at least one value"),
     "string-eps-list": ({"eps": "0.5"}, "eps must be a list"),
     "bare-int-lengths": ({"lengths": 12}, "lengths must be a list"),
+    # json reads Infinity, which must not reach a spring draw or an output
+    "infinite-k_max": ({"disorder": {"k_max": math.inf}}, "disorder.k_max must be a finite number"),
+    "infinite-bound": ({"bound": math.inf}, "bound must be a finite number"),
+    "region-sites-and-box": ({"region": {"corner": [4], "lengths": [3], "sites": [[0]]}}, "region needs sites or corner + lengths"),
 }
 
 
@@ -644,10 +648,10 @@ def test_correlators_output_does_not_depend_on_pool_or_blas_threads(tmp_path):
 def test_an_indefinite_realization_inside_the_ensemble_fails_correlators_at_every_pool_size(scan_config, tmp_path, monkeypatch, capsys):
     coupling_matrix = oscent.experiments.coupling_matrix
 
-    def indefinite_at_two(config, lattice, index):
-        h = coupling_matrix(config, lattice, index)
+    def indefinite_at_two(config, index):
+        h = coupling_matrix(config, index)
         if index == 2:
-            return CouplingMatrix(matrix=np.diag(np.r_[-0.5, np.ones(h.size - 1)]), lattice=lattice)
+            return CouplingMatrix(matrix=np.diag(np.r_[-0.5, np.ones(h.size - 1)]), lattice=config.lattice)
         return h
 
     monkeypatch.setattr(oscent.experiments, "coupling_matrix", indefinite_at_two)

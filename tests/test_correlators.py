@@ -149,10 +149,9 @@ def _binned_log_moments(mean_moment, lattice):
 
 def _bulk_3d_mean_moment():
     """The mean moment of an 8x8x8 box over 4 realizations, the shape of the bulk-3d benchmark's decay fit."""
-    lattice = build_box(3, [8, 8, 8])
     config = ExperimentConfig(dimension=3, lengths=(8, 8, 8), regions=(RegionSpec(corner=(2, 2, 2), lengths=(4, 4, 4)),),
-                              k_max=8.0, realizations=4, master_seed=2024, threads=1)
-    return correlator_ensemble(config, lattice)[0], lattice
+                              k_max=8.0, realizations=4, seed=2024, threads=1)
+    return correlator_ensemble(config)[0], config.lattice
 
 
 def _chain_exponential():
@@ -399,10 +398,9 @@ def test_correlator_csv_writes_the_same_bytes_when_every_value_takes_the_fallbac
 
 def _chain_mean_moment():
     """The mean moment of a 400-site chain over 4 realizations at s = 1/2, the shape of the single-shot-correlators benchmark."""
-    lattice = build_box(1, [400])
     config = ExperimentConfig(dimension=1, lengths=(400,), regions=(RegionSpec(corner=(192,), lengths=(16,)),),
-                              k_max=8.0, realizations=4, s=0.5, master_seed=2024, threads=1)
-    return correlator_ensemble(config, lattice)[0], lattice
+                              k_max=8.0, realizations=4, s=0.5, seed=2024, threads=1)
+    return correlator_ensemble(config)[0], config.lattice
 
 
 def _value_mismatches(values, lattice):

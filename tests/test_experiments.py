@@ -4,6 +4,7 @@ import math
 import statistics
 import tracemalloc
 from concurrent.futures import Future
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,7 +17,6 @@ from oscent import (
     ExperimentConfig,
     RegionSpec,
     area_law_fit,
-    build_box,
     correlator_ensemble,
     run_scan,
     write_aggregates_json,
@@ -25,6 +25,9 @@ from oscent import (
 )
 from oscent.cli import main
 from oscent.experiments import definite_realization, region_reports
+
+
+DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
 
 def box(corner, lengths) -> RegionSpec:
@@ -38,11 +41,11 @@ def small_config(**overrides):
         regions=(box((5,), (4,)),),
         k_max=8.0,
         realizations=6,
-        eps_values=(0.5, 0.75, 1.0),
+        eps=(0.5, 0.75, 1.0),
         excitations="all",
         p=1.0,
         s=0.5,
-        master_seed=2024,
+        seed=2024,
         threads=2,
     )
     base.update(overrides)
@@ -53,23 +56,27 @@ def test_config_validation():
     with pytest.raises(ValueError):
         small_config(realizations=0)
     with pytest.raises(ValueError):
-        small_config(eps_values=(0.5, 1.2))
+        small_config(eps=(0.5, 1.2))
     with pytest.raises(ValueError):
         small_config(excitations=(3, 2))
     with pytest.raises(ValueError):
-        small_config(coupling_kind="next-nearest")
+        small_config(coupling="next-nearest")
     with pytest.raises(ValueError):
         ExperimentConfig(dimension=1, lengths=(4,))
     for bad in (
         dict(p=2.0), dict(s=0.0), dict(threads=0), dict(bound=0.0), dict(realization_index=-1),
         dict(regions=(box((12,), (4,)),)), dict(regions=(box((5,), (0,)),)), dict(regions=(RegionSpec(sites=((14,),)),)),
-        dict(regions=(RegionSpec(corner=(5,)),)), dict(regions=(box((5,), (4,)), box((0,), (14,)))),
-        dict(lengths=(14, 2)), dict(master_seed=-1),
+        dict(regions=(box((5,), (4,)), box((0,), (14,)))), dict(regions=()), dict(regions=({"corner": [5], "lengths": [4]},)),
+        dict(lengths=(14, 2)), dict(seed=-1),
         # eps values sharing a 15-digit label would share a records.csv row and an aggregate
-        dict(eps_values=(0.5, 1.0, 0.5)), dict(eps_values=(0.5, 0.5000000000000001)), dict(eps_values=(1.0, 1.0 - 2**-53)),
+        dict(eps=(0.5, 1.0, 0.5)), dict(eps=(0.5, 0.5000000000000001)), dict(eps=(1.0, 1.0 - 2**-53)),
     ):
         with pytest.raises(ValueError):
             small_config(**bad)
+    # a region gives sites or a box, not both and not half a box
+    for bad in (dict(corner=(5,)), dict(sites=((1,),), corner=(5,), lengths=(4,)), dict(sites=((1,),), lengths=(4,))):
+        with pytest.raises(ValueError, match="region needs sites or corner"):
+            RegionSpec(**bad)
 
 
 def test_config_json_roundtrip():
@@ -78,12 +85,35 @@ def test_config_json_roundtrip():
     assert clone == config
 
 
+@pytest.mark.parametrize(
+    "bad, named",
+    [
+        (dict(fit_decay="no"), "fit_decay"),
+        (dict(realizations=2.5), "realizations"),
+        (dict(threads=True), "threads"),
+        (dict(eps=(0.5, True)), "eps"),
+        (dict(k_max=math.inf), "k_max"),
+    ],
+    ids=["string-fit-decay", "fractional-realizations", "bool-threads", "bool-eps", "infinite-k_max"],
+)
+def test_a_config_built_in_python_is_checked_like_a_json_one(bad, named):
+    # the ValueError that the CLI turns into exit 2
+    with pytest.raises(ValueError, match=named):
+        small_config(**bad)
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in DEMO_CONFIGS.glob("*.json")))
+def test_every_demo_config_round_trips(name):
+    config = ExperimentConfig.from_dict(json.loads((DEMO_CONFIGS / name).read_text()))
+    assert ExperimentConfig.from_dict(config.to_dict()) == config
+
+
 def test_scan_decoupled_realization_has_zero_entropy():
-    config = small_config(coupling_kind="none", realizations=1, excitations="none")
+    config = small_config(coupling="none", realizations=1, excitations="none")
     (result,) = run_scan(config)
     record = result.records[0]
     assert record.pd_ok
-    for eps in config.eps_values:
+    for eps in config.eps:
         assert record.ground_renyi[eps] == 0.0
     assert record.log_negativity == 0.0
 
@@ -113,7 +143,7 @@ def test_scan_records_and_aggregates_are_consistent():
 
 def test_close_eps_values_keep_their_own_aggregates(tmp_path):
     eps_values = (0.5, 0.5000001, 1.0)
-    results = run_scan(small_config(realizations=3, eps_values=eps_values))
+    results = run_scan(small_config(realizations=3, eps=eps_values))
     (result,) = results
     for eps in eps_values:
         stats = result.aggregates[f"ground_renyi[{eps:.15g}]"]
@@ -271,7 +301,7 @@ def _zero_springs_of(monkeypatch, failing_index):
 
 
 def _decoupled_regions(sizes):
-    return small_config(coupling_kind="none", excitations="none", regions=tuple(box((5,), (n,)) for n in sizes))
+    return small_config(coupling="none", excitations="none", regions=tuple(box((5,), (n,)) for n in sizes))
 
 
 def test_run_scans_raises_when_the_first_realization_fails_pd(monkeypatch):
@@ -321,10 +351,11 @@ def test_scan_enforces_the_weight_column_sums(monkeypatch):
         run_scan(small_config(realizations=2))
 
 
-def _peak_bytes(run, *args) -> int:
+def _peak_bytes(run) -> int:
+    """The peak traced bytes of ``run()``; a config built inside ``run`` counts its lattice, as in a fresh run."""
     tracemalloc.start()
     try:
-        run(*args)
+        run()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -344,7 +375,7 @@ def test_scan_memory_is_flat_in_the_number_of_realizations(threads, slack):
     moment_bytes = 160 * 160 * 8
     run_scan(config)  # warm caches
     few, many = (
-        statistics.median(_peak_bytes(run_scan, dataclasses.replace(config, realizations=n)) for _ in range(3))
+        statistics.median(_peak_bytes(lambda: run_scan(dataclasses.replace(config, realizations=n))) for _ in range(3))
         for n in (8, 32)
     )
     assert many < few + slack * moment_bytes
@@ -354,11 +385,10 @@ def test_scan_memory_is_flat_in_the_number_of_realizations(threads, slack):
 def test_correlator_ensemble_memory_is_flat_in_the_number_of_realizations(threads, slack):
     # The ensemble reads its pool through the scan's window, so the same bound holds
     config = small_config(lengths=(160,), regions=(box((60,), (16,)),), threads=threads)
-    lattice = build_box(1, config.lengths)
     moment_bytes = 160 * 160 * 8
-    correlator_ensemble(config, lattice)  # warm caches
+    correlator_ensemble(config)  # warm caches
     few, many = (
-        statistics.median(_peak_bytes(correlator_ensemble, dataclasses.replace(config, realizations=n), lattice) for _ in range(3))
+        statistics.median(_peak_bytes(lambda: correlator_ensemble(dataclasses.replace(config, realizations=n))) for _ in range(3))
         for n in (8, 32)
     )
     assert many < few + slack * moment_bytes
@@ -367,7 +397,7 @@ def test_correlator_ensemble_memory_is_flat_in_the_number_of_realizations(thread
 # A bulk-3d-shaped operation: 8x8x8 box, one 4x4x4 region, 4 realizations on one pool thread.
 BOX = small_config(
     dimension=3, lengths=(8, 8, 8), regions=(box((2, 2, 2), (4, 4, 4)),),
-    eps_values=(0.5, 1.0), realizations=4, fit_decay=True, threads=1,
+    eps=(0.5, 1.0), realizations=4, fit_decay=True, threads=1,
 )
 BOX_MATRIX_BYTES = 512 * 512 * 8
 
@@ -379,25 +409,22 @@ def test_a_dense_scan_holds_at_most_six_n_by_n_arrays():
     # to be reduced; the decay fit needs the lattice distances and a sort
     # order.
     run_scan(BOX)  # warm caches
-    assert _peak_bytes(run_scan, BOX) <= 6 * BOX_MATRIX_BYTES
+    assert _peak_bytes(lambda: run_scan(dataclasses.replace(BOX))) <= 6 * BOX_MATRIX_BYTES
 
 
 def test_a_ground_only_report_makes_no_n_by_n_array():
     # Its region blocks come from the |R| = 64 region rows of the eigenvectors
     # (n^2 / 8 doubles here), never from h^{1/2} or a complement block.
     config = dataclasses.replace(BOX, excitations="none")
-    lattice = build_box(3, config.lengths)
-    regions = [config.regions[0].on(lattice)]
-    data = definite_realization(config, lattice, 0)
-    region_reports(config, data, regions, [])  # warm caches
-    assert _peak_bytes(region_reports, config, data, regions, []) < 0.5 * BOX_MATRIX_BYTES
+    data = definite_realization(config, 0)
+    region_reports(config, data, [])  # warm caches
+    assert _peak_bytes(lambda: region_reports(config, data, [])) < 0.5 * BOX_MATRIX_BYTES
 
 
 def test_a_dense_correlator_ensemble_holds_at_most_five_and_a_half_n_by_n_arrays():
     # Three inside the worker, the moment sum and one finished moment.
-    lattice = build_box(3, BOX.lengths)
-    correlator_ensemble(BOX, lattice)  # warm caches
-    assert _peak_bytes(correlator_ensemble, BOX, lattice) <= 5.5 * BOX_MATRIX_BYTES
+    correlator_ensemble(BOX)  # warm caches
+    assert _peak_bytes(lambda: correlator_ensemble(dataclasses.replace(BOX))) <= 5.5 * BOX_MATRIX_BYTES
 
 
 class _InlinePool:
@@ -434,11 +461,11 @@ def test_a_worker_exception_stops_the_scan_early(threads, monkeypatch):
     started = []
     coupling_matrix = oscent.experiments.coupling_matrix
 
-    def failing(config, lattice, index):
+    def failing(config, index):
         started.append(index)
         if index == 1:
             raise RuntimeError("worker failed")
-        return coupling_matrix(config, lattice, index)
+        return coupling_matrix(config, index)
 
     monkeypatch.setattr(oscent.experiments, "coupling_matrix", failing)
     with pytest.raises(RuntimeError, match="worker failed"):
@@ -450,10 +477,10 @@ def test_a_worker_exception_wins_over_a_failed_first_realization(monkeypatch):
     _zero_springs_of(monkeypatch, 0)
     coupling_matrix = oscent.experiments.coupling_matrix
 
-    def failing(config, lattice, index):
+    def failing(config, index):
         if index == 3:
             raise RuntimeError("worker failed")
-        return coupling_matrix(config, lattice, index)
+        return coupling_matrix(config, index)
 
     monkeypatch.setattr(oscent.experiments, "coupling_matrix", failing)
     with pytest.raises(RuntimeError, match="worker failed"):

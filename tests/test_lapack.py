@@ -336,7 +336,7 @@ def test_overlapping_pins_restore_the_counts_when_the_last_exits(blas_at_two_thr
 def chain_config(**overrides):
     base = dict(
         dimension=1, lengths=(24,), regions=(RegionSpec(corner=(8,), lengths=(6,)),),
-        k_max=8.0, realizations=4, master_seed=5, threads=2,
+        k_max=8.0, realizations=4, seed=5, threads=2,
     )
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -346,9 +346,9 @@ def test_run_scans_restores_blas_threads_after_it_returns(blas_at_two_threads, m
     seen = []
     coupling_matrix = oscent.experiments.coupling_matrix
 
-    def recording(config, lattice, index):
+    def recording(config, index):
         seen.append(_counts())
-        return coupling_matrix(config, lattice, index)
+        return coupling_matrix(config, index)
 
     monkeypatch.setattr(oscent.experiments, "coupling_matrix", recording)
     (result,) = run_scan(chain_config())
@@ -365,10 +365,10 @@ def test_run_scans_restores_blas_threads_after_it_returns(blas_at_two_threads, m
 def test_run_scans_restores_blas_threads_after_a_worker_raises(blas_at_two_threads, monkeypatch):
     coupling_matrix = oscent.experiments.coupling_matrix
 
-    def failing(config, lattice, index):
+    def failing(config, index):
         if index == 2:
             raise RuntimeError("worker failed")
-        return coupling_matrix(config, lattice, index)
+        return coupling_matrix(config, index)
 
     monkeypatch.setattr(oscent.experiments, "coupling_matrix", failing)
     with pytest.raises(RuntimeError, match="worker failed"):
@@ -389,15 +389,15 @@ def test_opening_a_pool_reads_no_process_map(blas_at_two_threads, monkeypatch):
     seen = []
     coupling_matrix = oscent.experiments.coupling_matrix
 
-    def recording(config, lattice, index):
+    def recording(config, index):
         seen.append(_counts())
-        return coupling_matrix(config, lattice, index)
+        return coupling_matrix(config, index)
 
     monkeypatch.setattr(oscent.lapack, "_openblas_paths", unreadable)
     monkeypatch.setattr(oscent.experiments, "coupling_matrix", recording)
     config = chain_config()
     (result,) = run_scan(config)
-    _, execution = correlator_ensemble(config, build_box(1, (24,)))
+    _, execution = correlator_ensemble(config)
     assert seen == [[1] * len(blas_at_two_threads)] * 8
     assert execution == result.execution
     assert execution["blas_libraries"] == [lib.name for lib in blas_at_two_threads]
@@ -426,7 +426,7 @@ def test_an_openblas_imported_after_oscent_leaves_the_pin_and_the_bytes_alone(tm
         "import json, oscent.cli, oscent.lapack\n"
         "from oscent import ExperimentConfig, RegionSpec, run_scan\n"
         "chain = ExperimentConfig(dimension=1, lengths=(24,), regions=(RegionSpec(corner=(8,), lengths=(6,)),),\n"
-        "                         k_max=8.0, realizations=2, master_seed=5, threads=2)\n"
+        "                         k_max=8.0, realizations=2, seed=5, threads=2)\n"
         "before = run_scan(chain)[0].execution\n"
         "import scipy.linalg\n"
         f"assert oscent.cli.main({[*scan, '2', '--out', str(late)]!r}) == 0\n"
@@ -476,7 +476,7 @@ def _scan_texts(config, tmp_path):
 
 BULK = ExperimentConfig(
     dimension=3, lengths=(8, 8, 8), regions=(RegionSpec(corner=(2, 2, 2), lengths=(4, 4, 4)),),
-    k_max=8.0, realizations=4, excitations="all", master_seed=2024, fit_decay=True, threads=1,
+    k_max=8.0, realizations=4, excitations="all", seed=2024, fit_decay=True, threads=1,
 )
 
 

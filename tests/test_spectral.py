@@ -243,18 +243,17 @@ def _negate_half(columns, rng):
 def test_no_output_reads_the_sign_of_an_eigenvector_or_a_mode(shape, monkeypatch):
     # Every output sums products of two entries of one column of V or f2,
     # or squares a projection on one; negating a column moves no bit.
-    config = ExperimentConfig(k_max=8.0, master_seed=2024, **shape)
-    lattice = build_box(config.dimension, config.lengths)
-    region = config.regions[0].on(lattice)
+    config = ExperimentConfig(k_max=8.0, seed=2024, **shape)
+    lattice, (region,) = config.lattice, config.lattice_regions
     modes = list(range(1, lattice.size + 1))
 
     def outputs(data):
-        reports = [region_reports(config, data, [region], chosen)[0].to_json() for chosen in ((), modes)]
+        reports = [region_reports(config, data, chosen)[0].to_json() for chosen in ((), modes)]
         blocks = partition_blocks(spd_sqrt(data), region)
         weights = excitation_weights(data, blocks, oscent.experiments.symplectic_spectrum(blocks))
         return reports, weights.tobytes(), correlator_table(lattice, data).values.tobytes()
 
-    data = definite_realization(config, lattice, 0)
+    data = definite_realization(config, 0)
     expected = outputs(data)
     rng = np.random.default_rng(5)
     spectrum_of = oscent.experiments.symplectic_spectrum
@@ -351,9 +350,9 @@ def test_decoupled_springs_take_the_tridiagonal_route_bit_for_bit(n, monkeypatch
     tridiagonal = _spy(monkeypatch, "stemr")
     config = ExperimentConfig(
         dimension=1, lengths=(n,), regions=(RegionSpec(corner=(0,), lengths=(1,)),),
-        k_max=8.0, master_seed=5, coupling_kind="none",
+        k_max=8.0, seed=5, coupling="none",
     )
-    h = coupling_matrix(config, build_box(1, [n]), 0)
+    h = coupling_matrix(config, 0)
     _assert_dense_bits(decompose(h), h.matrix)
     assert tridiagonal == [(n,)]
 
@@ -506,7 +505,7 @@ _ROUTE_CASES = {
     "chain-400": dict(dimension=1, lengths=(400,), regions=(RegionSpec(corner=(192,), lengths=(16,)),)),
     "2d-20x20": dict(dimension=2, lengths=(20, 20), regions=(RegionSpec(corner=(6, 6), lengths=(8, 8)),)),
     "3d-8x8x8": dict(dimension=3, lengths=(8, 8, 8), regions=(RegionSpec(corner=(2, 2, 2), lengths=(4, 4, 4)),)),
-    "decoupled": dict(dimension=1, lengths=(60,), regions=(RegionSpec(corner=(26,), lengths=(8,)),), coupling_kind="none"),
+    "decoupled": dict(dimension=1, lengths=(60,), regions=(RegionSpec(corner=(26,), lengths=(8,)),), coupling="none"),
     "one-site": dict(dimension=1, lengths=(3,), regions=(RegionSpec(sites=((1,),)),)),
 }
 
@@ -515,7 +514,7 @@ def _route_config(case, seed):
     if case == "two-site-demo":
         raw = json.loads((DEMOS / "two_site_ground.json").read_text())
         return ExperimentConfig.from_dict(dict(raw, matrix_csv=str(DEMOS / "two_site_matrix.csv")))
-    return ExperimentConfig(k_max=8.0, master_seed=seed, **_ROUTE_CASES[case])
+    return ExperimentConfig(k_max=8.0, seed=seed, **_ROUTE_CASES[case])
 
 
 @pytest.mark.parametrize(
@@ -524,9 +523,8 @@ def _route_config(case, seed):
 )
 def test_the_region_route_gives_the_schur_routes_spectrum(case, seed):
     config = _route_config(case, seed)
-    lattice = build_box(config.dimension, config.lengths)
-    region = config.regions[0].on(lattice)
-    data = definite_realization(config, lattice, config.realization_index)
+    lattice, (region,) = config.lattice, config.lattice_regions
+    data = definite_realization(config, config.realization_index)
     region_mu = symplectic_spectrum(region_blocks(data, region)).mu
     schur_mu = symplectic_spectrum(partition_blocks(spd_sqrt(data), region)).mu
     np.testing.assert_allclose(region_mu, schur_mu, rtol=0, atol=1e-12)
@@ -536,7 +534,7 @@ def test_the_region_route_gives_the_schur_routes_spectrum(case, seed):
         expected = ground_state_renyi(schur_mu, eps)
         assert abs(ground_state_renyi(region_mu, eps) - expected) <= 1e-6 * max(1.0, abs(expected))
     if lattice.size <= 3:
-        oracle_mu = oscent.oracle.symplectic_eigenvalues(coupling_matrix(config, lattice, config.realization_index), region)
+        oracle_mu = oscent.oracle.symplectic_eigenvalues(coupling_matrix(config, config.realization_index), region)
         np.testing.assert_allclose(region_mu, oracle_mu, rtol=0, atol=1e-8)
         np.testing.assert_allclose(schur_mu, oracle_mu, rtol=0, atol=1e-8)
 
