@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .correlators import correlator_csv, fit_decay_constant
+from .correlators import correlator_csv, fit_decay_constant, require_fit_distances
 from .entanglement import require_ensemble_hypothesis
 from .experiments import (
     ExperimentConfig,
@@ -141,6 +141,11 @@ def _config(args) -> ExperimentConfig:
         raise UsageError("regions is read by scan only; give one region")
     if args.command in ("scan", "correlators") and config.matrix_csv is not None:
         raise UsageError(f"{args.command} averages over disorder; matrix_csv is for single realizations")
+    if args.command == "correlators" or (args.command == "scan" and config.fit_decay):
+        try:
+            require_fit_distances(config.lattice)
+        except ValueError as err:
+            raise UsageError(f"bad config: {err}")
     return config
 
 

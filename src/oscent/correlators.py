@@ -114,6 +114,17 @@ def mean_moment_by_distance(mean_moment: np.ndarray, lattice: Lattice) -> dict[i
     return {r: float(flat[idx].mean()) for r, idx in distance_bins(lattice).items()}
 
 
+def require_fit_distances(lattice: Lattice) -> None:
+    """Raise ValueError unless the lattice holds the three distances >= 1 a decay fit needs.
+
+    A box holds every l1 distance from 1 to its largest, sum(L_i - 1), so
+    its side lengths decide; bins that underflow can still leave too few.
+    """
+    largest = sum(n - 1 for n in lattice.lengths)
+    if largest < 3:
+        raise ValueError(f"need >= 3 distinct distances for a fit, the lattice has {largest}")
+
+
 def decay_fit(tables: list[CorrelatorTable], s: float) -> DecayFit:
     """Least-squares exponential-decay fit of E[|correlator|^s] vs distance.
 
@@ -126,7 +137,7 @@ def decay_fit(tables: list[CorrelatorTable], s: float) -> DecayFit:
     if not 0.0 < s <= 1.0:
         raise ValueError(f"s must lie in (0, 1], got {s}")
     lattice = tables[0].lattice
-    if any(t.lattice is not lattice and t.lattice.sites != lattice.sites for t in tables):
+    if any(t.lattice.lengths != lattice.lengths for t in tables):
         raise ValueError("all tables must share one lattice")
     moments = MomentSum()
     for table in tables:

@@ -361,9 +361,14 @@ def single_excitation_ensemble_bound(
     return _ensemble_bound(ground_state_renyi(spectrum, 0.5))
 
 
+def ensemble_hypothesis_holds(lattice_size: int, region_size: int) -> bool:
+    """Whether region_size^2 <= lattice_size, the ensemble bound's hypothesis."""
+    return region_size**2 <= lattice_size
+
+
 def require_ensemble_hypothesis(lattice_size: int, region_size: int) -> None:
-    """Raise ValueError unless region_size^2 <= lattice_size, the ensemble bound's hypothesis."""
-    if region_size**2 > lattice_size:
+    """Raise ValueError unless the ensemble bound's hypothesis holds."""
+    if not ensemble_hypothesis_holds(lattice_size, region_size):
         raise ValueError(
             f"hypothesis violated: region size squared {region_size**2} exceeds "
             f"lattice size {lattice_size}"
@@ -421,6 +426,6 @@ def entropy_report(
         report.excited_modes = [int(k) for k in modes]
         report.excited_computed_bounds = computed.tolist()
         report.excited_theorem_bounds = [theorem] * len(modes)
-    if lattice_size is not None and spectrum.size**2 <= lattice_size:
+    if lattice_size is not None and ensemble_hypothesis_holds(lattice_size, spectrum.size):
         report.ensemble_bound = _ensemble_bound(renyi[0.5])
     return report

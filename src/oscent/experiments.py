@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .correlators import DecayFit, MomentSum, correlator_table, fit_decay_constant, ground_state_correlator_bound, line_fit, require_norm_bound
+from .correlators import DecayFit, MomentSum, correlator_table, fit_decay_constant, ground_state_correlator_bound, line_fit, require_fit_distances, require_norm_bound
 from .entanglement import EPS_MIN, EntropyReport, entropy_report, excitation_weights
 from .hamiltonian import (
     AssumptionReport,
@@ -452,9 +452,13 @@ def run_scan(config: ExperimentConfig) -> list[ScanResult]:
 
     Realizations failing the positive-definiteness check are recorded with
     pd_ok = False and excluded from every aggregate; the first realization
-    must pass (anything else means the config itself is bad).
+    must pass (anything else means the config itself is bad). With
+    ``fit_decay``, a lattice too small for a decay fit raises ValueError
+    before any realization.
     """
     lattice, regions = config.lattice, config.lattice_regions
+    if config.fit_decay:
+        require_fit_distances(lattice)
     bound = config.norm_bound
     modes = selected_modes(config.excitations, lattice.size)
 
@@ -532,9 +536,11 @@ def correlator_ensemble(config: ExperimentConfig) -> tuple[np.ndarray, dict]:
 
     Realizations run on the scan's pool and are summed in index order, so
     the mean is byte-identical for every pool size and BLAS thread count.
-    Raises ValueError at the first realization, in index order, whose h is
-    not positive definite or whose ||h^{1/2}|| exceeds the norm bound.
+    Raises ValueError before any realization if the lattice is too small
+    for a decay fit, and at the first realization, in index order, whose h
+    is not positive definite or whose ||h^{1/2}|| exceeds the norm bound.
     """
+    require_fit_distances(config.lattice)
 
     def worker(index: int) -> np.ndarray:
         table = correlator_table(config.lattice, definite_realization(config, index))

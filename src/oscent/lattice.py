@@ -1,13 +1,16 @@
 """Finite boxes in Z^d, distinguished subregions and l1 geometry.
 
-Sites are integer tuples. All matrix-valued quantities downstream index
-sites through the lexicographic ordering fixed here; a region's blocks are
-gathered from its sorted indices in that order, never reordered.
+A lattice is its side lengths, and site i is the C-order multi-index
+``np.unravel_index(i, lengths)``; every matrix downstream indexes sites in
+that order. A region is its ascending index array, from which its blocks
+are gathered, never reordered. Site tuples are views derived on demand.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -18,47 +21,54 @@ Site = tuple[int, ...]
 
 @dataclass(frozen=True, eq=False)
 class Lattice:
-    """A finite box in Z^d with a fixed lexicographic site ordering."""
+    """A finite box in Z^d with a fixed lexicographic (C-order) site ordering."""
 
     dimension: int
     lengths: tuple[int, ...]
-    sites: tuple[Site, ...]
-    _index: dict[Site, int] = field(repr=False)
 
     @property
     def size(self) -> int:
-        return len(self.sites)
+        return math.prod(self.lengths)
+
+    @property
+    def sites(self) -> tuple[Site, ...]:  # built from ``coords`` on each call
+        return tuple(map(tuple, self.coords.tolist()))
 
     def __contains__(self, site) -> bool:
-        return tuple(site) in self._index
+        site = tuple(site)
+        return len(site) == self.dimension and all(_on_axis(c, n) for c, n in zip(site, self.lengths))
 
     def index_of(self, site) -> int:
-        """Row index of a site in the fixed ordering."""
-        return self._index[tuple(site)]
+        """Row index of a site in the fixed ordering; KeyError outside the box."""
+        if site not in self:
+            raise KeyError(tuple(site))
+        return int(np.ravel_multi_index(tuple(int(c) for c in site), self.lengths))
 
     @cached_property
     def coords(self) -> np.ndarray:
-        """Read-only (size, dimension) integer array; row i is ``sites[i]``.
-
-        The lexicographic site order is C order over the box, so row i holds
-        the multi-index that ``np.unravel_index(i, lengths)`` gives.
-        """
+        """Read-only (size, dimension) integer array; row i is site i, ``np.unravel_index(i, lengths)``."""
         coords = np.indices(self.lengths).reshape(self.dimension, -1).T.copy()
         coords.flags.writeable = False
         return coords
 
     @cached_property
     def distances(self) -> np.ndarray:
-        """Read-only (size, size) int32 matrix of pairwise l1 distances.
-
-        Summed axis by axis in int32, so no (size, size, dimension) or int64
-        intermediate is ever held.
-        """
+        """Read-only (size, size) int32 matrix of pairwise l1 distances, summed axis by axis in int32."""
         dist = np.zeros((self.size, self.size), dtype=np.int32)
         for axis in self.coords.T.astype(np.int32):
             dist += np.abs(axis[:, None] - axis[None, :])
         dist.flags.writeable = False
         return dist
+
+
+def _on_axis(c, n: int) -> bool:
+    """Whether coordinate ``c`` equals one of 0..n-1 by value: 1.0 does, 1.5 does not."""
+    return 0 <= c < n and c == int(c) if isinstance(c, numbers.Real) else c in range(n)
+
+
+def _sites_at(lattice: Lattice, indices) -> tuple[Site, ...]:
+    """The sites at the given row indices, in the given order."""
+    return tuple(zip(*(axis.tolist() for axis in np.unravel_index(indices, lattice.lengths))))
 
 
 def build_box(dimension: int, lengths) -> Lattice:
@@ -74,9 +84,7 @@ def build_box(dimension: int, lengths) -> Lattice:
         raise ValueError(f"expected {dimension} side lengths, got {len(lengths)}")
     if any(n < 1 for n in lengths):
         raise ValueError(f"side lengths must be >= 1, got {lengths}")
-    sites = tuple(itertools.product(*(range(n) for n in lengths)))
-    index = {site: i for i, site in enumerate(sites)}
-    return Lattice(dimension=dimension, lengths=lengths, sites=sites, _index=index)
+    return Lattice(dimension=dimension, lengths=lengths)
 
 
 def l1_distance(a, b) -> int:
@@ -91,46 +99,44 @@ def l1_distance(a, b) -> int:
 class Region:
     """A bipartition of a lattice into a distinguished subset and its complement.
 
-    ``sites`` and ``complement`` both preserve the parent lattice order, so
-    stacking ``indices`` before ``complement_indices`` is a permutation of
-    0..size-1 that puts the region block first.
+    ``indices`` and ``complement_indices`` both ascend; stacked, they are a
+    permutation of 0..size-1 that puts the region block first.
     """
 
     lattice: Lattice
-    sites: tuple[Site, ...]
-    complement: tuple[Site, ...]
     indices: np.ndarray = field(repr=False)
-    complement_indices: np.ndarray = field(repr=False)
 
     @property
     def size(self) -> int:
-        return len(self.sites)
+        return self.indices.size
 
     @property
     def complement_size(self) -> int:
-        return len(self.complement)
+        return self.lattice.size - self.size
+
+    @cached_property
+    def complement_indices(self) -> np.ndarray:
+        return np.setdiff1d(np.arange(self.lattice.size), self.indices, assume_unique=True)
+
+    @property
+    def sites(self) -> tuple[Site, ...]:
+        return _sites_at(self.lattice, self.indices)
+
+    @property
+    def complement(self) -> tuple[Site, ...]:
+        return _sites_at(self.lattice, self.complement_indices)
 
 
 def make_region(lattice: Lattice, sites) -> Region:
-    """Build a Region from any iterable of sites of the lattice.
-
-    Sites are deduplicated and sorted into the parent lattice order.
-    """
+    """Build a Region from any iterable of sites of the lattice, deduplicated and sorted into lattice order."""
     chosen = {tuple(s) for s in sites}
     if not chosen:
         raise ValueError("region must contain at least one site")
     missing = [s for s in chosen if s not in lattice]
     if missing:
         raise ValueError(f"sites not in lattice: {sorted(missing)[:4]}")
-    inside = tuple(s for s in lattice.sites if s in chosen)
-    outside = tuple(s for s in lattice.sites if s not in chosen)
-    return Region(
-        lattice=lattice,
-        sites=inside,
-        complement=outside,
-        indices=np.array([lattice.index_of(s) for s in inside], dtype=np.intp),
-        complement_indices=np.array([lattice.index_of(s) for s in outside], dtype=np.intp),
-    )
+    coords = np.array(list(chosen), dtype=np.intp).T
+    return Region(lattice=lattice, indices=np.sort(np.ravel_multi_index(tuple(coords), lattice.lengths)))
 
 
 def box_region(lattice: Lattice, corner, lengths) -> Region:
@@ -139,26 +145,18 @@ def box_region(lattice: Lattice, corner, lengths) -> Region:
     lengths = tuple(int(n) for n in lengths)
     if len(corner) != lattice.dimension or len(lengths) != lattice.dimension:
         raise ValueError("corner/lengths arity must match the lattice dimension")
-    sites = itertools.product(*(range(c, c + n) for c, n in zip(corner, lengths)))
-    return make_region(lattice, sites)
-
-
-def _neighbors(site: Site):
-    for axis in range(len(site)):
-        for step in (-1, 1):
-            yield site[:axis] + (site[axis] + step,) + site[axis + 1 :]
+    return make_region(lattice, itertools.product(*(range(c, c + n) for c, n in zip(corner, lengths))))
 
 
 def inner_boundary(region: Region) -> set[Site]:
-    """Sites of the region with an l1-distance-1 neighbor in the complement.
-
-    The complement is taken within the parent lattice, so sites hugging the
-    outer wall of the box do not count as boundary on that side.
-    """
-    outside = set(region.complement)
-    return {
-        site
-        for site in region.sites
-        if any(nb in outside for nb in _neighbors(site))
-    }
-
+    """Sites of the region with an l1-distance-1 neighbor in the complement, which lies within the box: its outer wall is no boundary."""
+    lattice = region.lattice
+    inside = np.zeros(lattice.lengths, dtype=bool)
+    inside.flat[region.indices] = True
+    edge = np.zeros_like(inside)
+    for axis in range(lattice.dimension):
+        step = np.diff(inside, axis=axis)  # a site and its successor along the axis differ
+        edge[(slice(None),) * axis + (slice(None, -1),)] |= step
+        edge[(slice(None),) * axis + (slice(1, None),)] |= step
+    edge &= inside
+    return set(_sites_at(lattice, np.flatnonzero(edge)))

@@ -390,6 +390,34 @@ def test_every_command_rejects_bad_configs_with_exit_2(command, change, scan_con
     assert all(named in err for shape, named in _MALFORMED_SHAPES.values() if shape == change)
 
 
+@pytest.mark.parametrize("command", ["scan", "correlators"])
+def test_a_decay_fit_on_too_few_distances_exits_2_before_any_realization(command, tmp_path, capsys, monkeypatch):
+    # A 3-site chain holds distances 1 and 2 only; the fit needs three bins
+    calls = []
+    monkeypatch.setattr(oscent.experiments, "checked_realization", lambda *args: calls.append(args))
+    config = _write(tmp_path / "chain.json", {
+        "dimension": 1, "lengths": [3], "region": {"corner": [0], "lengths": [1]},
+        "disorder": {"k_max": 8.0}, "realizations": 2, "fit_decay": True,
+    })
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: bad config: need >= 3 distinct distances for a fit, the lattice has 2\n"
+    assert calls == []
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "command,length,fit_decay",
+    [("scan", 4, True), ("correlators", 4, True), ("scan", 3, False)],
+    ids=["scan-4-sites", "correlators-4-sites", "scan-3-sites-without-fit"],
+)
+def test_a_chain_with_three_distances_or_no_fit_runs(command, length, fit_decay, tmp_path):
+    config = _write(tmp_path / "chain.json", {
+        "dimension": 1, "lengths": [length], "region": {"corner": [0], "lengths": [1]},
+        "disorder": {"k_max": 8.0}, "realizations": 2, "fit_decay": fit_decay,
+    })
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 def test_compute_commands_reject_the_tolerance_flag(command, scan_config, tmp_path):
     with pytest.raises(SystemExit) as info:

@@ -390,6 +390,29 @@ def test_ensemble_bound_values_and_hypothesis():
     assert math.isfinite(value)
 
 
+def test_the_ensemble_hypothesis_is_one_predicate():
+    # |R| = 2: the report carries the bound and the bound is defined exactly when 2^2 <= |Lambda|
+    *_, spec = decoupled_system(freqs=(1.5, 2.5, 3.5, 0.5, 1.0), region_sites=((0,), (2,)))
+    for lattice_size in (3, 4, 5):
+        holds = oscent.entanglement.ensemble_hypothesis_holds(lattice_size, spec.size)
+        assert holds == (lattice_size >= 4)
+        report = entropy_report(spec, [0.5], lattice_size=lattice_size)
+        if holds:
+            assert report.ensemble_bound == single_excitation_ensemble_bound(spec, lattice_size, spec.size)
+        else:
+            assert report.ensemble_bound is None
+            with pytest.raises(ValueError, match="^hypothesis violated: region size squared 4 exceeds lattice size 3$"):
+                single_excitation_ensemble_bound(spec, lattice_size, spec.size)
+
+
+def test_the_report_and_the_bound_read_the_same_hypothesis(monkeypatch):
+    *_, spec = decoupled_system()
+    monkeypatch.setattr(oscent.entanglement, "ensemble_hypothesis_holds", lambda lattice_size, region_size: False)
+    assert entropy_report(spec, [0.5], lattice_size=100).ensemble_bound is None
+    with pytest.raises(ValueError, match="hypothesis violated"):
+        single_excitation_ensemble_bound(spec, 100, spec.size)
+
+
 def test_entropy_report_serialization():
     lat, h, data, blocks, spec = coupled_system(springs=(1.0, 2.0, 0.5), region_sites=((0,), (1,)))
     weights = excitation_weights(data, blocks, spec)

@@ -184,6 +184,18 @@ def test_scan_ensemble_bound_hypothesis_gate():
     assert all(math.isnan(r.ensemble_bound) for r in without.records)
 
 
+@pytest.mark.parametrize("lengths", [(3,), (2, 2)])
+@pytest.mark.parametrize("run", [lambda config: run_scan(dataclasses.replace(config, fit_decay=True)), correlator_ensemble], ids=["run_scan", "correlator_ensemble"])
+def test_a_decay_fit_on_too_few_distances_fails_before_any_realization(run, lengths, monkeypatch):
+    # largest l1 distance sum(L_i - 1) = 2: two distance bins, and the fit needs three
+    calls = []
+    monkeypatch.setattr(oscent.experiments, "checked_realization", lambda *args: calls.append(args))
+    config = small_config(dimension=len(lengths), lengths=lengths, regions=(box((0,) * len(lengths), (1,) * len(lengths)),))
+    with pytest.raises(ValueError, match="^need >= 3 distinct distances for a fit, the lattice has 2$"):
+        run(config)
+    assert calls == []
+
+
 def test_scan_standard_error_shrinks_with_realizations():
     ses = []
     for count in (50, 200, 800):
