@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .correlators import correlator_csv, fit_decay_constant, require_fit_distances
+from .correlators import correlator_csv, fit_decay_constant, mean_moment_by_distance, require_fit_distances
 from .entanglement import require_ensemble_hypothesis
 from .experiments import (
     ExperimentConfig,
@@ -194,7 +194,7 @@ def _cmd_ensemble_bound(args) -> int:
 def _cmd_correlators(args) -> int:
     config = _config(args)
     mean_moment, execution = correlator_ensemble(config)
-    fit, constant = fit_decay_constant(mean_moment, config.lattice, config.s, config.norm_bound)
+    fit, constant = fit_decay_constant(mean_moment_by_distance(mean_moment, config.lattice), config.lattice, config.s, config.norm_bound)
     payload = {
         "eta": fit.eta,
         "prefactor": fit.prefactor,

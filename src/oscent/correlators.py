@@ -3,9 +3,11 @@
 The correlator matrix holds |<delta_j, h^{-1/2} delta_k>| for all site
 pairs. Its fractional moments decay exponentially in the localized regime;
 fitting that decay over a disorder ensemble produces the (C, eta) pair that
-feeds the averaged area-law constant. Ensemble means are summed in index
-order by ``MomentSum``, and ``line_fit`` is the one least-squares line,
-shared with the scaling fits of ``experiments``.
+feeds the averaged area-law constant. A fit reads only the distance-bin
+means of a moment matrix (``mean_moment_by_distance``, one ``np.bincount``).
+Ensemble mean matrices are summed in index order by ``MomentSum``, and
+``line_fit`` is the one least-squares line, shared with the scaling fits of
+``experiments``.
 """
 
 from __future__ import annotations
@@ -93,7 +95,9 @@ def distance_bins(lattice: Lattice) -> dict[int, np.ndarray]:
     """Index pairs (as flat masks) grouped by l1 distance >= 1.
 
     Each bin holds flat indices into the size x size matrix in row-major
-    order, the order ``np.flatnonzero(lattice.distances == r)`` gives.
+    order, the order ``np.flatnonzero(lattice.distances == r)`` gives. No
+    fit reads it any more (see ``mean_moment_by_distance``); it stays a
+    library function because ``benchmarks/tracer.py`` wraps it.
     """
     flat = lattice.distances.ravel()
     # Distances up to 65535 fit 8- or 16-bit keys, which numpy's stable sort
@@ -109,9 +113,18 @@ def distance_bins(lattice: Lattice) -> dict[int, np.ndarray]:
 
 
 def mean_moment_by_distance(mean_moment: np.ndarray, lattice: Lattice) -> dict[int, float]:
-    """Average an elementwise moment matrix over pairs at each l1 distance."""
-    flat = np.asarray(mean_moment).ravel()
-    return {r: float(flat[idx].mean()) for r, idx in distance_bins(lattice).items()}
+    """Average an elementwise moment matrix over pairs at each l1 distance r >= 1.
+
+    One ``np.bincount`` over the lattice's distances: each bin's sum adds
+    its pairs one after the other in row-major order, and is divided by the
+    bin's count once. Beside its input it holds the distances as intp keys,
+    one n x n array, and no sort order.
+    """
+    keys = lattice.distances.ravel().astype(np.intp)
+    counts = np.bincount(keys)
+    sums = np.bincount(keys, weights=np.asarray(mean_moment, dtype=float).ravel(), minlength=counts.size)
+    present = np.flatnonzero(counts[1:]) + 1
+    return dict(zip(present.tolist(), (sums[present] / counts[present]).tolist()))
 
 
 def require_fit_distances(lattice: Lattice) -> None:
@@ -142,7 +155,7 @@ def decay_fit(tables: list[CorrelatorTable], s: float) -> DecayFit:
     moments = MomentSum()
     for table in tables:
         moments.add(table.values**s)
-    return _fit_binned(moments.mean(), lattice, s)
+    return _fit_binned(mean_moment_by_distance(moments.mean(), lattice), s)
 
 
 class MomentSum:
@@ -165,16 +178,19 @@ class MomentSum:
         return self.total / self.count
 
 
-def fit_decay_constant(mean_moment: np.ndarray, lattice: Lattice, s: float, bound: float) -> tuple[DecayFit, float | None]:
-    """The decay fit of a mean moment matrix and its area-law constant, which is None unless eta > 0."""
-    fit = _fit_binned(mean_moment, lattice, s)
+def fit_decay_constant(by_distance: dict[int, float], lattice: Lattice, s: float, bound: float) -> tuple[DecayFit, float | None]:
+    """The decay fit of mean moments by distance on ``lattice`` and its area-law constant, which is None unless eta > 0.
+
+    ``by_distance`` maps each l1 distance r >= 1 to the mean moment there,
+    as ``mean_moment_by_distance`` returns it.
+    """
+    fit = _fit_binned(by_distance, s)
     if not fit.eta > 0:
         return fit, None
     return fit, area_law_constant(fit.prefactor, fit.eta, s, bound, lattice.dimension)
 
 
-def _fit_binned(mean_moment: np.ndarray, lattice: Lattice, s: float) -> DecayFit:
-    by_distance = mean_moment_by_distance(mean_moment, lattice)
+def _fit_binned(by_distance: dict[int, float], s: float) -> DecayFit:
     usable = {r: v for r, v in by_distance.items() if v > UNDERFLOW_FLOOR}
     if not usable:
         raise ValueError("no decay data: all averaged moments vanish")
@@ -211,11 +227,17 @@ def correlator_csv(values: np.ndarray, lattice: Lattice, handle) -> None:
     Each value is written as ``"%.15g" % value`` writes its float64. The
     matrix is rendered a block of whole rows at a time, at most
     ``_BLOCK_VALUES`` values and a 32nd of the rows, and each block is
-    written as one ASCII string. So beside its input the writer holds one
-    block and the decimal labels of the lattice's indices and distances:
-    traced, 0.7 n² doubles for a mean moment on a 400-site chain and 1.5 n²
-    on an 8×8×8 box, and from 64 sites on at most 2.7 n² when every value
-    takes the fallback or a fixed-point layout.
+    written as one ASCII string. A block formats only the columns k from
+    its first row on. The field of (j, k) with k before that row is the
+    field its mirror (k, j) got, kept in a store that holds the rows
+    already written × the columns not yet written, n²/4 fields at most; a
+    pair whose bits differ (-0.0, a NaN payload, 1 ulp) is formatted
+    itself. So a symmetric matrix is formatted about once per pair. Beside
+    its input the writer holds the store, one block and the decimal labels
+    of the lattice's indices and distances: traced, 1.3 n² doubles for a
+    mean moment on a 400-site chain and 1.8 n² on an 8×8×8 box, and from
+    64 sites on at most 3.8 n² when every value takes a fixed-point layout
+    (1.1 n² at 1000 sites).
 
     A value is rendered by numpy where long double decides its rounding: it
     is scaled to 15 digits before the point by a long-double power of ten,
@@ -233,12 +255,24 @@ def correlator_csv(values: np.ndarray, lattice: Lattice, handle) -> None:
     distances = lattice.distances
     labels = _label_words(max(n, int(distances.max(initial=0)) + 1))
     kernel = _kernel()
+    bits = values.view(np.int64)
     handle.write("j,k,distance,value\n")
     step = max(1, min(_BLOCK_VALUES // n, n // 32))
+    mirrors = {}  # a later block's start: its rows' fields at the columns already emitted, one chunk per block
     for start in range(0, n, step):
-        rows = slice(start, start + step)
-        prefixes = (labels[rows][:, None], labels[:n], labels[distances[rows]])
-        handle.write(_render_rows(values[rows], prefixes, kernel))
+        stop = min(start + step, n)
+        lines = _lines((labels[start:stop][:, None], labels[:n], labels[distances[start:stop]]))
+        fields = lines[:, :, -_FIELD_WORDS:]
+        fields[:, start:] = _fields(values[start:stop, start:], kernel).reshape(stop - start, n - start, _FIELD_WORDS)
+        if start:
+            fields[:, :start] = np.concatenate(mirrors.pop(start), axis=1)
+            # a pair whose mirror differs in its bits (-0.0, a NaN payload, 1 ulp) is formatted itself
+            rows, columns = np.nonzero(bits[start:stop, :start] != bits[:start, start:stop].T)
+            if rows.size:
+                fields[rows, columns] = _fields(values[start + rows, columns], kernel)
+        for later in range(stop, n, step):
+            mirrors.setdefault(later, []).append(fields[:, later : later + step].transpose(1, 0, 2).copy())
+        handle.write(lines.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 _BLOCK_VALUES = 8192
@@ -267,22 +301,27 @@ def _label_words(count: int) -> np.ndarray:
     return np.array(labels, dtype=f"S{width}").view(np.uint32).reshape(count, width // 4)
 
 
-def _render_rows(values: np.ndarray, prefixes, kernel) -> str:
-    """The CSV lines of a block of rows: NUL-padded words laid side by side, then the NULs dropped."""
-    rows, n = values.shape
+def _lines(prefixes) -> np.ndarray:
+    """A block's lines as NUL-padded uint32 words: the prefixes laid side by side, then room for the value's field."""
+    rows, n = prefixes[-1].shape[:2]
     widths = [prefix.shape[-1] for prefix in prefixes]
     lines = np.empty((rows, n, sum(widths) + _FIELD_WORDS), dtype=np.uint32)
     start = 0
     for prefix, width in zip(prefixes, widths):
         lines[:, :, start : start + width] = prefix
         start += width
-    fields = lines.reshape(rows * n, -1)[:, start:]
+    return lines
+
+
+def _fields(values: np.ndarray, kernel) -> np.ndarray:
+    """The (size, _FIELD_WORDS) field words of ``values`` in C order, each its "%.15g\\n" text."""
     flat = values.ravel()
+    fields = np.empty((flat.size, _FIELD_WORDS), dtype=np.uint32)
     slow = _format_values(flat, fields, kernel) if kernel else np.ones(flat.size, dtype=bool)
     if slow.any():
         texts = ["%.15g\n" % x for x in flat[slow].tolist()]
         fields[slow] = np.array(texts, dtype=f"S{_FIELD_BYTES}").view(np.uint32).reshape(-1, _FIELD_WORDS)
-    return lines.tobytes().translate(None, b"\0").decode("ascii")
+    return fields
 
 
 def _format_values(values: np.ndarray, fields: np.ndarray, kernel: _Kernel) -> np.ndarray:

@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .correlators import DecayFit, MomentSum, correlator_table, fit_decay_constant, ground_state_correlator_bound, line_fit, require_fit_distances, require_norm_bound
+from .correlators import DecayFit, MomentSum, correlator_table, fit_decay_constant, ground_state_correlator_bound, line_fit, mean_moment_by_distance, require_fit_distances, require_norm_bound
 from .entanglement import EPS_MIN, EntropyReport, entropy_report, excitation_weights
 from .hamiltonian import (
     AssumptionReport,
@@ -448,7 +448,12 @@ def run_scan(config: ExperimentConfig) -> list[ScanResult]:
     next is made: h once decomposed, h^{1/2} (made only with excitations,
     see region_reports) once every region has its blocks, the blocks once
     every region has its report; the correlator table's moment is made in
-    the table's own array.
+    the table's own array. With ``fit_decay`` a worker returns its
+    realization's distance-bin means (``mean_moment_by_distance``), one
+    number per distance, never its moment matrix; the reduction adds them
+    in index order and divides by the count once, and the fit reads those
+    averages. They equal the bins of the ensemble mean matrix up to
+    roundoff, not bit for bit.
 
     Realizations failing the positive-definiteness check are recorded with
     pd_ok = False and excluded from every aggregate; the first realization
@@ -476,16 +481,17 @@ def run_scan(config: ExperimentConfig) -> list[ScanResult]:
             return records, None
         moment = table.values
         moment **= config.s
-        return records, moment
+        return records, mean_moment_by_distance(moment, lattice)
 
     rows = []  # rows[index][position]: the record of realization ``index`` for region ``position``
-    moments = MomentSum()
+    bin_sums = {}  # distance: the bin means of the positive-definite realizations, added in index order
 
     def reduce(result):
-        records, moment = result
+        records, means = result
         rows.append(records)
-        if moment is not None:
-            moments.add(moment)
+        if means is not None:
+            for r, mean in means.items():
+                bin_sums[r] = bin_sums.get(r, 0.0) + mean
 
     execution = _run_pooled(worker, config.realizations, config.threads, reduce)
 
@@ -496,8 +502,10 @@ def run_scan(config: ExperimentConfig) -> list[ScanResult]:
         raise ValueError("every realization failed the positive-definiteness check")
 
     decay = constant = None
-    if moments.count:
-        decay, constant = fit_decay_constant(moments.mean(), lattice, config.s, bound)
+    if bin_sums:
+        used = len(rows) - failed
+        by_distance = {r: total / used for r, total in bin_sums.items()}
+        decay, constant = fit_decay_constant(by_distance, lattice, config.s, bound)
 
     results = []
     for position, region in enumerate(regions):
@@ -534,8 +542,11 @@ def run_scan(config: ExperimentConfig) -> list[ScanResult]:
 def correlator_ensemble(config: ExperimentConfig) -> tuple[np.ndarray, dict]:
     """The mean moment matrix E|<delta_j, h^{-1/2} delta_k>|^s over a config's realizations, and the pool's ``execution``.
 
-    Realizations run on the scan's pool and are summed in index order, so
-    the mean is byte-identical for every pool size and BLAS thread count.
+    Realizations run on the scan's pool and their moment matrices are
+    summed in index order, so the mean is byte-identical for every pool size
+    and BLAS thread count. The ``correlators`` command writes this matrix
+    and fits the bins of it (``mean_moment_by_distance``); a scan reduces
+    per-realization bin means instead and needs no matrix.
     Raises ValueError before any realization if the lattice is too small
     for a decay fit, and at the first realization, in index order, whose h
     is not positive definite or whose ||h^{1/2}|| exceeds the norm bound.

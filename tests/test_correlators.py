@@ -178,7 +178,7 @@ def test_line_fit_of_a_constant_x_or_two_points_equals_the_lines_it_replaced_bit
 @pytest.mark.parametrize("source", [_chain_exponential, _bulk_3d_mean_moment], ids=["synthetic-exponential", "bulk-3d"])
 def test_decay_fit_equals_both_lines_it_replaced_bit_for_bit(source):
     mean_moment, lattice = source()
-    fit, _ = fit_decay_constant(mean_moment, lattice, 0.5, 1.0)
+    fit, _ = fit_decay_constant(mean_moment_by_distance(mean_moment, lattice), lattice, 0.5, 1.0)
     r, y = _binned_log_moments(mean_moment, lattice)
     assert fit.distances == tuple(r.tolist())
     assert _bits([fit.eta, fit.prefactor, fit.residual]) == _bits(_decay_line_before_line_fit(r, y))
@@ -281,12 +281,19 @@ def test_distance_bins_match_nonzero_order(lengths):
 
 @pytest.mark.parametrize("lengths", GEOMETRY_BOXES)
 def test_mean_moment_by_distance_matches_pair_loop(lengths):
+    # The referee adds each bin's pairs one after the other in row-major order
+    # and divides by the count once: the order of np.bincount, so the bits agree
     lat = build_box(len(lengths), lengths)
     dist = _loop_distances(lat)
     moment = np.random.default_rng(3).random((lat.size, lat.size)) ** 5
-    expected = {
-        int(r): float(moment[np.nonzero(dist == r)].mean()) for r in np.unique(dist) if r >= 1
-    }
+    sums, counts = {}, {}
+    for j in range(lat.size):
+        for k in range(lat.size):
+            r = int(dist[j, k])
+            if r >= 1:
+                sums[r] = sums.get(r, 0.0) + float(moment[j, k])
+                counts[r] = counts.get(r, 0) + 1
+    expected = {r: sums[r] / counts[r] for r in sorted(sums)}
     assert mean_moment_by_distance(moment, lat) == expected
 
 
@@ -383,6 +390,23 @@ def test_correlator_csv_is_byte_equal_to_the_per_entry_format(lengths, kind):
     text = _csv_text(values, lat)
     assert text.encode() == _csv_per_entry(values, lat).encode()
     assert text.count("\n") == lat.size**2 + 1
+
+
+def test_correlator_csv_formats_a_symmetric_matrix_about_once_per_pair(monkeypatch):
+    # Only a block's own lower triangle is formatted on both sides of the diagonal
+    lattice = build_box(1, [200])
+    values = np.exp(-np.abs(np.subtract.outer(np.arange(200), np.arange(200))) / 7.0)
+    formatted = []
+    original = oscent.correlators._format_values
+
+    def counted(flat, fields, kernel):
+        formatted.append(flat.size)
+        return original(flat, fields, kernel)
+
+    monkeypatch.setattr(oscent.correlators, "_format_values", counted)
+    assert _csv_text(values, lattice) == _csv_per_entry(values, lattice)
+    step = 200 // 32
+    assert sum(formatted) <= 200 * 201 // 2 + 200 * step // 2
 
 
 def test_correlator_csv_writes_the_same_bytes_when_every_value_takes_the_fallback(monkeypatch):

@@ -24,6 +24,7 @@ from oscent import (
     write_scaling_data,
 )
 from oscent.cli import main
+from oscent.correlators import mean_moment_by_distance
 from oscent.experiments import definite_realization, region_reports
 
 
@@ -222,6 +223,47 @@ def test_scan_decay_fit_is_deterministic():
     assert first.empirical_area_bound["note"] == "empirical"
 
 
+BIN_BOXES = [((30,), (box((10,), (6,)),)), ((6, 6), (box((1, 1), (3, 3)),)), ((4, 4, 4), (box((1, 1, 1), (2, 2, 2)),))]
+
+
+def _fitted_bin_means(config, monkeypatch) -> dict:
+    """The distance-bin means run_scan hands to its decay fit."""
+    seen = []
+    original = oscent.experiments.fit_decay_constant
+
+    def spy(by_distance, *args):
+        seen.append(by_distance)
+        return original(by_distance, *args)
+
+    monkeypatch.setattr(oscent.experiments, "fit_decay_constant", spy)
+    run_scan(config)
+    (by_distance,) = seen
+    return by_distance
+
+
+@pytest.mark.parametrize("lengths, regions", BIN_BOXES, ids=["1d", "2d", "3d"])
+def test_a_scans_averaged_bin_means_equal_the_bins_of_the_ensemble_mean(lengths, regions, monkeypatch):
+    # The same numbers summed in another order: each realization's bins, then
+    # their average, against the bins of the averaged moment matrix
+    config = small_config(dimension=len(lengths), lengths=lengths, regions=regions, excitations="none", fit_decay=True, realizations=5)
+    scanned = _fitted_bin_means(config, monkeypatch)
+    ensemble = mean_moment_by_distance(correlator_ensemble(config)[0], config.lattice)
+    assert list(scanned) == list(ensemble) == list(range(1, sum(n - 1 for n in lengths) + 1))
+    for r, mean in ensemble.items():
+        assert scanned[r] == pytest.approx(mean, rel=1e-14, abs=0.0)
+
+
+def test_the_scan_decay_fit_is_byte_identical_at_pool_sizes_one_and_two():
+    config = small_config(dimension=2, lengths=(6, 6), regions=(box((1, 1), (3, 3)),), excitations="none", fit_decay=True, realizations=7)
+    fits = []
+    for threads in (1, 2):
+        (result,) = run_scan(dataclasses.replace(config, threads=threads))
+        empirical = result.empirical_area_bound
+        fits.append(np.array([result.decay.eta, result.decay.prefactor, result.decay.residual, empirical["constant"]]).tobytes())
+        assert result.decay.distances == tuple(range(1, 11))
+    assert fits[0] == fits[1]
+
+
 def test_area_law_fit_recovers_synthetic_slopes():
     def fake(size, boundary, bound):
         return SimpleNamespace(
@@ -375,11 +417,10 @@ def _peak_bytes(run) -> int:
 
 @pytest.mark.parametrize("threads, slack", [(1, 2), (2, 4)])
 def test_scan_memory_is_flat_in_the_number_of_realizations(threads, slack):
-    # Holding every realization's moment matrix until the pool ends adds 24 of
-    # them here. The read window allows 2 x threads realizations in flight, so
-    # the growth is bounded by that many moment matrices: a longer scan more
-    # often has a finished result waiting in the window while a worker runs
-    # the next realization, which adds about one on one thread.
+    # Holding every realization's moment matrix until the pool ends would add
+    # 24 of them here. The read window allows 2 x threads realizations in
+    # flight, so the growth is bounded by that many moment matrices, which a
+    # worker makes and reduces to its bin means before it returns.
     config = small_config(
         lengths=(160,), regions=(box((60,), (16,)),), excitations="none",
         fit_decay=True, threads=threads,
@@ -417,11 +458,48 @@ BOX_MATRIX_BYTES = 512 * 512 * 8
 def test_a_dense_scan_holds_at_most_six_n_by_n_arrays():
     # Each n x n array of a realization is dropped before the next is made:
     # about three at a time inside the worker (the eigenvectors, a product,
-    # h^{1/2} or h^{-1/2}), plus the moment sum and a finished moment waiting
-    # to be reduced; the decay fit needs the lattice distances and a sort
-    # order.
+    # h^{1/2} or h^{-1/2}), plus the lattice distances and their intp keys
+    # while the moment is binned (4.4 traced).
     run_scan(BOX)  # warm caches
     assert _peak_bytes(lambda: run_scan(dataclasses.replace(BOX))) <= 6 * BOX_MATRIX_BYTES
+
+
+def _arrays(value):
+    """Every numpy array inside ``value``: its items, entries and dataclass fields, followed through."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _arrays(item)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _arrays(item)
+    elif dataclasses.is_dataclass(value):
+        for item in dataclasses.fields(value):
+            yield from _arrays(getattr(value, item.name))
+
+
+def test_a_decay_fit_scan_reduces_bins_not_n_by_n_moments(monkeypatch):
+    # Each worker hands back one mean per distance, so a longer scan holds
+    # nothing more: the peak is a realization's own arrays, 2 realizations or 8
+    config = dataclasses.replace(BOX, excitations="none")
+    results = []
+    original = oscent.experiments._run_pooled
+
+    def watched(worker, count, threads, reduce):
+        def watch(result):
+            results.append([array.shape for array in _arrays(result)])
+            reduce(result)
+        return original(worker, count, threads, watch)
+
+    monkeypatch.setattr(oscent.experiments, "_run_pooled", watched)
+    run_scan(config)  # warm caches
+    assert len(results) == 4 and results == [[]] * 4
+    few, many = (
+        statistics.median(_peak_bytes(lambda: run_scan(dataclasses.replace(config, realizations=n))) for _ in range(3))
+        for n in (2, 8)
+    )
+    assert many < few + 0.1 * BOX_MATRIX_BYTES
 
 
 def test_a_ground_only_report_makes_no_n_by_n_array():
