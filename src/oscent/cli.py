@@ -205,7 +205,7 @@ def _cmd_correlators(args) -> int:
     }
     decay = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     out = _write_outputs(args, config, {"decay.json": decay}, execution=execution)
-    with open(out / "correlators.csv", "w", newline="\n") as handle:
+    with open(out / "correlators.csv", "wb") as handle:
         correlator_csv(mean_moment, config.lattice, handle)
     print(f"eta={fit.eta:.15g} prefactor={fit.prefactor:.15g} residual={fit.residual:.3e}")
     return 0

@@ -222,12 +222,12 @@ def line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
 
 
 def correlator_csv(values: np.ndarray, lattice: Lattice, handle) -> None:
-    """Write a real correlator (or moment) matrix to the text ``handle`` as CSV rows j,k,distance,value.
+    """Write a real correlator (or moment) matrix to the binary ``handle`` as ASCII CSV rows j,k,distance,value.
 
     Each value is written as ``"%.15g" % value`` writes its float64. The
     matrix is rendered a block of whole rows at a time, at most
     ``_BLOCK_VALUES`` values and a 32nd of the rows, and each block is
-    written as one ASCII string. A block formats only the columns k from
+    written as one ``bytes``. A block formats only the columns k from
     its first row on. The field of (j, k) with k before that row is the
     field its mirror (k, j) got, kept in a store that holds the rows
     already written × the columns not yet written, n²/4 fields at most; a
@@ -256,7 +256,7 @@ def correlator_csv(values: np.ndarray, lattice: Lattice, handle) -> None:
     labels = _label_words(max(n, int(distances.max(initial=0)) + 1))
     kernel = _kernel()
     bits = values.view(np.int64)
-    handle.write("j,k,distance,value\n")
+    handle.write(b"j,k,distance,value\n")
     step = max(1, min(_BLOCK_VALUES // n, n // 32))
     mirrors = {}  # a later block's start: its rows' fields at the columns already emitted, one chunk per block
     for start in range(0, n, step):
@@ -272,7 +272,7 @@ def correlator_csv(values: np.ndarray, lattice: Lattice, handle) -> None:
                 fields[rows, columns] = _fields(values[start + rows, columns], kernel)
         for later in range(stop, n, step):
             mirrors.setdefault(later, []).append(fields[:, later : later + step].transpose(1, 0, 2).copy())
-        handle.write(lines.tobytes().translate(None, b"\0").decode("ascii"))
+        handle.write(lines.tobytes().translate(None, b"\0"))
 
 
 _BLOCK_VALUES = 8192

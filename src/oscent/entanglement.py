@@ -395,7 +395,10 @@ class EntropyReport:
     mu: list[float] = field(default_factory=list)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        """The report as strict JSON, with null for an undefined (nan) theorem bound: a one-site region's."""
+        payload = asdict(self)
+        payload["excited_theorem_bounds"] = [None if math.isnan(b) else b for b in self.excited_theorem_bounds]
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
 
 
 def entropy_report(

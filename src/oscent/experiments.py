@@ -641,14 +641,19 @@ def _aggregate(records: list[RealizationRecord]) -> dict:
 def area_law_fit(results):
     """Least-squares slopes of the mean excited bound vs boundary and log size.
 
-    Needs at least three distinct region sizes. Any object with
-    ``boundary_size``, ``region_size`` and ``excited_theorem_mean`` works.
+    Needs at least three distinct region sizes, each with a mean excited
+    theorem bound: a scan without excitations, or with a one-site region,
+    raises ValueError. Any object with ``boundary_size``, ``region_size``
+    and ``excited_theorem_mean`` works.
     """
     results = list(results)
     sizes = {r.region_size for r in results}
     if len(sizes) < 3:
         raise ValueError(f"need >= 3 region sizes, have {len(sizes)}")
     y = np.array([r.excited_theorem_mean for r in results])
+    lacking = sorted({r.region_size for r, value in zip(results, y) if math.isnan(value)})
+    if lacking:
+        raise ValueError(f"area_law_fit fits the excited theorem bound, and the scan has none at region sizes {lacking}")
     _, *vs_boundary = line_fit(np.array([float(r.boundary_size) for r in results]), y)
     _, *vs_log = line_fit(np.array([math.log(r.region_size) for r in results]), y)
     return AreaLawFit(*vs_boundary, *vs_log)

@@ -169,7 +169,7 @@ def lapack_versions() -> dict[str, str]:
 def _scalars(ctype, *values):
     """``values`` side by side in one ctypes array of ``ctype``, and the address of each.
 
-    The addresses are valid while the array is alive.
+    The addresses are valid only while the array is alive, so callers hold it.
     """
     block = (ctype * len(values))(*values)
     base, size = ctypes.addressof(block), ctypes.sizeof(ctype)
@@ -188,25 +188,26 @@ def _check_info(info, routine: str):
         raise np.linalg.LinAlgError(f"{routine} failed (info = {info})")
 
 
-# (routine, n) -> (lwork, liwork), as the bound LAPACK's workspace query
-# answered them. Threads may race to fill an entry; they store the same sizes.
-_workspace_sizes: dict[tuple[str, int], tuple[int, int]] = {}
+def _call(routine: str, *arguments):
+    """Call the bound ``routine`` with ``arguments`` (addresses) and an ``info`` of its own, then check ``info``."""
+    info = _lapack.integer(0)
+    _lapack.routines[routine](*arguments, ctypes.addressof(info))
+    _check_info(info.value, routine)
 
 
-def _workspace(routine: str, n: int, integer, query) -> tuple[np.ndarray, np.ndarray]:
-    """Fresh ``work`` and ``iwork`` (of ctypes type ``integer``) arrays of the sizes ``routine`` asks for at order ``n``.
+def _call_with_workspace(routine: str, *arguments):
+    """Call ``routine`` (dsyevr or dstemr), whose ``arguments`` stop before ``work``, with the workspace it asks for.
 
-    ``query(work, iwork)`` runs the routine as a workspace query, the same
-    one scipy makes, once per (routine, n): the sizes depend on nothing
-    else, and the blocked reduction inside dsyevr picks its block size from
-    ``lwork``, so the bits depend on them.
+    A workspace query (``lwork = liwork = -1``) comes first, the one scipy's
+    wrappers make on every call. The blocked reduction inside dsyevr picks
+    its block size from ``lwork``, so the bits depend on the sizes queried.
     """
-    sizes = _workspace_sizes.get((routine, n))
-    if sizes is None:
-        work, iwork = np.empty(1), np.empty(1, dtype=integer)
-        query(work, iwork)
-        sizes = _workspace_sizes[routine, n] = (int(work[0]), int(iwork[0]))
-    return np.empty(sizes[0]), np.empty(sizes[1], dtype=integer)
+    work, iwork = np.empty(1), np.empty(1, dtype=_lapack.integer)
+    sizes, (lwork, liwork) = _scalars(_lapack.integer, -1, -1)
+    _call(routine, *arguments, work.ctypes.data, lwork, iwork.ctypes.data, liwork)
+    sizes[:] = int(work[0]), int(iwork[0])
+    work, iwork = np.empty(sizes[0]), np.empty(sizes[1], dtype=_lapack.integer)
+    _call(routine, *arguments, work.ctypes.data, lwork, iwork.ctypes.data, liwork)
 
 
 def _square(a: np.ndarray, routine: str):
@@ -238,26 +239,14 @@ def syevr(a, overwrite_a=False) -> tuple[np.ndarray, np.ndarray]:
     a = _overwritable(a, overwrite_a)
     _square(a, "syevr")
     n = a.shape[0]
-    lapack = _lapack
     w = np.empty(n)
     z = np.empty((n, n), order="F")
-    isuppz = np.empty(2 * n, dtype=lapack.integer)
-    ints, (n_, ld, first, last, found, lwork, liwork, info) = _scalars(
-        lapack.integer, n, max(n, 1), 1, n, 0, -1, -1, 0
+    isuppz = np.empty(2 * n, dtype=_lapack.integer)
+    block, (n_, ld, first, last, found) = _scalars(_lapack.integer, n, max(n, 1), 1, n, 0)
+    _call_with_workspace(
+        "dsyevr", b"V", b"A", b"L", n_, a.ctypes.data, ld, _ZERO_AT, _ZERO_AT, first, last, _ZERO_AT,
+        found, w.ctypes.data, z.ctypes.data, ld, isuppz.ctypes.data,
     )
-    arrays = a.ctypes.data, w.ctypes.data, z.ctypes.data, isuppz.ctypes.data
-
-    def call(work, iwork):
-        lapack.routines["dsyevr"](
-            b"V", b"A", b"L", n_, arrays[0], ld, _ZERO_AT, _ZERO_AT, first, last, _ZERO_AT,
-            found, arrays[1], arrays[2], ld, arrays[3],
-            work.ctypes.data, lwork, iwork.ctypes.data, liwork, info,
-        )
-        _check_info(ints[-1], "dsyevr")
-
-    work, iwork = _workspace("dsyevr", n, lapack.integer, call)
-    ints[5:7] = work.size, iwork.size
-    call(work, iwork)
     return w, z
 
 
@@ -275,26 +264,14 @@ def stemr(d, e) -> tuple[np.ndarray, np.ndarray]:
     n = d.size
     e = np.zeros(n)  # dstemr wants n entries; the last is workspace
     e[:-1] = e_in
-    lapack = _lapack
     w = np.empty(n)
     z = np.empty((n, n), order="F")
-    isuppz = np.empty(2 * n, dtype=lapack.integer)
-    ints, (n_, first, last, found, ldz, nzc, tryrac, lwork, liwork, info) = _scalars(
-        lapack.integer, n, 1, n, 0, n, n, 1, -1, -1, 0
+    isuppz = np.empty(2 * n, dtype=_lapack.integer)
+    ints, (n_, first, last, found, ldz, nzc, tryrac) = _scalars(_lapack.integer, n, 1, n, 0, n, n, 1)
+    _call_with_workspace(
+        "dstemr", b"V", b"A", n_, d.ctypes.data, e.ctypes.data, _ZERO_AT, _ZERO_AT, first, last, found,
+        w.ctypes.data, z.ctypes.data, ldz, nzc, isuppz.ctypes.data, tryrac,
     )
-    arrays = d.ctypes.data, e.ctypes.data, w.ctypes.data, z.ctypes.data, isuppz.ctypes.data
-
-    def call(work, iwork):
-        lapack.routines["dstemr"](
-            b"V", b"A", n_, arrays[0], arrays[1], _ZERO_AT, _ZERO_AT, first, last, found,
-            arrays[2], arrays[3], ldz, nzc, arrays[4], tryrac,
-            work.ctypes.data, lwork, iwork.ctypes.data, liwork, info,
-        )
-        _check_info(ints[-1], "dstemr")
-
-    work, iwork = _workspace("dstemr", n, lapack.integer, call)
-    ints[7:9] = work.size, iwork.size
-    call(work, iwork)
     m = int(ints[3])
     return w[:m], z[:, :m]
 
@@ -313,9 +290,8 @@ def potrf(a, overwrite_a=False) -> np.ndarray:
     c = _overwritable(a, overwrite_a)
     _square(c, "potrf")
     n = c.shape[0]
-    lapack = _lapack
-    ints, (n_, ld, info) = _scalars(lapack.integer, n, max(n, 1), 0)
-    lapack.routines["dpotrf"](b"U", n_, c.ctypes.data, ld, info)
+    ints, (n_, ld, info) = _scalars(_lapack.integer, n, max(n, 1), 0)
+    _lapack.routines["dpotrf"](b"U", n_, c.ctypes.data, ld, info)
     if ints[-1] > 0:  # scipy's wording
         raise np.linalg.LinAlgError(f"{ints[-1]}-th leading minor of the array is not positive definite")
     _check_info(ints[-1], "dpotrf")
@@ -334,10 +310,8 @@ def potrs(c, b) -> np.ndarray:
     if x.ndim not in (1, 2) or x.shape[0] != c.shape[0]:
         raise ValueError(f"right-hand side of shape {x.shape} does not fit a factor of shape {c.shape}")
     n = c.shape[0]
-    lapack = _lapack
-    ints, (n_, nrhs, ld, info) = _scalars(lapack.integer, n, 1 if x.ndim == 1 else x.shape[1], max(n, 1), 0)
-    lapack.routines["dpotrs"](b"U", n_, nrhs, c.ctypes.data, ld, x.ctypes.data, ld, info)
-    _check_info(ints[-1], "dpotrs")
+    block, (n_, nrhs, ld) = _scalars(_lapack.integer, n, 1 if x.ndim == 1 else x.shape[1], max(n, 1))
+    _call("dpotrs", b"U", n_, nrhs, c.ctypes.data, ld, x.ctypes.data, ld)
     return x
 
 

@@ -612,6 +612,37 @@ def test_readme_cli_examples_exit_0(tmp_path, monkeypatch):
         assert main([command, "--config", config, "--out", str(out)]) == 0, command
 
 
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+_ONE_SITE = {"dimension": 1, "lengths": [12], "region": {"corner": [5], "lengths": [1]}, "disorder": {"k_max": 8.0},
+             "seed": 3, "excitations": {"k_range": [1, 3]}}
+
+
+@pytest.mark.parametrize("command", ["ground-entropy", "excited-entropy", "ensemble-bound"])
+def test_single_realization_commands_write_strict_json(command, tmp_path, monkeypatch):
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.chdir(root)  # two_site_ground.json names its matrix from the repository root
+    one_site = tmp_path / "one_site.json"
+    one_site.write_text(json.dumps(_ONE_SITE))
+    names = ["chain_excited", "two_site_ground"]
+    if command != "ensemble-bound":  # the other demos break the ensemble hypothesis
+        names += ["box_scan", "chain_correlators"]
+    for config in [*(root / "demos" / "configs" / f"{name}.json" for name in names), one_site]:
+        out = tmp_path / config.stem
+        assert main([command, "--config", str(config), "--out", str(out)]) == 0, config.name
+        for path in out.glob("*.json"):
+            _strict_json(path.read_text())
+    if command == "excited-entropy":  # a one-site region has no theorem bound
+        payload = _strict_json((tmp_path / "one_site" / "excited_bounds.json").read_text())
+        assert payload["excited_theorem_bounds"] == [None] * 3
+        assert all(math.isfinite(v) for v in payload["excited_computed_bounds"])
+
+
 def _ground_entropy(config_path, out):
     assert main(["ground-entropy", "--config", str(config_path), "--out", str(out)]) == 0
     return json.loads((out / "ground_entropy.json").read_text())

@@ -298,10 +298,10 @@ def test_mean_moment_by_distance_matches_pair_loop(lengths):
 
 
 def _csv_text(values, lattice) -> str:
-    """What correlator_csv writes to a text handle."""
-    handle = io.StringIO()
+    """What correlator_csv writes to a binary handle, as text."""
+    handle = io.BytesIO()
     correlator_csv(values, lattice, handle)
-    return handle.getvalue()
+    return handle.getvalue().decode("ascii")
 
 
 def test_correlator_csv_matches_pair_loop():

@@ -284,6 +284,13 @@ def test_area_law_fit_recovers_synthetic_slopes():
         area_law_fit(log_results[:2])
 
 
+def test_area_law_fit_of_a_scan_without_excitations_raises():
+    results = run_scan(small_config(lengths=(24,), regions=tuple(box((8,), (n,)) for n in (2, 4, 8)), realizations=2, excitations="none"))
+    assert all(math.isnan(result.excited_theorem_mean) for result in results)
+    with pytest.raises(ValueError, match=r"fits the excited theorem bound, and the scan has none at region sizes \[2, 4, 8\]"):
+        area_law_fit(results)
+
+
 def test_writers_produce_stable_files(tmp_path):
     results = run_scan(small_config(regions=tuple(box((5,), (n,)) for n in (2, 3, 4)), realizations=3))
     csv_text = write_records_csv(results, tmp_path / "records.csv")

@@ -206,7 +206,7 @@ def test_concurrent_solves_give_the_serial_bits():
     jobs += [(syevr, (dense(200, seed),)) for seed in range(4)]
     jobs += [(potrf, (spd(300, seed),)) for seed in range(4)]
     jobs += [(potrs, (potrf(spd(300, seed)), dense(300, seed)[:, :40])) for seed in range(4)]
-    # repeated mixed sizes, so most solves reuse a cached workspace size
+    # repeated mixed sizes, so threads query workspaces of one size while others solve at another
     jobs += [(syevr, (dense(n, seed),)) for seed in range(3) for n in (16, 64, 17, 16)]
     jobs += [(stemr, (np.diag(m), np.diag(m, -1))) for m in (anderson([n], seed) for seed in range(3) for n in (16, 90, 16))]
     with single_blas_thread():  # as in the scan pool
@@ -218,17 +218,6 @@ def test_concurrent_solves_give_the_serial_bits():
         if isinstance(want, np.ndarray):
             got, want = [got], [want]
         assert_same_bits(got, want)
-
-
-def test_a_cached_workspace_gives_the_bits_of_a_fresh_query(monkeypatch):
-    matrices = [dense(n, seed) for seed in range(2) for n in (5, 40, 5, 130, 40)]
-    warm = [syevr(m) for m in matrices]
-    monkeypatch.setattr(oscent.lapack, "_workspace_sizes", {})
-    cold = [syevr(m) for m in matrices]
-    assert sorted(oscent.lapack._workspace_sizes) == [("dsyevr", 5), ("dsyevr", 40), ("dsyevr", 130)]
-    for got, want, m in zip(warm, cold, matrices):
-        assert_same_bits(got, want)
-        assert_same_bits(got, scipy.linalg.eigh(m))
 
 
 # The production solves of three realizations: dsyevr on an 8x8x8 box's h
@@ -264,7 +253,6 @@ def test_numpy_openblas_and_cython_lapack_give_the_same_bits():
         "assert 'scipy' not in numpy_bound, numpy_bound\n"
         "first = solves()\n"
         "oscent.lapack._lapack = oscent.lapack._cython_binding()\n"
-        "oscent.lapack._workspace_sizes.clear()\n"
         "second = solves()\n"
         "assert oscent.lapack.lapack_versions()['lapack'] == 'scipy.linalg.cython_lapack'\n"
         "print(len(first), [k for k, (a, b) in enumerate(zip(first, second)) if a != b])\n"
