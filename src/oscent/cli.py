@@ -29,7 +29,6 @@ from .experiments import (
     definite_realization,
     region_reports,
     run_scan,
-    selected_modes,
     write_aggregates_json,
     write_records_csv,
     write_scaling_data,
@@ -171,7 +170,7 @@ def _cmd_ground_entropy(args) -> int:
 
 def _cmd_excited_entropy(args) -> int:
     config = _config(args)
-    report = _region_report(config, selected_modes(config.excitations, config.lattice.size))
+    report = _region_report(config, config.modes)
     _write_outputs(args, config, {"excited_bounds.json": report.to_json() + "\n"})
     for mode, computed, theorem in zip(
         report.excited_modes, report.excited_computed_bounds, report.excited_theorem_bounds

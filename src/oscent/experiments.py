@@ -39,7 +39,7 @@ from .hamiltonian import (
 )
 from .lapack import single_blas_thread
 from .lattice import Lattice, Region, box_region, build_box, inner_boundary, make_region
-from .spectral import BipartitionBlocks, RegionBlocks, SpectralData, decompose, eigensystem, partition_blocks, region_blocks, spd_sqrt, symplectic_spectrum
+from .spectral import SpectralData, decompose, eigensystem, partition_blocks, region_blocks, spd_sqrt, symplectic_spectrum
 
 _DISORDER_KEYS = frozenset({"k_max", "kind"})
 _REGION_KEYS = frozenset({"corner", "lengths", "sites"})
@@ -116,11 +116,6 @@ def parse_excitations(entry, modes: int) -> str | tuple[int, int]:
     return (int(lo), int(hi))
 
 
-def _excitations_entry(policy) -> str | dict:
-    """The config form of a parsed excitation policy."""
-    return policy if isinstance(policy, str) else {"k_range": list(policy)}
-
-
 @dataclass(frozen=True)
 class RegionSpec:
     """One region of a config: a box (``corner`` + ``lengths``) or explicit ``sites``, held as integer tuples."""
@@ -154,6 +149,7 @@ class ExperimentConfig:
     one default. ``__post_init__`` checks every setting however the config
     was built, holds arrays as tuples and reals as floats, and builds the
     config's ``lattice`` and ``lattice_regions``, which live as long as it.
+    ``modes`` lists the excitations the ``excitations`` policy selects.
     """
 
     dimension: int
@@ -230,6 +226,14 @@ class ExperimentConfig:
             raise ValueError("region equals the whole lattice; the complement is empty")
         return regions
 
+    @cached_property
+    def modes(self) -> tuple[int, ...]:
+        """The 1-based modes the ``excitations`` policy selects, built once: all, none or ``lo..hi``."""
+        if self.excitations == "none":
+            return ()
+        lo, hi = (1, self.lattice.size) if self.excitations == "all" else self.excitations
+        return tuple(range(lo, hi + 1))
+
     @property
     def norm_bound(self) -> float:
         """The configured ``bound``, or the spring model's sqrt(4d + k_max)."""
@@ -245,14 +249,14 @@ class ExperimentConfig:
         _check_keys(raw, _CONFIG_KEYS, "config")
         if "region" in raw and "regions" in raw:
             raise ValueError("config has both region and regions; give one")
-        disorder = raw.get("disorder") or {}
+        disorder = raw.get("disorder", {})
         _check_keys(disorder, _DISORDER_KEYS, "disorder")
         if disorder.get("kind", "uniform") != "uniform":
             raise ValueError(f"unknown disorder kind {disorder['kind']!r}")
         if "k_max" not in disorder and raw.get("matrix_csv") is None:
             raise ValueError("config needs disorder.k_max or matrix_csv")
         settings = {key: value for key, value in raw.items() if key not in ("disorder", "region")}
-        regions = raw["regions"] if "regions" in raw else [raw.get("region") or {}]
+        regions = raw["regions"] if "regions" in raw else [raw.get("region", {})]
         settings["regions"] = tuple(RegionSpec(**_check_keys(region, _REGION_KEYS, "region")) for region in _array(regions, "regions"))
         if "k_max" in disorder:
             settings["k_max"] = disorder["k_max"]
@@ -267,7 +271,7 @@ class ExperimentConfig:
             regions=[region.to_dict() for region in self.regions],
             disorder={"kind": "uniform", "k_max": self.k_max},
             eps=list(self.eps),
-            excitations=_excitations_entry(self.excitations),
+            excitations=self.excitations if isinstance(self.excitations, str) else {"k_range": list(self.excitations)},
         )
 
 
@@ -352,16 +356,6 @@ class _Welford:
         return {"mean": self.mean, "se": se, "n": self.count}
 
 
-def selected_modes(policy, total: int) -> list[int]:
-    """1-based modes a parsed excitation policy selects out of ``total``."""
-    if policy == "all":
-        return list(range(1, total + 1))
-    if policy == "none":
-        return []
-    lo, hi = policy
-    return list(range(lo, hi + 1))
-
-
 def coupling_matrix(config: ExperimentConfig, index: int) -> CouplingMatrix:
     """The coupling matrix h of realization ``index`` of a config, on its lattice.
 
@@ -398,38 +392,34 @@ def definite_realization(config: ExperimentConfig, index: int) -> SpectralData:
     return data
 
 
-def region_report(config: ExperimentConfig, data: SpectralData, blocks: BipartitionBlocks | RegionBlocks, modes) -> EntropyReport:
-    """The entropies and bounds of one region of a realization.
-
-    ``modes`` lists the 1-based excitations whose bounds the report holds;
-    their weight rows come from excitation_weights, which needs the
-    BipartitionBlocks of partition_blocks and checks every mode's identities
-    whether selected or not. A report without excitations takes either kind
-    of blocks.
-    """
-    spectrum = symplectic_spectrum(blocks)
-    weights = excitation_weights(data, blocks, spectrum)[np.asarray(modes, dtype=int) - 1] if modes else None
-    return entropy_report(spectrum, config.eps, modes, weights, lattice_size=data.size)
-
-
 def region_reports(config: ExperimentConfig, data: SpectralData, modes) -> list[EntropyReport]:
-    """The region report of each of a config's regions on one realization, holding the bounds of excitations ``modes``.
+    """The entropies and bounds of each of a config's regions on one realization, holding the bounds of excitations ``modes``.
 
-    The one place a report's route is chosen. Without excitations, each
-    region's spectrum comes from its region_blocks: the region rows of the
+    ``modes`` lists 1-based excitations: the config's ``modes`` for a scan
+    or ``excited-entropy``, none for a ground-state report. The one place a
+    report is made and its route chosen. Without excitations, each region's
+    spectrum comes from its region_blocks: the region rows of the
     eigenvectors, no h^{1/2} and no complement block. With excitations, the
     regions take partition_blocks of one h^{1/2}, dropped once every region
     has its blocks: the computed excited bound reads the symplectic mode
     frame, which is free inside a cluster of near-equal mu, and the region
-    route would pick another frame there and move the bound.
+    route would pick another frame there and move the bound. The weight rows
+    come from excitation_weights, which checks every mode's identities
+    whether selected or not.
     """
     regions = config.lattice_regions
-    if not modes:
-        return [region_report(config, data, region_blocks(data, region), modes) for region in regions]
-    hsqrt = spd_sqrt(data)
-    blocks = [partition_blocks(hsqrt, region) for region in regions]
-    del hsqrt
-    return [region_report(config, data, each, modes) for each in blocks]
+    if modes:
+        hsqrt = spd_sqrt(data)
+        blocks = [partition_blocks(hsqrt, region) for region in regions]
+        del hsqrt
+    else:
+        blocks = (region_blocks(data, region) for region in regions)  # each made as its report is
+    reports = []
+    for each in blocks:
+        spectrum = symplectic_spectrum(each)
+        weights = excitation_weights(data, each, spectrum)[np.asarray(modes, dtype=int) - 1] if modes else None
+        reports.append(entropy_report(spectrum, config.eps, modes, weights, lattice_size=data.size))
+    return reports
 
 
 def run_scan(config: ExperimentConfig) -> list[ScanResult]:
@@ -465,13 +455,12 @@ def run_scan(config: ExperimentConfig) -> list[ScanResult]:
     if config.fit_decay:
         require_fit_distances(lattice)
     bound = config.norm_bound
-    modes = selected_modes(config.excitations, lattice.size)
 
     def worker(index: int):
         data = checked_realization(config, index)[1]
         if data is None:
             return [RealizationRecord(index=index, pd_ok=False) for _ in regions], None
-        reports = region_reports(config, data, modes)
+        reports = region_reports(config, data, config.modes)
         table = correlator_table(lattice, data)
         records = [
             RealizationRecord.of(index, report, ground_state_correlator_bound(table, region, config.p, bound))
@@ -501,27 +490,24 @@ def run_scan(config: ExperimentConfig) -> list[ScanResult]:
     if failed == len(rows):
         raise ValueError("every realization failed the positive-definiteness check")
 
-    decay = constant = None
+    decay = empirical = None
     if bin_sums:
         used = len(rows) - failed
         by_distance = {r: total / used for r, total in bin_sums.items()}
         decay, constant = fit_decay_constant(by_distance, lattice, config.s, bound)
+        empirical = {
+            "prefactor": decay.prefactor,
+            "eta": decay.eta,
+            "s": config.s,
+            "residual": decay.residual,
+            "constant": constant,
+            "note": "empirical",
+        }  # the same for every region, which adds its constant_times_boundary
 
     results = []
     for position, region in enumerate(regions):
         boundary = len(inner_boundary(region))
         records = [row[position] for row in rows]
-        empirical = None
-        if constant is not None:
-            empirical = {
-                "prefactor": decay.prefactor,
-                "eta": decay.eta,
-                "s": config.s,
-                "residual": decay.residual,
-                "constant": constant,
-                "constant_times_boundary": constant * boundary,
-                "note": "empirical",
-            }
         results.append(
             ScanResult(
                 config=config,
@@ -532,7 +518,7 @@ def run_scan(config: ExperimentConfig) -> list[ScanResult]:
                 aggregates=_aggregate(records),
                 failed_pd=failed,
                 decay=decay,
-                empirical_area_bound=empirical,
+                empirical_area_bound=dict(empirical, constant_times_boundary=constant * boundary) if empirical else None,
                 execution=execution,
             )
         )

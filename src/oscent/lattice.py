@@ -23,8 +23,11 @@ Site = tuple[int, ...]
 class Lattice:
     """A finite box in Z^d with a fixed lexicographic (C-order) site ordering."""
 
-    dimension: int
     lengths: tuple[int, ...]
+
+    @property
+    def dimension(self) -> int:
+        return len(self.lengths)
 
     @property
     def size(self) -> int:
@@ -84,7 +87,7 @@ def build_box(dimension: int, lengths) -> Lattice:
         raise ValueError(f"expected {dimension} side lengths, got {len(lengths)}")
     if any(n < 1 for n in lengths):
         raise ValueError(f"side lengths must be >= 1, got {lengths}")
-    return Lattice(dimension=dimension, lengths=lengths)
+    return Lattice(lengths)
 
 
 def l1_distance(a, b) -> int:

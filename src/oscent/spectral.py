@@ -93,6 +93,13 @@ class SymplecticSpectrum:
         return self.mu.shape[0]
 
 
+def _symmetrized(x: np.ndarray, order: str = "C") -> np.ndarray:
+    """0.5 * (x + x.T), bit for bit, as a new array in memory ``order``: the one symmetrization."""
+    symmetric = np.add(x, x.T, out=np.empty(x.shape, order=order))
+    symmetric *= 0.5
+    return symmetric
+
+
 def _symmetric_eigh(m: np.ndarray):
     """The bits of ``scipy.linalg.eigh(0.5 * (m + m.T))`` on the bound LAPACK, without holding the GIL; ``m`` is only read.
 
@@ -112,10 +119,8 @@ def _symmetric_eigh(m: np.ndarray):
             return stemr((d + d) * 0.5, (lower + upper) * 0.5)
         except np.linalg.LinAlgError:
             pass
-    # 0.5 * (m + m.T), formed in the Fortran-ordered array dsyevr works in
-    symmetric = np.add(m, m.T, out=np.empty(m.shape, order="F"))
-    symmetric *= 0.5
-    return syevr(symmetric, overwrite_a=True)
+    # formed in the Fortran-ordered array dsyevr works in
+    return syevr(_symmetrized(m, order="F"), overwrite_a=True)
 
 
 def decompose(h) -> SpectralData:
@@ -134,13 +139,6 @@ def eigensystem(h) -> SpectralData:
             f"matrix is not positive definite: smallest eigenvalue {data.eigenvalues[0]:.3e}"
         )
     return data
-
-
-def _symmetrized(root: np.ndarray) -> np.ndarray:
-    """0.5 * (root + root.T), bit for bit."""
-    root = root + root.T
-    root *= 0.5
-    return root
 
 
 def spd_sqrt(h) -> np.ndarray:
@@ -191,8 +189,7 @@ def partition_blocks(hsqrt: np.ndarray, region: Region) -> BipartitionBlocks:
     except np.linalg.LinAlgError as err:
         raise np.linalg.LinAlgError(f"complement block is not positive definite: {err}")
     b_inv_ct = potrs(b_factor, c.T)
-    schur = a - c @ b_inv_ct
-    schur = 0.5 * (schur + schur.T)
+    schur = _symmetrized(a - c @ b_inv_ct)
     try:
         schur_factor = potrf(schur)
     except np.linalg.LinAlgError as err:
@@ -214,9 +211,7 @@ def symplectic_spectrum(blocks: BipartitionBlocks | RegionBlocks) -> SymplecticS
     a_data = eigensystem(blocks.a)
     a_sqrt = spd_sqrt(a_data)
     a_inv_sqrt = spd_inv_sqrt(a_data)
-    core = a_sqrt @ blocks.solve_schur(a_sqrt)
-    core = 0.5 * (core + core.T)
-    mu_sq, f2 = syevr(core)
+    mu_sq, f2 = syevr(_symmetrized(a_sqrt @ blocks.solve_schur(a_sqrt)))
     if mu_sq[0] < 1.0 - MU_CLIP_TOLERANCE:
         raise np.linalg.LinAlgError(
             f"symplectic eigenvalue below 1: mu^2 = {mu_sq[0]:.15f}"

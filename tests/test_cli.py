@@ -326,6 +326,10 @@ _MALFORMED_SHAPES = {
     "infinite-k_max": ({"disorder": {"k_max": math.inf}}, "disorder.k_max must be a finite number"),
     "infinite-bound": ({"bound": math.inf}, "bound must be a finite number"),
     "region-sites-and-box": ({"region": {"corner": [4], "lengths": [3], "sites": [[0]]}}, "region needs sites or corner + lengths"),
+    # a disorder or region that is given is an object: [] and null are not an absent key
+    "list-disorder": ({"disorder": []}, "disorder must be a JSON object"),
+    "null-disorder": ({"disorder": None}, "disorder must be a JSON object"),
+    "null-region": ({"region": None}, "region must be a JSON object"),
 }
 
 
@@ -582,6 +586,13 @@ def test_an_indefinite_matrix_csv_exits_1(two_site_config, tmp_path, capsys):
     Path(json.loads(two_site_config.read_text())["matrix_csv"]).write_text("1,2\n2,1\n")
     assert main(["ground-entropy", "--config", str(two_site_config), "--out", str(tmp_path / "o")]) == 1
     assert "coupling matrix is not positive definite" in capsys.readouterr().err
+
+
+def test_a_matrix_csv_config_with_a_list_disorder_exits_2(two_site_config, tmp_path, capsys):
+    # a matrix_csv config needs no disorder, but an empty list is not an absent one
+    _write(two_site_config, dict(json.loads(two_site_config.read_text()), disorder=[]))
+    assert main(["ground-entropy", "--config", str(two_site_config), "--out", str(tmp_path / "o")]) == 2
+    assert "disorder must be a JSON object" in capsys.readouterr().err
 
 
 def test_readme_names_every_config_key_and_compute_flag():

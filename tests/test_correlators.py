@@ -256,11 +256,11 @@ def test_boundary_factorized_cross_sum():
 
 
 def _loop_distances(lattice):
-    n = lattice.size
+    n, sites = lattice.size, lattice.sites  # sites built once: the property builds every tuple on each access
     dist = np.zeros((n, n), dtype=int)
     for i in range(n):
         for j in range(i + 1, n):
-            dist[i, j] = dist[j, i] = l1_distance(lattice.sites[i], lattice.sites[j])
+            dist[i, j] = dist[j, i] = l1_distance(sites[i], sites[j])
     return dist
 
 
@@ -307,10 +307,10 @@ def _csv_text(values, lattice) -> str:
 def test_correlator_csv_matches_pair_loop():
     lat = build_box(2, [3, 4])
     values = np.random.default_rng(4).random((lat.size, lat.size)) ** 9
-    lines = ["j,k,distance,value"]
+    lines, sites = ["j,k,distance,value"], lat.sites
     for i in range(lat.size):
         for j in range(lat.size):
-            distance = l1_distance(lat.sites[i], lat.sites[j])
+            distance = l1_distance(sites[i], sites[j])
             lines.append(f"{i},{j},{distance},{values[i, j]:.15g}")
     assert _csv_text(values, lat) == "\n".join(lines) + "\n"
 

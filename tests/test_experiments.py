@@ -170,6 +170,10 @@ def test_scan_bounds_hold_per_realization():
 
 def test_scan_excitation_range_policy():
     config = small_config(excitations=(1, 3))
+    assert config.modes == (1, 2, 3)
+    assert config.to_dict()["excitations"] == {"k_range": [1, 3]}
+    assert small_config().modes == tuple(range(1, 15))
+    assert small_config(excitations="none").modes == ()
     (result,) = run_scan(config)
     assert all(1 <= r.excited_mode <= 3 for r in result.records)
     (none,) = run_scan(small_config(excitations="none"))

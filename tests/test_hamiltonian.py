@@ -170,11 +170,11 @@ def test_disorder_model_validation():
 
 def _loop_anderson(lattice, springs):
     """Pairwise reference assembly: -1 on every l1-distance-1 pair."""
-    n = lattice.size
+    n, sites = lattice.size, lattice.sites
     h = np.zeros((n, n))
-    for i, a in enumerate(lattice.sites):
+    for i, a in enumerate(sites):
         for j in range(i + 1, n):
-            if l1_distance(a, lattice.sites[j]) == 1:
+            if l1_distance(a, sites[j]) == 1:
                 h[i, j] = h[j, i] = -1.0
     degrees = -h.sum(axis=1)
     h[np.diag_indices(n)] = degrees + springs

@@ -143,9 +143,10 @@ def test_distances_match_scalar_l1_distance(lengths):
 
 
 def test_a_lattice_is_its_lengths_and_a_region_its_indices():
-    assert [f.name for f in dataclasses.fields(Lattice)] == ["dimension", "lengths"]
+    assert [f.name for f in dataclasses.fields(Lattice)] == ["lengths"]
     assert [f.name for f in dataclasses.fields(Region)] == ["lattice", "indices"]
     lat = build_box(2, [3, 4])
+    assert lat.dimension == 2
     assert lat.index_of((1, 2)) == 6
     for outside in [(3, 0), (0, -1), (1,), (1.5, 2)]:
         with pytest.raises(KeyError):
